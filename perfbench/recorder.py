@@ -27,16 +27,33 @@ REF_SMOOTH_S = 1.5
 # About the median duration of reference_loop on the 2-core benchmark machine;
 # it only sets the scale of the normalized times, which stay comparable while
 # it and reference_loop are unchanged.
-REF_NOMINAL_S = 0.0025
+REF_NOMINAL_S = 0.0045
+# Steps of the tuple part of reference_loop, which then takes about as long
+# as the rest of the loop.
+TUPLE_STEPS = 900
 
 
 def reference_loop() -> None:
     """Fixed interpreter, small-array and cache-sized array work, like the
     program's inner loops.  The array part makes the loop slow down under
-    cache contention, as the program does, and not only under CPU sharing."""
+    cache contention, as the program does, and not only under CPU sharing.
+    The tuple part makes and compares a float tuple per step, fed by a
+    generator, as the enumeration's family walk does: pure-Python code with
+    that much allocation slows down more than the other parts do when the
+    host is busy, and best_approx and shrinking_hit_report calls follow the
+    loop more closely with this part than without it."""
     s = 0
     for i in range(8000):
         s += (i * i) % 7
+    best = None
+    for a, c in ((a, (7 * a) % 13 - 6) for a in range(1, TUPLE_STEPS)):
+        for k in (-1, 0, 1):
+            b, d = k * a + 1, k * c - 1
+            e1, e2 = a * 1.37 + b * 1.61 - 0.3, c * 1.37 + d * 1.61 + 0.7
+            key = (e1 * e1 + e2 * e2, a * a + b * b + c * c + d * d, a, c, b, d)
+            if best is None or key < best:
+                best = key
+    s += best[1]
     a = np.arange(1, 513)
     for _ in range(80):
         s += int(np.gcd(a, 12).sum())

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from checks import check_best, check_witness, exact_dist2
+from checks import check_best, check_witness, exact_dist2, known_defect
 from layers import PER_LAYER
 from run import END_TO_END, ROOT
 
@@ -43,6 +43,26 @@ def test_flags_transposed_witness():
     assert reasons == [] and err < 1e-15, (reasons, err)
     reasons, _, _ = check_witness(4096.0, dist, norm, (41, -6, -34, 5), u, v)
     assert reasons == ["witness"], reasons
+    assert known_defect(reasons, dist, (41, -6, -34, 5), u, v) == "transposed"
+    # a wrong witness that is not the transpose is no documented defect
+    g = (3, 1, 5, 2)
+    reasons, _, _ = check_witness(4096.0, dist, sum(x * x for x in g), g, u, v)
+    assert reasons == ["witness"], reasons
+    assert known_defect(reasons, dist, g, u, v) is None
+
+
+def test_rounding_is_no_wrong_witness():
+    # g*u lands within an ulp of v, so a 2 % deviation is still float
+    # rounding of |g*u - v| for entries this large; 1e-6 absolute is not
+    u, g = (1.37, 1.61), (1, 0, 100_000_007, 1)
+    v = (1.37, 100_000_007 * 1.37 + 1.61)
+    exact = float(exact_dist2(g, u, v)) ** 0.5
+    norm = sum(x * x for x in g)
+    assert 0.0 < exact < 1e-7, exact
+    reasons, err, _ = check_witness(1e17, exact * 1.02, norm, g, u, v)
+    assert reasons == [] and err > 1e-2, (reasons, err)
+    reasons, _, _ = check_witness(1e17, exact + 1e-6, norm, g, u, v)
+    assert reasons == ["witness"], reasons
 
 
 def test_flags_tie_order_violation():
@@ -55,6 +75,10 @@ def test_flags_tie_order_violation():
     assert reasons == [], reasons
     reasons, _ = check_best(T, 0.0, 18, planted, u, v, ball, "gamma", 2)
     assert reasons == ["tie_order"], reasons
+    assert known_defect(reasons, 0.0, planted, u, v, "gamma") == "horizontal_tie"
+    # out of tie order anywhere else is no documented defect
+    assert known_defect(reasons, 0.0, planted, u, v, "full") is None
+    assert known_defect(reasons, 0.0, planted, (1.3, 0.5), v, "gamma") is None
     # a witness at a larger distance is not minimal
     d = float(exact_dist2((1, 0, 0, 1), u, v)) ** 0.5
     reasons, _ = check_best(T, d, 2, (1, 0, 0, 1), u, v, ball)
@@ -99,6 +123,7 @@ def test_smoke_prints_every_metric():
         final = json.loads(got.stdout.strip().splitlines()[-1])
         assert set(final) == {"correct", "attempted", "failed", "metrics"}
         assert final["attempted"] >= 1
+        assert final["correct"] and final["failed"] == 0, final
         assert all(v["unit"] == dict(expected)[k.split(".", 1)[1]] for k, v in final["metrics"].items())
 
 

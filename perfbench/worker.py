@@ -118,7 +118,9 @@ def main(argv=None) -> int:
     result.update(
         attempted=tally.attempted,
         failed=tally.failed,
+        unexpected=tally.unexpected,
         reasons=dict(tally.reasons),
+        known=dict(tally.known),
         errors=rec.errors[:20],
         max_rel_err=tally.max_rel_err,
         inexact=tally.inexact,

@@ -38,7 +38,7 @@ from orbitlab import cli
 from orbitlab.ergodic import matcoef_curve, shrinking_hit_report, window_hit_counts
 from orbitlab.matrices import lower_shear
 
-from checks import INEXACT_TOL, WITNESS_TOL, ball_defects, check_best, check_witness
+from checks import INEXACT_TOL, ball_defects, check_best, check_witness, known_defect
 
 V0 = (1.3, 0.8)  # the README target of the quotient-side commands
 WARMUP_SEED = 424242  # throwaway input for the warm-up call; no workload uses it
@@ -73,27 +73,38 @@ def run_cli(rec, argv: list) -> tuple:
 
 
 class Tally:
-    """Checked results, failures by reason, and rounding error of distances."""
+    """Checked results, failures by reason and by documented defect, and
+    rounding error of distances."""
 
     def __init__(self):
         self.attempted = 0
         self.failed = 0
         self.reasons = Counter()
+        self.known = Counter()  # failures that show a documented defect exactly
         self.max_rel_err = 0.0
         self.inexact = 0
         self.cli_identical = 0
         self.wrong_witness = 0
 
-    def result(self, reasons) -> None:
+    def result(self, reasons, known=None) -> None:
+        """Counts one checked result; ``known`` names the documented defect
+        its failure shows (checks.known_defect), if any."""
         self.attempted += 1
         if reasons:
             self.failed += 1
             self.reasons.update(reasons)
             self.wrong_witness += bool(WITNESS_REASONS.intersection(reasons))
+            if known:
+                self.known[known] += 1
+
+    @property
+    def unexpected(self) -> int:
+        """Failures that show no documented defect: these make a run incorrect."""
+        return self.failed - sum(self.known.values())
 
     def rounding(self, reasons, err: float) -> None:
         # a wrong witness is a failure; only right witnesses measure rounding
-        if "witness" not in reasons and err <= WITNESS_TOL:
+        if "witness" not in reasons:
             self.max_rel_err = max(self.max_rel_err, err)
             self.inexact += err > INEXACT_TOL
 
@@ -120,6 +131,11 @@ BALL = {
     "query_T": (10_000, 12_000),
     "cli_T": 2_000,
 }
+# Every filter a query may carry, each level once.  The cost of a query
+# depends on the level (gamma:2 ran about a fifth slower than gamma:3 at
+# T = 1.1e4), so a level drawn per seed would make the median op depend on
+# the draw; cycling through all of them gives every seed the same mix.
+QUERY_FILTERS = (("full", 1), ("gamma0", 2), ("gamma0", 3), ("gamma0", 4), ("gamma0", 5), ("gamma", 2), ("gamma", 3))
 BALL_PROBE = dict(BALL, rounds=1, queries=3, count_T=(3_000,), ball_T=3_000, query_T=(2_000, 2_500), cli_T=200)
 
 
@@ -133,14 +149,14 @@ def ball_inputs(seed: int, size: dict) -> dict:
         queries = []
         for i in range(size["queries"]):
             # i % 4 picks a generic seed, a horizontal seed (u2 = 0) or an
-            # axis target, (i + r) % 3 the filter, so every combination recurs
+            # axis target, (i + 3 r) % 7 the filter, so every combination recurs
             kind = i % 4
             u = (float(rng.uniform(1, 2) * rng.choice((-1.0, 1.0))), 0.0 if kind == 1 else float(rng.uniform(1, 2)))
             v = rng.uniform(-2, 2, 2)
             if kind == 2:
                 v[(i // 4) % 2] = 0.0
             T = float(math.floor(rng.uniform(*size["query_T"])))
-            queries.append((u, (float(v[0]), float(v[1])), T, filters[(i + r) % 3]))
+            queries.append((u, (float(v[0]), float(v[1])), T, QUERY_FILTERS[(i + 3 * r) % len(QUERY_FILTERS)]))
         rounds.append((count, queries))
     cli_T = size["cli_T"] + int(rng.integers(0, 100))
     return {
@@ -190,7 +206,7 @@ def ball_check(inp: dict, out: dict) -> Tally:
             t.result(["raised"])
             continue
         reasons, err = check_best(T, r.dist, r.gamma_norm, r.gamma.entries(), u, v, ball, kind, level)
-        t.result(reasons)
+        t.result(reasons, known_defect(reasons, r.dist, r.gamma.entries(), u, v, kind))
         t.rounding(reasons, err)
     t.cli(out["cli"], inp["cli"])
     return t
@@ -279,7 +295,7 @@ def survey_check(inp: dict, out: dict) -> Tally:
         t.result([] if est is not None else ["raised"])
         for T, dist, norm, a, b, c, d in tr.rows():
             reasons, err, _ = check_witness(T, dist, norm, (a, b, c, d), u, v)
-            t.result(reasons)
+            t.result(reasons, known_defect(reasons, dist, (a, b, c, d), u, v))
             t.rounding(reasons, err)
     t.cli(out["cli"], inp["cli"])
     return t
