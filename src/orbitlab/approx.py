@@ -1,30 +1,24 @@
 """Best approximation of plane targets by finite orbit pieces, and exponent estimates.
 
-For a nonzero plane point u, the orbit points of a column family with first
-column (a, c) lie on the line w + k * u2 * (a, c), so the Euclidean closest
-point to a target v is found from the continuous minimizer
-k* = <v - w, (a, c)> / (u2 * (a^2 + c^2)) by testing the few integers around
-it.  Budget traces over very large norm budgets additionally prune with a
-bottom-row strip scan: any element beating the current best distance has its
-second row (c, d) inside an explicit strip of width twice that distance, which
-shrinks rapidly as budgets grow.
+Every closest-point query is a budget trace.  Budgets up to a fixed cap are
+resolved exactly on the materialized ball of that norm; larger budgets run a
+bottom-row strip scan seeded with the best distance found so far: any element
+beating the current best distance has its second row (c, d) inside an explicit
+strip of width twice that distance, which shrinks rapidly as budgets grow.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .enumeration import (
     SubgroupFilter,
-    _a_chunks,
     _budget_int,
-    _families_in_range,
     _shift_interval,
     elements_array,
     ext_gcd,
@@ -106,79 +100,20 @@ def _cand_key(dist2: float, norm: int, a: int, c: int, b: int, d: int) -> tuple:
     return (dist2, norm, a, c, b, d)
 
 
+# Largest ball phase 1 of a trace materializes; larger budgets use the strip scan.
+_PHASE1_CAP = 4096
+
+
 @lru_cache(maxsize=4)
-def _cached_ball(Tint: int) -> np.ndarray:
-    # shared read-only phase-1 ball; every consumer copies via fancy indexing
-    return elements_array(Tint)
+def _cached_ball(Tint: int) -> tuple:
+    """Shared read-only phase-1 ball and its norms, rows sorted by (norm, a, c, b, d).
 
-
-def _best_in_families(fams: Iterable, u, v, subgroup: SubgroupFilter) -> Optional[tuple]:
-    u1, u2 = float(u[0]), float(u[1])
-    v1, v2 = float(v[0]), float(v[1])
-    best = None
-    if u2 == 0.0:
-        # Degenerate direction: each family's orbit point (a*u1, c*u1) is
-        # shift-independent, so only the minimal-norm completion matters.
-        for fam in fams:
-            a, c = fam.a, fam.c
-            e1 = a * u1 - v1
-            e2 = c * u1 - v2
-            dist2 = e1 * e1 + e2 * e2
-            for k in fam.shifts() if subgroup.kind != "full" else (0,):
-                b, d = fam.b0 + k * a, fam.d0 + k * c
-                if not subgroup.passes(a, b, c, d):
-                    continue
-                cand = _cand_key(dist2, a * a + b * b + c * c + d * d, a, c, b, d)
-                if best is None or cand < best:
-                    best = cand
-                break  # further shifts only increase the norm
-        return best
-    for fam in fams:
-        a, c = fam.a, fam.c
-        A = a * a + c * c
-        w1 = a * u1 + fam.b0 * u2
-        w2 = c * u1 + fam.d0 * u2
-        kstar = ((v1 - w1) * a + (v2 - w2) * c) / (u2 * A)
-        if math.isfinite(kstar):
-            lo = max(fam.k_lo, math.floor(kstar) - 1)
-            hi = min(fam.k_hi, math.ceil(kstar) + 1)
-            if lo > hi:
-                lo = fam.k_lo if kstar < fam.k_lo else fam.k_hi
-                hi = lo
-        else:
-            lo = hi = fam.k_lo if kstar < 0 else fam.k_hi
-        for k in range(lo, hi + 1):
-            b, d = fam.b0 + k * a, fam.d0 + k * c
-            if not subgroup.passes(a, b, c, d):
-                continue
-            e1 = w1 + k * u2 * a - v1
-            e2 = w2 + k * u2 * c - v2
-            dist2 = e1 * e1 + e2 * e2
-            cand = _cand_key(dist2, a * a + b * b + c * c + d * d, a, c, b, d)
-            if best is None or cand < best:
-                best = cand
-        if subgroup.kind != "full":
-            # The closed-form minimizer may be filtered out; fall back to the
-            # best *passing* shift by scanning the whole (small) interval.
-            for k in fam.shifts():
-                if lo <= k <= hi:
-                    continue
-                b, d = fam.b0 + k * a, fam.d0 + k * c
-                if not subgroup.passes(a, b, c, d):
-                    continue
-                e1 = w1 + k * u2 * a - v1
-                e2 = w2 + k * u2 * c - v2
-                dist2 = e1 * e1 + e2 * e2
-                cand = _cand_key(dist2, a * a + b * b + c * c + d * d, a, c, b, d)
-                if best is None or cand < best:
-                    best = cand
-    return best
-
-
-def _best_chunk(args) -> Optional[tuple]:
-    Tint, u, v, filter_text, a_lo, a_hi = args
-    fams = _families_in_range(Tint, a_lo, a_hi)
-    return _best_in_families(fams, u, v, SubgroupFilter.parse(filter_text))
+    Every consumer copies via fancy indexing.
+    """
+    arr = elements_array(Tint)
+    norms = (arr * arr).sum(axis=1)
+    order = np.lexsort((arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 0], norms))
+    return arr[order], norms[order]
 
 
 def _record_from_key(key: tuple) -> ApproxRecord:
@@ -195,49 +130,26 @@ def best_approx(
 ) -> ApproxRecord:
     """Element of the budget-T ball (after filtering) closest to v on the orbit of u.
 
-    Ties resolve by (dist, norm, a, c, b, d), so the result is identical for
-    any worker count.
+    This is the one-budget ``approx_trace``.  Ties resolve by
+    (dist, norm, a, c, b, d); ``workers`` is accepted for compatibility and has
+    no effect.
     """
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
-    Tint = _budget_int(T)
-    chunks = [(Tint, (float(u[0]), float(u[1])), (float(v[0]), float(v[1])), str(subgroup), lo, hi)
-              for lo, hi in _a_chunks(Tint, workers)]
-    if workers <= 1 or len(chunks) <= 1:
-        keys = [_best_chunk(ch) for ch in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            keys = list(pool.map(_best_chunk, chunks))
-    keys = [k for k in keys if k is not None]
-    if not keys:
+    if _budget_int(T) < 2:
         raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
-    return _record_from_key(min(keys))
+    return approx_trace(u, v, [T], subgroup).records[0]
 
 
 # ---------------------------------------------------------------------------
 # Budget traces
 # ---------------------------------------------------------------------------
 
-def _phase1_records(arr: np.ndarray, u, v, budgets: Sequence[float], subgroup: SubgroupFilter):
-    """Exact per-budget minima over a materialized ball (rows sorted for ties)."""
-    a, b, c, d = (arr[:, i].astype(float) for i in range(4))
-    norms = arr[:, 0] ** 2 + arr[:, 1] ** 2 + arr[:, 2] ** 2 + arr[:, 3] ** 2
-    if subgroup.kind == "gamma0":
-        mask = arr[:, 2] % subgroup.level == 0
-    elif subgroup.kind == "gamma":
-        n = subgroup.level
-        mask = (
-            (arr[:, 0] % n == 1 % n)
-            & (arr[:, 3] % n == 1 % n)
-            & (arr[:, 1] % n == 0)
-            & (arr[:, 2] % n == 0)
-        )
-    else:
-        mask = np.ones(arr.shape[0], dtype=bool)
+def _phase1_records(ball: tuple, u, v, budgets: Sequence[float], subgroup: SubgroupFilter):
+    """Exact per-budget minima over a ``_cached_ball`` (rows sorted for ties)."""
+    arr, norms = ball
+    mask = subgroup.mask(arr)
     arr, norms = arr[mask], norms[mask]
-    a, b, c, d = a[mask], b[mask], c[mask], d[mask]
-    order = np.lexsort((arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 0], norms))
-    arr, norms = arr[order], norms[order]
     u1, u2 = float(u[0]), float(u[1])
     v1, v2 = float(v[0]), float(v[1])
     e1 = arr[:, 0] * u1 + arr[:, 1] * u2 - v1
@@ -250,7 +162,7 @@ def _phase1_records(arr: np.ndarray, u, v, budgets: Sequence[float], subgroup: S
             raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
         i = int(np.argmin(dist2[:p]))  # first occurrence wins: rows pre-sorted for ties
         row = arr[i]
-        out.append(_cand_key(float(dist2[i]), int(norms[i]), int(row[0]), int(row[1]), int(row[2]), int(row[3])))
+        out.append(_cand_key(float(dist2[i]), int(norms[i]), int(row[0]), int(row[2]), int(row[1]), int(row[3])))
     return out
 
 
@@ -384,28 +296,30 @@ def approx_trace(
     v,
     budgets: Sequence[float],
     subgroup: SubgroupFilter = SubgroupFilter.full(),
-    phase1_cap: float = 4096.0,
 ) -> ApproxTrace:
     """Exact d(T) trace over an increasing budget grid.
 
-    Budgets up to ``phase1_cap`` are resolved against the materialized ball;
-    larger budgets run the strip scan seeded with the previous budget's best
-    distance, which cannot miss any improving element.
+    Phase 1 materializes the ball of norm min(_PHASE1_CAP, last budget) and
+    resolves every budget up to that norm against it.  Larger budgets run the
+    strip scan seeded with the previous budget's best distance (the first of
+    them with the minimum over the phase-1 ball), which cannot miss any
+    improving element.  No ball above the cap is ever built.
     """
     budgets = [float(T) for T in budgets]
+    if any(math.isnan(T) for T in budgets):
+        raise ValueError("budgets must not be NaN")
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
     if budgets[0] < 2:
         raise ValueError("first budget must be at least 2")
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
-    P1 = max(min(phase1_cap, budgets[-1]), budgets[0])
-    low = [T for T in budgets if T <= P1]
-    high = [T for T in budgets if T > P1]
-    arr = _cached_ball(_budget_int(P1))  # unfiltered; filters applied per trace
-    keys = _phase1_records(arr, u, v, low, subgroup)
-    best = keys[-1]
-    for T in high:
+    P1 = min(_PHASE1_CAP, budgets[-1])
+    n_low = sum(T <= P1 for T in budgets)  # budgets increase: phase 1 is a prefix
+    ball = _cached_ball(_budget_int(P1))  # unfiltered; filters applied per trace
+    # the minimum over the whole phase-1 ball seeds the strip scan
+    *keys, best = _phase1_records(ball, u, v, budgets[:n_low] + [P1], subgroup)
+    for T in budgets[n_low:]:
         Tint = _budget_int(T)
         eps = math.sqrt(best[0])
         if eps > 0.0:

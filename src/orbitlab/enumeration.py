@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetOverflow, EmptyBudget
+from .errors import BudgetOverflow
 from .matrices import LatticeElement
 
 __all__ = [
@@ -112,6 +112,16 @@ class SubgroupFilter:
         if self.kind == "gamma0":
             return c % n == 0
         return a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0
+
+    def mask(self, arr: np.ndarray) -> np.ndarray:
+        """Vectorized ``passes`` over the rows (a, b, c, d) of an (n, 4) integer array."""
+        if self.kind == "full":
+            return np.ones(arr.shape[0], dtype=bool)
+        n = self.level
+        a, b, c, d = arr.T
+        if self.kind == "gamma0":
+            return c % n == 0
+        return (a % n == 1 % n) & (d % n == 1 % n) & (b % n == 0) & (c % n == 0)
 
     def __str__(self) -> str:
         if self.kind == "full":
@@ -334,16 +344,18 @@ def enumerate_ball(
 
 
 def elements_array(T: float, subgroup: SubgroupFilter = SubgroupFilter.full()) -> np.ndarray:
-    """All budget-T elements as an (n, 4) int64 array of rows (a, b, c, d)."""
-    rows = [(g.a, g.b, g.c, g.d) for g in enumerate_ball(T, subgroup)]
-    if not rows:
-        return np.zeros((0, 4), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    """All budget-T elements as an (n, 4) int64 array of rows (a, b, c, d).
 
-
-def require_nonempty(T: float, subgroup: SubgroupFilter = SubgroupFilter.full()) -> None:
-    if count(T, subgroup) == 0:
-        raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
+    Rows follow the ``enumerate_ball`` order.
+    """
+    fams = np.array(
+        [(f.a, f.c, f.b0, f.d0, f.k_lo, len(f)) for f in family_iter(T)], dtype=np.int64
+    ).reshape(-1, 6)
+    sizes = fams[:, 5]
+    a, c, b0, d0, k_lo = np.repeat(fams[:, :5], sizes, axis=0).T
+    k = k_lo + np.arange(a.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    arr = np.stack([a, b0 + k * a, c, d0 + k * c], axis=1)
+    return arr[subgroup.mask(arr)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,3 +35,18 @@ def brute_min_dist(arr: np.ndarray, u, v, T) -> float:
     e1 = a * u[0] + b * u[1] - v[0]
     e2 = c * u[0] + d * u[1] - v[1]
     return float(np.sqrt((e1 * e1 + e2 * e2).min()))
+
+
+def brute_best(arr: np.ndarray, u, v, T) -> tuple:
+    """Oracle witness: the row (a, b, c, d) with norm <= T minimizing (dist, norm, a, c, b, d).
+
+    The caller filters the rows; distances use the search's own float formula,
+    so exact ties (a horizontal seed makes b and d irrelevant) stay exact.
+    """
+    norms = (arr * arr).sum(axis=1)
+    keep = norms <= T
+    rows, norms = arr[keep], norms[keep]
+    e1 = rows[:, 0] * u[0] + rows[:, 1] * u[1] - v[0]
+    e2 = rows[:, 2] * u[0] + rows[:, 3] * u[1] - v[1]
+    i = np.lexsort((rows[:, 3], rows[:, 1], rows[:, 2], rows[:, 0], norms, e1 * e1 + e2 * e2))[0]
+    return tuple(int(x) for x in rows[i])

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import brute_min_dist
+import orbitlab.approx as approx_mod
+from conftest import brute_best, brute_min_dist
 from orbitlab.approx import (
     ApproxRecord,
     ApproxTrace,
@@ -13,8 +15,8 @@ from orbitlab.approx import (
     orbit_point,
     survey_exponents,
 )
-from orbitlab.enumeration import SubgroupFilter, family_iter
-from orbitlab.errors import EmptyBudget, ExactHit, InsufficientData
+from orbitlab.enumeration import SubgroupFilter
+from orbitlab.errors import BudgetOverflow, EmptyBudget, ExactHit, InsufficientData
 from orbitlab.matrices import IDENTITY, LatticeElement
 
 
@@ -79,31 +81,27 @@ def test_best_approx_with_filter(ball_1e4):
     assert rec.dist == pytest.approx(oracle, rel=1e-9)
 
 
-def test_family_minimizer_beats_full_shift_scan():
-    # within each family the tested shifts around k* contain the true minimum
-    u, v = (1.44, 1.13), (1.71, 1.27)
-    u1, u2 = u
-    for fam in family_iter(2000):
-        if len(fam) > 1000:
-            continue
-        best = min(
-            (orbit_point(fam.element(k), u) - np.array(v) for k in fam.shifts()),
-            key=lambda e: float(e @ e),
-        )
-        d_full = float(best @ best)
-        A = fam.a**2 + fam.c**2
-        w1 = fam.a * u1 + fam.b0 * u2
-        w2 = fam.c * u1 + fam.d0 * u2
-        kstar = ((v[0] - w1) * fam.a + (v[1] - w2) * fam.c) / (u2 * A)
-        lo = max(fam.k_lo, math.floor(kstar) - 1)
-        hi = min(fam.k_hi, math.ceil(kstar) + 1)
-        if lo > hi:
-            lo = hi = fam.k_lo if kstar < fam.k_lo else fam.k_hi
-        d_near = min(
-            float(e @ e)
-            for e in (orbit_point(fam.element(k), u) - np.array(v) for k in range(lo, hi + 1))
-        )
-        assert d_near <= d_full + 1e-12
+def test_best_approx_horizontal_seed_tie_rule():
+    # u2 = 0: the distance depends on the first column only, and the
+    # minimal-norm completion passing the filter must win the tie
+    rec = best_approx((1.3, 0.0), (-1.8786, -1.5084), 5000, subgroup=SubgroupFilter.gamma(2))
+    assert rec.gamma == LatticeElement(-1, 0, -2, -1)
+    assert rec.gamma_norm == 6
+
+
+def test_best_approx_horizontal_seeds_follow_tie_order(ball_1e4):
+    rng = np.random.default_rng(2718)
+    filters = [SubgroupFilter.gamma0(n) for n in (2, 3, 4, 5)] + [SubgroupFilter.gamma(n) for n in (2, 3)]
+    for flt in filters:
+        rows = ball_1e4[[flt.passes(*row) for row in ball_1e4.tolist()]]
+        for i in range(4):
+            u = (float(rng.uniform(1, 2) * rng.choice((-1.0, 1.0))), 0.0)
+            v = [float(x) for x in rng.uniform(-2, 2, 2)]
+            if i == 3:
+                v[i % 2] = 0.0  # axis target
+            for T in (3000, 10_000):
+                rec = best_approx(u, v, T, subgroup=flt)
+                assert rec.gamma.entries() == brute_best(rows, u, v, T), (flt, u, v, T)
 
 
 def test_trace_monotone_and_matches_best_approx(ball_1e4):
@@ -126,6 +124,52 @@ def test_trace_strip_phase_cross_validates():
     assert tr.records[-1].dist == pytest.approx(rec.dist, rel=1e-12)
 
 
+def test_trace_strip_phase_matches_brute_force(ball_1e4):
+    # strip-phase budget checked against the materialized ball, witness included
+    rng = np.random.default_rng(31337)
+    for _ in range(10):
+        u = rng.uniform(1, 2, 2)
+        v = rng.uniform(-2, 2, 2)
+        tr = approx_trace(u, v, [2**10, 10_000])
+        rec = tr.records[-1]
+        assert rec.dist == pytest.approx(brute_min_dist(ball_1e4, u, v, 10_000), rel=1e-12)
+        assert rec.gamma.entries() == brute_best(ball_1e4, u, v, 10_000)
+
+
+def _exact_dist(g, u, v) -> float:
+    u1, u2, v1, v2 = (Fraction(float(x)) for x in (*u, *v))
+    e1 = g.a * u1 + g.b * u2 - v1
+    e2 = g.c * u1 + g.d * u2 - v2
+    return math.sqrt(e1 * e1 + e2 * e2)
+
+
+@pytest.mark.parametrize("flt", ["full", "gamma0:2", "gamma0:3", "gamma:2", "gamma:3"])
+def test_trace_witnesses_reproduce_distances(flt):
+    # every row's matrix must reproduce the row's distance, in both phases
+    flt = SubgroupFilter.parse(flt)
+    seeds = [(1.37, 1.61), (-1.83, 1.14), (1.3, 0.0), (-1.71, 0.0)]
+    targets = [(1.5, 0.0), (0.0, -1.2), (1.21, -0.67)]
+    budgets = [16, 64, 256, 1024, 4096, 16384]
+    for u in seeds:
+        for v in targets:
+            tr = approx_trace(u, v, budgets, subgroup=flt)
+            for T, rec in zip(budgets, tr.records):
+                g = rec.gamma
+                assert g.a * g.d - g.b * g.c == 1 and flt.passes(*g.entries())
+                assert rec.gamma_norm == g.a**2 + g.b**2 + g.c**2 + g.d**2 <= T
+                assert rec.dist == pytest.approx(_exact_dist(g, u, v), rel=1e-9, abs=1e-12), (u, v, T, g)
+
+
+def test_no_ball_beyond_phase1_cap(monkeypatch):
+    built = []
+    real = approx_mod.elements_array
+    monkeypatch.setattr(approx_mod, "elements_array", lambda T: built.append(T) or real(T))
+    approx_mod._cached_ball.cache_clear()
+    best_approx((1.37, 1.52), (1.9, 1.2), 1e5)
+    approx_trace((1.41, 1.73), (1.2, 1.5), [65536.0, 262144.0])
+    assert built and max(built) <= 4096
+
+
 def test_trace_single_budget_self_target():
     u = (1.0, 1.0)
     tr = approx_trace(u, u, [2])
@@ -139,6 +183,14 @@ def test_trace_validation():
         approx_trace((1, 1), (1, 2), [1.5, 4])
     with pytest.raises(ValueError):
         approx_trace((0, 0), (1, 2), [4, 8])
+
+
+def test_trace_rejects_nan_budgets():
+    for budgets in ([16, math.nan], [math.nan], [math.nan, 16]):
+        with pytest.raises(ValueError):
+            approx_trace((1.4, 1.7), (1.2, 1.9), budgets)
+    with pytest.raises(BudgetOverflow):
+        approx_trace((1.4, 1.7), (1.2, 1.9), [16, math.inf])
 
 
 def test_trace_csv_roundtrip():

@@ -63,6 +63,14 @@ def test_approx_csv_format(tmp_path, capsys):
     assert all(b <= a for a, b in zip(dists, dists[1:]))
 
 
+def test_approx_reports_true_witness(capsys):
+    # the T = 4096 row once printed the transposed matrix (41,-6,-34,5)
+    rc, out, _ = run(capsys, "approx", "--u", "1.37,1.61", "--v", "1.5,0", "--budgets", "1024:8192:2")
+    assert rc == 0
+    rows = {l.split(",")[0]: l.split(",") for l in out.splitlines() if l and not l.startswith("#")}
+    assert tuple(int(x) for x in rows["4096"][3:]) == (41, -34, -6, 5)
+
+
 def test_exponent_replay_and_exact_hit(tmp_path, capsys):
     rows = ["T,dist,norm,a,b,c,d"]
     for k in range(8, 24):

@@ -117,6 +117,20 @@ def test_filter_parsing_and_validation():
         SubgroupFilter("gamma0", 0)
 
 
+def test_filter_mask_agrees_with_passes():
+    arr = elements_array(2000)
+    filters = [SubgroupFilter.full()] + [
+        SubgroupFilter(kind, n) for kind in ("gamma0", "gamma") for n in range(1, 7)
+    ]
+    for flt in filters:
+        expected = [flt.passes(*row) for row in arr.tolist()]
+        assert flt.mask(arr).tolist() == expected, flt
+    # filtered arrays keep the enumerate_ball order
+    flt = SubgroupFilter.gamma0(3)
+    rows = [g.entries() for g in enumerate_ball(2000, flt)]
+    assert elements_array(2000, flt).tolist() == [list(r) for r in rows]
+
+
 def test_dump_load_roundtrip(tmp_path):
     path = str(tmp_path / "ball.i64")
     n = dump_elements(path, 50, SubgroupFilter.gamma0(2))
