@@ -5,6 +5,9 @@ resolved exactly on the materialized ball of that norm; larger budgets run a
 bottom-row strip scan seeded with the best distance found so far: any element
 beating the current best distance has its second row (c, d) inside an explicit
 strip of width twice that distance, which shrinks rapidly as budgets grow.
+Above 2^22 the strip is searched through the quotient-side box kernel, whose
+cost follows the candidates rather than sqrt(budget); targets on an axis keep
+the direct scan.
 """
 
 from __future__ import annotations
@@ -175,12 +178,13 @@ def _seed_matrix(u) -> np.ndarray:
 
 
 def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:
-    """Reduced-basis variant of the strip scan for very large budgets.
+    """Reduced-basis variant of the strip scan for large budgets.
 
     Enumerates integer candidates with both orbit-point coordinates within eps
     of the target through the quotient-side box kernel, whose cost scales with
-    the candidate count rather than with sqrt(budget).  Requires the target
-    window [v2 - eps, v2 + eps] to be sign-definite.
+    the candidate count rather than with sqrt(budget), and takes the least key
+    over their arrays.  Requires the target window [v2 - eps, v2 + eps] to be
+    sign-definite.
     """
     from .homogeneous import _box_candidates
 
@@ -195,27 +199,34 @@ def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, b
     if tau_lo <= 0.0:
         raise ValueError("deep strip scan needs a sign-definite target window")
     s_bound = math.sqrt(Tint * G) / tau_lo + 1.0
-    for (a, b, c, d, _, tau, _) in _box_candidates(
-        g, v1 - eps, v1 + eps, tau_lo, v2 + eps, -s_bound, s_bound
-    ):
-        if flip:
-            a, b, c, d = -a, -b, -c, -d
-        if a * a + b * b + c * c + d * d > Tint:
-            continue
-        if not subgroup.passes(a, b, c, d):
-            continue
-        e1 = a * u1 + b * u2 - v[0]
-        e2 = c * u1 + d * u2 - v[1]
-        dist2 = e1 * e1 + e2 * e2
-        cand = _cand_key(dist2, a * a + b * b + c * c + d * d, a, c, b, d)
-        if cand < best:
-            best = cand
-    return best
+    a, b, c, d, *_ = _box_candidates(g, v1 - eps, v1 + eps, tau_lo, v2 + eps, -s_bound, s_bound)
+    if flip:
+        a, b, c, d = -a, -b, -c, -d
+    # entries beyond isqrt(Tint) cannot fit the budget; below it each pair of
+    # squares fits int64 (a primitive row never has |a| = |b| = 2^31)
+    r = math.isqrt(Tint)
+    keep = (np.abs(a) <= r) & (np.abs(b) <= r) & (np.abs(c) <= r) & (np.abs(d) <= r)
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    top = a * a + b * b
+    bottom = c * c + d * d
+    keep = (top <= Tint - bottom) & subgroup.mask(np.stack([a, b, c, d], axis=1))
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    if not a.size:
+        return best
+    norm = top[keep] + bottom[keep]
+    e1 = a * u1 + b * u2 - v[0]
+    e2 = c * u1 + d * u2 - v[1]
+    dist2 = e1 * e1 + e2 * e2
+    i = np.lexsort((d, b, c, a, norm, dist2))[0]
+    cand = _cand_key(float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i]))
+    return min(cand, best)
 
 
 # The direct scan walks an integer range of length ~2*sqrt(budget); beyond
-# this it switches to the reduced-basis kernel.
-_DIRECT_STRIP_LIMIT = 2**40
+# this it switches to the reduced-basis kernel.  Measured per budget (median
+# of 12 pairs, one core): 0.69 vs 0.67 ms at 2^22, 1.0 vs 0.69 ms at 2^24,
+# 89 vs 3.5 ms at 2^40.  Targets on an axis (|v2| <= eps) keep the direct scan.
+_DIRECT_STRIP_LIMIT = 2**22
 
 
 def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:

@@ -56,6 +56,30 @@ __all__ = [
 _CHUNK = 512  # fixed Monte Carlo chunk size; keeps summation order worker-independent
 
 
+def _chunk_map(chunk_fn: Callable, args: tuple, n_samples: int, seed: int, workers: int) -> list:
+    """chunk_fn(args + (reps,)) over the invariant samples in _CHUNK-sized
+    slices, in index order; the per-chunk results come back in that order
+    for any worker count."""
+    reps = _haar_reps(n_samples, seed)
+    chunks = [args + (reps[i : i + _CHUNK],) for i in range(0, n_samples, _CHUNK)]
+    if workers <= 1 or len(chunks) <= 1:
+        return [chunk_fn(ch) for ch in chunks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk_fn, chunks))
+
+
+def _moments(parts: list, n_samples: int) -> tuple:
+    """Mean and standard error from per-chunk (sum, sum of squares) arrays."""
+    s1 = np.zeros_like(parts[0][0])
+    s2 = np.zeros_like(parts[0][1])
+    for p1, p2 in parts:
+        s1 += p1
+        s2 += p2
+    values = s1 / n_samples
+    var = np.maximum(s2 / n_samples - values**2, 0.0)
+    return values, np.sqrt(var / n_samples)
+
+
 def orbit_average(fn: Callable, point: HomPoint, half_width: int) -> float:
     """Uniform average of fn over the 2T+1 shear translates of the point.
 
@@ -77,12 +101,22 @@ def orbit_average(fn: Callable, point: HomPoint, half_width: int) -> float:
 # Candidate arrays per sample
 # ---------------------------------------------------------------------------
 
+def _hit_times(s: np.ndarray, offset: float = 0.0) -> tuple:
+    """The one shift k = round(-(s + offset)) per candidate, and where it lands.
+
+    Returns (k, r) with r = s + k + offset the shear coordinate after the
+    shift; the candidate hits at k exactly when |r| < 1/2.
+    """
+    k = np.rint(-s - offset)
+    return k.astype(np.int64), s + k + offset
+
+
 def _weighted_hits(rep, spec: TargetSpec, k_cap: float):
-    """Arrays (k, weight, p1, tau) of bump-weighted orbit hits with |k| <= k_cap."""
+    """Arrays (k, weight) of bump-weighted orbit hits with |k| <= k_cap."""
     dx = _bump_x_width(spec)
     hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
     hw = 0.5 * spec.delta
-    cands = _box_candidates(
+    *_, p1, tau, s = _box_candidates(
         rep,
         spec.v1 - hw1,
         spec.v1 + hw1,
@@ -91,32 +125,20 @@ def _weighted_hits(rep, spec: TargetSpec, k_cap: float):
         -k_cap - 0.5,
         k_cap + 0.5,
     )
-    ks, ws = [], []
-    for (_, _, _, _, p1, tau, s) in cands:
-        k = round(-s)
-        if abs(k) > k_cap or not -0.5 < s + k < 0.5:
-            continue
-        w = (
-            bump((p1 - spec.v1) / (tau * dx))
-            * bump((tau - spec.v2) / spec.delta)
-            * bump(s + k)
-        )
-        if w > 0.0:
-            ks.append(k)
-            ws.append(w)
-    return np.array(ks, dtype=np.int64), np.array(ws)
+    k, r = _hit_times(s)
+    hit = (np.abs(k) <= k_cap) & (np.abs(r) < 0.5)
+    k, p1, tau, r = k[hit], p1[hit], tau[hit], r[hit]
+    w = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(r)
+    pos = w > 0.0
+    return k[pos], w[pos]
 
 
 def _box_hit_ks(rep, v1, v2, delta, k_cap) -> np.ndarray:
     """Sorted distinct orbit times |k| <= k_cap at which the coset hits the box."""
     hw = 0.5 * delta
-    cands = _box_candidates(rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_cap - 0.5, k_cap + 0.5)
-    ks = set()
-    for (_, _, _, _, _, _, s) in cands:
-        k = round(-s)
-        if abs(k) <= k_cap and -0.5 < s + k < 0.5:
-            ks.add(k)
-    return np.array(sorted(ks), dtype=np.int64)
+    s = _box_candidates(rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_cap - 0.5, k_cap + 0.5)[6]
+    k, r = _hit_times(s)
+    return np.unique(k[(np.abs(k) <= k_cap) & (np.abs(r) < 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +213,8 @@ def variance_curve(
     Ts = [int(T) for T in Ts]
     if any(T < 0 for T in Ts):
         raise ValueError("orbit half-widths must be >= 0")
-    reps = _haar_reps(n_samples, seed)
-    chunks = [
-        (spec.v1, spec.v2, spec.delta, Ts, reps[i : i + _CHUNK])
-        for i in range(0, n_samples, _CHUNK)
-    ]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [_variance_chunk(ch) for ch in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_variance_chunk, chunks))
-    s1 = np.zeros(len(Ts))
-    s2 = np.zeros(len(Ts))
-    for p1, p2 in parts:
-        s1 += p1
-        s2 += p2
-    values = s1 / n_samples
-    var_of_sq = np.maximum(s2 / n_samples - values**2, 0.0)
-    stderrs = np.sqrt(var_of_sq / n_samples)
+    parts = _chunk_map(_variance_chunk, (spec.v1, spec.v2, spec.delta, Ts), n_samples, seed, workers)
+    values, stderrs = _moments(parts, n_samples)
     return VarianceCurve(Ts=Ts, values=values.tolist(), stderrs=stderrs.tolist())
 
 
@@ -222,41 +228,25 @@ def _matcoef_chunk(args):
     m = bump_mean(spec)
     t_hi = max(max(ts), 0.0)
     t_lo = min(min(ts), 0.0)
+    dx = _bump_x_width(spec)
+    hw1 = 0.5 * dx * (v2 + 0.5 * delta)
+    hw = 0.5 * delta
     n_t = len(ts)
     s1 = np.zeros(n_t)
     s2 = np.zeros(n_t)
     for rep in reps:
-        dx = _bump_x_width(spec)
-        hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
-        hw = 0.5 * spec.delta
-        cands = _box_candidates(
-            rep,
-            spec.v1 - hw1,
-            spec.v1 + hw1,
-            spec.v2 - hw,
-            spec.v2 + hw,
-            -(W + t_hi) - 0.5,
-            -t_lo + 0.5,
+        *_, p1s, taus, ss = _box_candidates(
+            rep, v1 - hw1, v1 + hw1, v2 - hw, v2 + hw, -(W + t_hi) - 0.5, -t_lo + 0.5
         )
-        p1s = np.array([t[4] for t in cands])
-        taus = np.array([t[5] for t in cands])
-        ss = np.array([t[6] for t in cands])
-        if ss.size:
-            wgt = bump((p1s - spec.v1) / (taus * dx)) * bump((taus - spec.v2) / spec.delta)
-        else:
-            wgt = np.zeros(0)
+        wgt = bump((p1s - v1) / (taus * dx)) * bump((taus - v2) / delta)
 
         def values_at(offset: float) -> np.ndarray:
             # F at the shear offsets j + offset, j = 0..W: each candidate is
             # active at the single integer j nearest to -(s + offset).
             out = np.zeros(W + 1)
-            if ss.size == 0:
-                return out
-            j = np.rint(-ss - offset).astype(np.int64)
-            r = ss + j + offset
+            j, r = _hit_times(ss, offset)
             ok = (j >= 0) & (j <= W) & (np.abs(r) < 0.5)
-            if np.any(ok):
-                np.add.at(out, j[ok], wgt[ok] * bump(r[ok]))
+            np.add.at(out, j[ok], wgt[ok] * bump(r[ok]))
             return out
 
         base = values_at(0.0) - m
@@ -283,25 +273,9 @@ def matcoef_curve(
     variance reduction that leaves the estimand unchanged by invariance.
     """
     ts = [float(t) for t in ts]
-    reps = _haar_reps(n_samples, seed)
     W = int(orbit_window)
-    chunks = [
-        (spec.v1, spec.v2, spec.delta, ts, W, reps[i : i + _CHUNK])
-        for i in range(0, n_samples, _CHUNK)
-    ]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [_matcoef_chunk(ch) for ch in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_matcoef_chunk, chunks))
-    s1 = np.zeros(len(ts))
-    s2 = np.zeros(len(ts))
-    for p1, p2 in parts:
-        s1 += p1
-        s2 += p2
-    values = s1 / n_samples
-    var = np.maximum(s2 / n_samples - values**2, 0.0)
-    stderrs = np.sqrt(var / n_samples)
+    parts = _chunk_map(_matcoef_chunk, (spec.v1, spec.v2, spec.delta, ts, W), n_samples, seed, workers)
+    values, stderrs = _moments(parts, n_samples)
     return values.tolist(), stderrs.tolist()
 
 
@@ -344,10 +318,11 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 def _miss_chunk(args):
     v1, v2, delta, Ts, reps = args
     t_max = max(Ts)
-    first = []
-    for rep in reps:
+    first = np.full(len(reps), t_max + 1, dtype=np.int64)
+    for n, rep in enumerate(reps):
         ks = _box_hit_ks(rep, v1, v2, delta, t_max)
-        first.append(int(np.min(np.abs(ks))) if ks.size else t_max + 1)
+        if ks.size:
+            first[n] = np.abs(ks).min()
     return first
 
 
@@ -368,17 +343,8 @@ def miss_rate_curve(
     Ts = sorted(int(T) for T in Ts)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    reps = _haar_reps(n_samples, seed)
-    chunks = [
-        (float(v[0]), float(v[1]), float(delta), Ts, reps[i : i + _CHUNK])
-        for i in range(0, n_samples, _CHUNK)
-    ]
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [_miss_chunk(ch) for ch in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_miss_chunk, chunks))
-    first = np.array([f for part in parts for f in part])
+    parts = _chunk_map(_miss_chunk, (float(v[0]), float(v[1]), float(delta), Ts), n_samples, seed, workers)
+    first = np.concatenate(parts)
     out = []
     for T in Ts:
         misses = int(np.sum(first > T))
@@ -419,6 +385,21 @@ def _dyadic_levels(eta: float, k_max: int, v2: float) -> list:
     return levels
 
 
+def _certified_T0(flags: Sequence[bool], k_max: int) -> Optional[int]:
+    """Least dyadic horizon 2^j from which every level hits, or None when it
+    exceeds k_max/2."""
+    j_star = next((j + 1 for j in range(len(flags) - 1, -1, -1) if not flags[j]), 0)
+    T0 = 2**j_star
+    return T0 if T0 <= k_max / 2 else None
+
+
+def _target_v(v) -> tuple:
+    """(v1, v2) validated through TargetSpec at the largest size a level uses."""
+    v1, v2 = float(v[0]), float(v[1])
+    TargetSpec(v1, v2, _delta_cap(v2))  # validate
+    return v1, v2
+
+
 def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     """Dyadic certification run for the shrinking-target hit problem.
 
@@ -429,46 +410,26 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
         raise ValueError("shrink exponent must lie in [0, 1)")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    v1, v2 = float(v[0]), float(v[1])
-    rep = _rep_of(point)
+    v1, v2 = _target_v(v)
     levels = _dyadic_levels(eta, k_max, v2)
-    delta_scan = max(d for _, d in levels)
-    hw = 0.5 * delta_scan
-    cands = _box_candidates(
-        rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5
+    hw = 0.5 * max(d for _, d in levels)
+    *_, p1, tau, s = _box_candidates(
+        _rep_of(point), v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5
     )
-    rows = [
-        (round(-s), p1, tau, s)
-        for (_, _, _, _, p1, tau, s) in cands
-        if -0.5 < s + round(-s) < 0.5
-    ]
-    ks = np.array([r[0] for r in rows], dtype=np.int64)
-    p1s = np.array([r[1] for r in rows])
-    taus = np.array([r[2] for r in rows])
-    flags = []
-    for horizon, delta in levels:
-        h = 0.5 * delta
-        ok = bool(
-            np.any(
-                (np.abs(ks) <= horizon)
-                & (np.abs(p1s - v1) <= h)
-                & (np.abs(taus - v2) <= h)
-            )
-        ) if ks.size else False
-        flags.append(ok)
-    j_star = 0
-    for j in range(len(flags) - 1, -1, -1):
-        if not flags[j]:
-            j_star = j + 1
-            break
-    T0 = 2**j_star
-    found = T0 <= k_max / 2
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
+    # one row per level: its horizon and half target size against every hit
+    horizon = np.array([lv[0] for lv in levels])[:, None]
+    half = 0.5 * np.array([lv[1] for lv in levels])[:, None]
+    flags = np.any((ak <= horizon) & (np.abs(p1 - v1) <= half) & (np.abs(tau - v2) <= half), axis=1)
+    T0 = _certified_T0(flags, k_max)
     return {
         "eta": eta,
         "kMax": k_max,
-        "T0": int(T0) if found else None,
+        "T0": T0,
         "levels": [
-            {"horizon": h, "delta": d, "hit": f} for (h, d), f in zip(levels, flags)
+            {"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)
         ],
     }
 
@@ -487,7 +448,7 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
-    v1, v2 = float(v[0]), float(v[1])
+    v1, v2 = _target_v(v)
     cap = _delta_cap(v2)
     rep = _rep_of(point)
     out = []
@@ -496,19 +457,17 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
         lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
         delta_scan = cap if eta == 0.0 else min(cap, float(lo) ** (-eta))
         hwv = 0.5 * delta_scan
-        cands = _box_candidates(
+        *_, p1, tau, s = _box_candidates(
             rep, v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5
         )
-        hits = set()
-        for (_, _, _, _, p1, tau, s) in cands:
-            k = round(-s)
-            ak = abs(k)
-            if not lo <= ak <= hi or not -0.5 < s + k < 0.5:
-                continue
-            dk = cap if eta == 0.0 else min(cap, float(ak) ** (-eta))
-            if abs(p1 - v1) <= 0.5 * dk and abs(tau - v2) <= 0.5 * dk:
-                hits.add(k)
-        out.append({"lo": lo, "hi": hi, "count": len(hits)})
+        k, r = _hit_times(s)
+        ak = np.abs(k)
+        hit = (lo <= ak) & (ak <= hi) & (np.abs(r) < 0.5)
+        k, ak, p1, tau = k[hit], ak[hit], p1[hit], tau[hit]
+        # per-time sizes with the scalar pow, which array pow does not match bitwise
+        dk = np.array([cap if eta == 0.0 else min(cap, float(a) ** (-eta)) for a in ak.tolist()])
+        inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
+        out.append({"lo": lo, "hi": hi, "count": int(np.unique(k[inside]).size)})
         j += 1
     return out
 
@@ -549,32 +508,18 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
     rep = _rep_of(point)
-    cap = _delta_cap(y0)
     levels = []
-    j = 0
-    while 2**j <= k_max:
-        end = min(2 ** (j + 1), k_max)
-        delta = cap if eta == 0.0 else min(cap, float(end) ** (-eta))
-        horizon = 2**j
+    for horizon, delta in _dyadic_levels(eta, k_max, y0):
         grid = _grid_points((x0, x1, y0, y1), delta)
         h = 0.5 * delta
         ok = True
         for (w1, w2) in grid:
-            cands = _box_candidates(
+            s = _box_candidates(
                 rep, w1 - h, w1 + h, w2 - h, w2 + h, -horizon - 0.5, horizon + 0.5
-            )
-            if not any(
-                abs(round(-s)) <= horizon and -0.5 < s + round(-s) < 0.5
-                for (_, _, _, _, _, _, s) in cands
-            ):
+            )[6]
+            k, r = _hit_times(s)
+            if not np.any((np.abs(k) <= horizon) & (np.abs(r) < 0.5)):
                 ok = False
                 break
         levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": ok})
-        j += 1
-    j_star = 0
-    for idx in range(len(levels) - 1, -1, -1):
-        if not levels[idx]["hit"]:
-            j_star = idx + 1
-            break
-    T0 = 2**j_star
-    return UniformGridReport(T0=int(T0) if T0 <= k_max / 2 else None, levels=levels)
+    return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)

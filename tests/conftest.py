@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from orbitlab.enumeration import elements_array
+
+# Tier-1 must repeat exactly: property tests draw their examples from a fixed
+# seed and neither read nor write an example database.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

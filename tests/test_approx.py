@@ -160,6 +160,41 @@ def test_trace_witnesses_reproduce_distances(flt):
                 assert rec.dist == pytest.approx(_exact_dist(g, u, v), rel=1e-9, abs=1e-12), (u, v, T, g)
 
 
+@pytest.mark.parametrize("flt", ["full", "gamma0:3", "gamma:2"])
+def test_deep_strip_matches_direct_scan(flt, monkeypatch):
+    # the two strip searches return the same key on both sides of the handover,
+    # including targets below the axis, where the kernel scans the mirror window
+    flt = SubgroupFilter.parse(flt)
+    limit = approx_mod._DIRECT_STRIP_LIMIT
+    sides = [limit // 4, limit, 4 * limit]
+    cases = [
+        ((1.37, 1.61), (1.5, 0.7), sides),
+        ((-1.83, 1.14), (1.21, -0.67), sides),
+        ((1.17, -1.9), (-0.4, -1.3), sides),
+        # decimal seed and target: from 2^13 on every budget's best lies at
+        # distance 1/100 up to rounding, on the edge of the next budget's
+        # window, deep enough that the kernel's scaled coordinates lose digits
+        ((1.41, 1.73), (1.2, 1.5), sides + [2**37]),
+        ((1.41, 1.73), (-1.2, -1.5), sides + [2**37]),
+    ]
+    improved = 0
+    for u, v, budgets in cases:
+        for T in budgets:
+            prev = approx_trace(u, v, [T // 4], subgroup=flt).records[0]
+            g = prev.gamma
+            e1 = g.a * u[0] + g.b * u[1] - v[0]
+            e2 = g.c * u[0] + g.d * u[1] - v[1]
+            best = (e1 * e1 + e2 * e2, prev.gamma_norm, g.a, g.c, g.b, g.d)
+            eps = math.sqrt(best[0]) * (1.0 + 1e-12)
+            deep = approx_mod._deep_strip_improve(u, v, T, eps, flt, best)
+            with monkeypatch.context() as m:
+                m.setattr(approx_mod, "_DIRECT_STRIP_LIMIT", 2**62)
+                direct = approx_mod._strip_improve(u, v, T, eps, flt, best)
+            assert deep == direct == approx_mod._strip_improve(u, v, T, eps, flt, best), (u, v, T)
+            improved += direct < best
+    assert improved >= 3  # the searches find new witnesses, not only the seed
+
+
 def test_no_ball_beyond_phase1_cap(monkeypatch):
     built = []
     real = approx_mod.elements_array

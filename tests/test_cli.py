@@ -143,6 +143,11 @@ def test_hit_times_report(tmp_path, capsys):
     assert all("levels" in p for p in doc["perSample"])
 
 
+def test_hit_times_rejects_target_below_axis(capsys):
+    rc, _, err = run(capsys, "hit-times", "--v", "1.3,-0.8", "--eta", "0.25", "--kmax", "64", "--samples", "1")
+    assert rc == 2 and "use -v" in err
+
+
 def test_tau_fraction_strings(capsys, tmp_path):
     for tau, lo in (("6/64", (1 - 2 * 6 / 64) / 3), ("7/64", (1 - 2 * 7 / 64) / 3)):
         path = str(tmp_path / "s.csv")

@@ -192,6 +192,17 @@ def test_shrinking_certifies_threshold():
     assert rep["levels"] and all(set(l) == {"horizon", "delta", "hit"} for l in rep["levels"])
 
 
+@pytest.mark.parametrize("v", [(0.0, 0.8), (1.3, 0.0), (1.3, -0.8)])
+def test_shrinking_runs_validate_target(v):
+    # the TargetSpec contract: off both axes, v2 > 0 (pass -v for a target below)
+    rep = _haar_reps(1, seed=17)[0]
+    match = "use -v" if v[1] < 0 else "off the coordinate axes"
+    with pytest.raises(ValueError, match=match):
+        shrinking_hit_report(0.25, rep, 64, v)
+    with pytest.raises(ValueError, match=match):
+        window_hit_counts(rep, v, 0.25, 64)
+
+
 def test_shrinking_fast_targets_taper():
     reps = _haar_reps(300, seed=18)
     agg = None

@@ -1,0 +1,146 @@
+"""The box-candidate kernel against a brute-force scan of the (c, d) box."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from orbitlab.enumeration import ext_gcd
+from orbitlab.homogeneous import Y_MAX, _bezout_rows, _box_candidates
+
+BOX_LIMIT = 250_000  # (c, d) pairs one brute-force scan may visit
+
+
+def chart_rep(x, y, theta):
+    """The representative of the chart point (x + iy, theta), built as _haar_reps does."""
+    r = math.sqrt(y)
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[r * c - x * s / r, r * s + x * c / r], [-s / r, c / r]])
+
+
+def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
+    """Every (a, b, c, d, p1, tau, s) in the box, with the kernel's float expressions.
+
+    (sig, tau) = (c*g00 + d*g10, c*g01 + d*g11) has determinant one, so the
+    (c, d) box comes from the corners of the (sig, tau) window; every (c, d)
+    in it is tested, and each primitive row scans its top-row shifts with a
+    margin of two on both sides.
+    """
+    g00, g01, g10, g11 = (float(t) for t in g.ravel())
+    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
+    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
+    corners = [(sg, t) for sg in (sig_lo, sig_hi) for t in (tau_lo, tau_hi)]
+    cs = [g11 * sg - g10 * t for sg, t in corners]
+    ds = [-g01 * sg + g00 * t for sg, t in corners]
+    c_rng = np.arange(math.floor(min(cs)) - 1, math.ceil(max(cs)) + 2)
+    d_rng = np.arange(math.floor(min(ds)) - 1, math.ceil(max(ds)) + 2)
+    assume(c_rng.size * d_rng.size <= BOX_LIMIT)
+    c, d = (m.ravel() for m in np.meshgrid(c_rng, d_rng, indexing="ij"))
+    tau = c * g01 + d * g11
+    keep = (tau_lo <= tau) & (tau <= tau_hi)
+    c, d, tau = c[keep], d[keep], tau[keep]
+    s = (c * g00 + d * g10) / tau
+    keep = (s_lo <= s) & (s <= s_hi)
+    out = []
+    for cc, dd, t, sv in zip(c[keep].tolist(), d[keep].tolist(), tau[keep].tolist(), s[keep].tolist()):
+        if math.gcd(cc, dd) != 1:
+            continue
+        _, x, y = ext_gcd(dd, cc)
+        a0, b0 = x, -y
+        w1 = a0 * g01 + b0 * g11
+        for m in range(math.floor((p1_lo - w1) / t) - 2, math.ceil((p1_hi - w1) / t) + 3):
+            a, b = a0 + m * cc, b0 + m * dd
+            p1 = a * g01 + b * g11
+            if p1_lo <= p1 <= p1_hi:
+                out.append((a, b, cc, dd, p1, t, sv))
+    return sorted(out)
+
+
+def kernel_rows(g, *window) -> list:
+    cols = _box_candidates(g, *window)
+    assert [col.dtype for col in cols] == [np.int64] * 4 + [np.float64] * 3
+    assert len({col.size for col in cols}) == 1
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+reps = st.builds(
+    chart_rep,
+    st.floats(-0.5, 0.5),
+    log_uniform(math.sqrt(3.0) / 2.0, Y_MAX),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+
+
+@st.composite
+def windows(draw):
+    """Boxes from wide to thin, short shear windows to huge ones, either sign of v1."""
+    v1 = draw(st.floats(-3.0, 3.0))
+    v2 = draw(st.floats(0.1, 3.0))
+    hw1 = draw(log_uniform(1e-3, 1.0))
+    hw2 = draw(log_uniform(1e-3, 1.0)) * 0.99 * v2
+    s_mid = draw(st.floats(-1e4, 1e4))
+    s_half = draw(log_uniform(1e-2, 1e4))
+    return (v1 - hw1, v1 + hw1, v2 - hw2, v2 + hw2, s_mid - s_half, s_mid + s_half)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(reps, windows())
+def test_box_candidates_match_brute_force(g, window):
+    rows = kernel_rows(g, *window)
+    assert len(set(rows)) == len(rows)
+    assert sorted(rows) == brute_candidates(g, *window)
+    assert all(a * d - b * c == 1 for a, b, c, d, *_ in rows)
+
+
+@settings(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(log_uniform(1e3, Y_MAX), st.floats(0.0, 2.0 * math.pi), windows())
+def test_box_candidates_cusp_representatives(y, theta, window):
+    # deep in the cusp the (c, d) parallelogram is long and thin
+    g = chart_rep(0.3, y, theta)
+    assert sorted(kernel_rows(g, *window)) == brute_candidates(g, *window)
+
+
+@given(reps, windows(), st.sampled_from(["p1", "tau", "s"]))
+def test_box_candidates_empty_windows(g, window, side):
+    p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = window
+    if side == "p1":
+        p1_lo, p1_hi = p1_hi, p1_lo
+    elif side == "tau":
+        tau_hi = tau_lo
+    else:
+        s_lo, s_hi = s_hi, s_lo
+    assert kernel_rows(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) == []
+
+
+def test_box_candidates_order_and_chart_constraint():
+    g = chart_rep(0.1, 2.0, 0.7)
+    rows = kernel_rows(g, 1.0, 1.6, 0.6, 1.0, -300.0, 300.0)
+    assert len(rows) > 10
+    # one bottom row's top-row shifts are adjacent, with p1 increasing
+    for (a, b, c, d, p1, *_), (a2, b2, c2, d2, p1b, *_) in zip(rows, rows[1:]):
+        if (c, d) == (c2, d2):
+            assert (a2 - a, b2 - b) == (c, d) and p1b > p1
+    with pytest.raises(ValueError):
+        _box_candidates(g, 1.0, 1.6, 0.0, 1.0, -1.0, 1.0)
+
+
+pairs = st.tuples(st.integers(-(2**31), 2**31), st.integers(-(2**31), 2**31))
+
+
+@given(st.lists(pairs, min_size=1, max_size=40))
+def test_bezout_rows_match_scalar_euclid(rows):
+    rows = [(c, d) for c, d in rows if math.gcd(c, d) == 1]
+    rows += [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 2**31), (-(2**31), 2**31 - 1), (2**31, -1)]
+    c = np.array([r[0] for r in rows], dtype=np.int64)
+    d = np.array([r[1] for r in rows], dtype=np.int64)
+    a0, b0 = _bezout_rows(c, d)
+    for (cc, dd), x, y in zip(rows, a0.tolist(), b0.tolist()):
+        assert x * dd - y * cc == 1
+        _, xs, ys = ext_gcd(dd, cc)
+        assert (x, y) == (xs, -ys)
