@@ -2,15 +2,17 @@
 """Walk through exact enumeration of determinant-one integer matrix balls.
 
 The ball of budget T collects the integer matrices [[a, b], [c, d]] with
-ad - bc = 1 whose entry-square sum is at most T.  Enumeration runs over
-primitive first columns; each column carries an explicit interval of Bezout
-shifts, so elements stream out in a deterministic order with O(1) work each.
+ad - bc = 1 whose entry-square sum is at most T.  Enumeration runs through the
+two-squares identity: an element of norm n is a pair of lattice points, one on
+the circle p^2 + q^2 = n + 2 and one on r^2 + s^2 = n - 2, with matching
+parities.  Pairing the circle points of whole windows of norms with numpy
+gives every element exactly once, in a deterministic order.
 """
 
 import tempfile
 import time
 
-from orbitlab import SubgroupFilter, count, dump_elements, enumerate_ball, family_iter, load_elements
+from orbitlab import SubgroupFilter, count, dump_elements, enumerate_ball, load_elements
 
 print("== smallest balls ==")
 for T in (1, 2, 3, 7):
@@ -21,10 +23,19 @@ for T in (1, 2, 3, 7):
             print("   ", g.entries())
 
 print()
-print("== column families at budget 7 ==")
-for fam in family_iter(7):
-    ks = list(fam.shifts())
-    print(f"  column ({fam.a:+d},{fam.c:+d}): bezout ({fam.b0},{fam.d0}), shifts {ks}")
+print("== the two-squares pairing at budget 7 ==")
+print("p = a+d, q = b-c, r = a-d, s = b+c send an element of norm n to a point")
+print("(p, q) with p^2+q^2 = n+2 and a point (r, s) with r^2+s^2 = n-2, where")
+print("p, r and q, s have equal parities; every such pair is one element:")
+ball = [g.entries() for g in enumerate_ball(7)]
+for n in range(2, 8):
+    elems = [(a, b, c, d) for a, b, c, d in ball if a * a + b * b + c * c + d * d == n]
+    pq = sorted({(a + d, b - c) for a, b, c, d in elems})
+    rs = sorted({(a - d, b + c) for a, b, c, d in elems})
+    print(f"  norm {n}: {len(elems):>2} elements")
+    if elems:
+        print(f"    (p,q): {pq}")
+        print(f"    (r,s): {rs}")
 
 print()
 print("== linear growth of the count ==")

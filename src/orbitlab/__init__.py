@@ -24,13 +24,11 @@ from .matrices import (
     udl_decompose,
 )
 from .enumeration import (
-    ColumnFamily,
     SubgroupFilter,
     count,
     dump_elements,
     elements_array,
     enumerate_ball,
-    family_iter,
     load_elements,
 )
 from .approx import (

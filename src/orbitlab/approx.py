@@ -19,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .enumeration import (
-    SubgroupFilter,
-    _budget_int,
-    _shift_interval,
-    elements_array,
-    ext_gcd,
-)
+from .enumeration import SubgroupFilter, _budget_int, elements_array, ext_gcd
 from .errors import EmptyBudget, ExactHit, InsufficientData
 from .matrices import LatticeElement
 
@@ -227,6 +221,37 @@ def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, b
 # of 12 pairs, one core): 0.69 vs 0.67 ms at 2^22, 1.0 vs 0.69 ms at 2^24,
 # 89 vs 3.5 ms at 2^40.  Targets on an axis (|v2| <= eps) keep the direct scan.
 _DIRECT_STRIP_LIMIT = 2**22
+
+
+def _shift_interval(a: int, c: int, b0: int, d0: int, S: int):
+    """Exact integer interval of k with (b0 + k*a)^2 + (d0 + k*c)^2 <= S, or None."""
+    if S < 0:
+        return None
+    A = a * a + c * c
+    B = a * b0 + c * d0
+    C = b0 * b0 + d0 * d0
+    disc = B * B - A * (C - S)
+    if disc < 0:
+        return None
+    r = math.isqrt(disc)
+
+    def f(k: int) -> int:
+        return (b0 + k * a) ** 2 + (d0 + k * c) ** 2
+
+    # isqrt brackets the real roots within one unit of the integer estimates,
+    # so two guarded bumps per endpoint reach the exact integer interval; an
+    # empty interval (real roots straddle no integer) ends with k_lo > k_hi.
+    k_hi = (-B + r) // A
+    for _ in range(2):
+        if f(k_hi + 1) <= S:
+            k_hi += 1
+    k_lo = -((B + r + 1) // A)
+    for _ in range(2):
+        if f(k_lo) > S:
+            k_lo += 1
+    if k_lo > k_hi or f(k_lo) > S or f(k_hi) > S:
+        return None
+    return k_lo, k_hi
 
 
 def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:

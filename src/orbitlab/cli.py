@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .approx import ApproxTrace, approx_trace, estimate_exponents, survey_exponents
-from .enumeration import SubgroupFilter, cache_path, count, dump_elements
+from .enumeration import SubgroupFilter, count, dump_elements
 from .ergodic import (
     matcoef_curve,
     miss_rate_curve,
@@ -146,11 +146,8 @@ def _cmd_enumerate(args) -> int:
     cfg = {"cmd": "enumerate", "T": args.T, "filter": str(flt), "seed": args.seed}
     print(n)
     if args.dump:
-        path = args.dump if args.dump != "auto" else cache_path(args.T, flt)
-        if path is None:
-            raise ConfigError("--dump auto needs the ORBITLAB_CACHE environment variable")
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        dump_elements(path, args.T, flt)
+        os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
+        dump_elements(args.dump, args.T, flt)
     if args.out:
         _emit_json(args.out, {"count": n, "T": args.T, "filter": str(flt)}, cfg)
     return 0
@@ -393,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="count / dump a norm ball")
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--filter", default="full")
-    sp.add_argument("--dump", default=None, help="path for a binary dump, or 'auto' for $ORBITLAB_CACHE")
+    sp.add_argument("--dump", default=None, help="path for a binary dump")
     common(sp)
     sp.set_defaults(fn=_cmd_enumerate)
 

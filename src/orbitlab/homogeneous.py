@@ -311,10 +311,10 @@ _NO_CANDIDATES = tuple(np.empty(0, dtype=t) for t in (np.int64,) * 4 + (float,) 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
     """The integer ranges start[k], ..., start[k] + count[k] - 1 laid end to
-    end, with the index k each value comes from; count.sum() must be > 0."""
+    end, with the index k each value comes from; counts are nonnegative."""
     first = np.cumsum(count) - count
     owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(first[-1] + count[-1]) + (start - first)[owner]
+    return owner, np.arange(count.sum()) + (start - first)[owner]
 
 
 def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:

@@ -1,18 +1,17 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from orbitlab import enumeration
 from orbitlab.enumeration import (
     SubgroupFilter,
-    cache_path,
-    load_cached,
     count,
     dump_elements,
     elements_array,
     enumerate_ball,
-    family_iter,
     load_elements,
 )
 from orbitlab.errors import BudgetOverflow
@@ -35,28 +34,51 @@ def test_matches_brute_force_up_to_50(brute_ball_50):
         assert count(T) == len(want)
 
 
-def test_family_examples():
-    fams = list(family_iter(2))
-    assert [(f.a, f.c) for f in fams] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    unit = next(f for f in fams if (f.a, f.c) == (1, 0))
-    assert (unit.b0, unit.d0) == (0, 1)
-    assert (unit.k_lo, unit.k_hi) == (0, 0)
-    # (2, 1) at budget 7: the shift quadratic (b0+2k)^2 + (d0+k)^2 <= 2 has solutions
-    fam = next(f for f in family_iter(7) if (f.a, f.c) == (2, 1))
-    assert len(fam) >= 1
-    for k in fam.shifts():
-        g = fam.element(k)
-        assert g.norm <= 7
+# Counts and sha256 prefixes of elements_array(T, f) as little-endian int64,
+# recorded from the column-family enumeration this one replaced.
+PINNED_BALLS = [
+    (25000, "full", 150276, "bf9ad9b4ca66206a"),
+    (25000, "gamma0:3", 37594, "2c637b3f38aa861c"),
+    (25000, "gamma:2", 24906, "4dc8a2d3aa9cb990"),
+    (25000, "gamma:4", 3065, "ee361d0845a9a4c4"),
+    (33333.5, "full", 199812, "8c098fa9a514c3b9"),
+    (33333.5, "gamma0:3", 49954, "3a5cf7a415fe7d98"),
+    (33333.5, "gamma:2", 33418, "8be6a05346a4e192"),
+    (33333.5, "gamma:4", 4225, "bfa64c88ad4b8a6c"),
+]
 
 
-def test_families_disjoint_and_exhaustive():
-    seen = set()
-    for fam in family_iter(200):
-        for k in fam.shifts():
-            e = fam.element(k).entries()
-            assert e not in seen
-            seen.add(e)
-    assert len(seen) == count(200)
+@pytest.mark.parametrize("T, text, n, digest", PINNED_BALLS)
+def test_balls_pinned_across_window_seams(T, text, n, digest):
+    assert T > 2 + 2 * enumeration._WINDOW_NORMS  # crosses at least two window seams
+    flt = SubgroupFilter.parse(text)
+    arr = elements_array(T, flt)
+    raw = np.ascontiguousarray(arr, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
+    assert count(T, flt) == len(arr) == n
+    a, b, c, d = arr.T
+    assert len({tuple(r) for r in arr.tolist()}) == n
+    assert (a * d - b * c == 1).all()
+    assert ((arr * arr).sum(axis=1) <= T).all()
+    assert flt.mask(arr).all()
+
+
+def test_single_norm_window_without_elements():
+    # the last window of budget 8194 is the norm 8194 alone, and no element
+    # has that norm: p^2 + q^2 = 8196 = 4 * 3 * 683 has no solution
+    assert 8194 == 2 + enumeration._WINDOW_NORMS
+    assert count(8194) == count(8193) == len(elements_array(8194))
+
+
+def test_count_at_1e5():
+    assert count(10**5) == 600196
+
+
+def test_isqrt_exact_below_2_52():
+    k = np.concatenate([np.arange(0, 2000), np.arange(2**26 - 2000, 2**26)])
+    v = np.concatenate([k * k + off for off in (-2, -1, 0, 1, 2)])
+    v = v[(v >= 0) & (v < 2**52)]
+    assert enumeration._isqrt(v).tolist() == [math.isqrt(x) for x in v.tolist()]
 
 
 def test_closure_under_inverse_and_negation():
@@ -149,20 +171,3 @@ def test_dump_load_roundtrip(tmp_path):
         json.dump(doc, fh)
     with pytest.raises(ValueError):
         load_elements(path)
-
-
-def test_cache_path_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("ORBITLAB_CACHE", raising=False)
-    assert cache_path(100) is None
-    monkeypatch.setenv("ORBITLAB_CACHE", str(tmp_path))
-    p = cache_path(100, SubgroupFilter.gamma0(3))
-    assert p is not None and p.startswith(str(tmp_path)) and "gamma0_3" in p
-
-
-def test_load_cached_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("ORBITLAB_CACHE", str(tmp_path))
-    assert load_cached(60) is None
-    dump_elements(cache_path(60), 60)
-    arr = load_cached(60)
-    assert arr is not None and np.array_equal(arr, elements_array(60))
-    assert load_cached(60, SubgroupFilter.gamma0(2)) is None  # different filter
