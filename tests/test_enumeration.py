@@ -81,6 +81,31 @@ def test_isqrt_exact_below_2_52():
     assert enumeration._isqrt(v).tolist() == [math.isqrt(x) for x in v.tolist()]
 
 
+def test_families_disjoint_and_exhaustive(monkeypatch):
+    # norm windows: each window holds exactly the elements of its norms, once
+    monkeypatch.setattr(enumeration, "_WINDOW_NORMS", 7)
+    seen = set()
+    for k, rows in enumerate(enumeration._windows(200)):
+        n0 = 2 + 7 * k
+        norms = (rows * rows).sum(axis=1)
+        assert ((n0 <= norms) & (norms < min(n0 + 7, 201))).all()
+        for e in map(tuple, rows.tolist()):
+            assert e not in seen
+            seen.add(e)
+    assert k == (200 - 2) // 7
+    monkeypatch.undo()
+    arr = elements_array(200)
+    assert seen == {tuple(r) for r in arr.tolist()}
+    assert len(seen) == count(200)
+    # column families: the rows of one first column (a, c) are
+    # (a, b0 + k*a, c, d0 + k*c) for consecutive shifts k, and follow each other
+    a, b, c, d = arr.T
+    starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (c[1:] != c[:-1])])
+    assert len({(a[i], c[i]) for i in starts}) == len(starts)
+    for i, j in zip(starts, np.r_[starts[1:], len(arr)]):
+        assert (np.diff(b[i:j]) == a[i]).all() and (np.diff(d[i:j]) == c[i]).all()
+
+
 def test_closure_under_inverse_and_negation():
     got = {g.entries() for g in enumerate_ball(500)}
     for e in got:
