@@ -1,25 +1,26 @@
 """Best approximation of plane targets by finite orbit pieces, and exponent estimates.
 
-Every closest-point query is a budget trace.  Budgets up to a fixed cap are
-resolved exactly on the materialized ball of that norm; larger budgets run a
-bottom-row strip scan seeded with the best distance found so far: any element
-beating the current best distance has its second row (c, d) inside an explicit
-strip of width twice that distance, which shrinks rapidly as budgets grow.
-Above 2^22 the strip is searched through the quotient-side box kernel, whose
-cost follows the candidates rather than sqrt(budget); targets on an axis keep
-the direct scan.
+Every closest-point query is a budget trace, and every budget of a trace is
+one bottom-row strip scan seeded with the best distance found so far: any
+element beating it has its second row (c, d) inside an explicit strip of
+width twice that distance, which shrinks rapidly as budgets grow.  The first
+scan starts from the identity, which has norm 2 and lies in every filter.
+Up to 2^22, and for targets on an axis, the strip is scanned directly over
+its (c, d) pairs; above, through the quotient-side box kernel, whose cost
+follows the candidates rather than sqrt(budget).  Both hand their candidates
+to one selection, which computes every distance and breaks ties by
+(dist, norm, a, c, b, d).  No ball is ever materialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .enumeration import SubgroupFilter, _budget_int, elements_array, ext_gcd
+from .enumeration import SubgroupFilter, _budget_int
 from .errors import EmptyBudget, ExactHit, InsufficientData
 from .matrices import LatticeElement
 
@@ -91,28 +92,6 @@ class ApproxTrace:
         return cls(u=tuple(u), v=tuple(v), budgets=budgets, records=records)
 
 
-# Candidate ordering used by every search path: distance first, then trace
-# norm, then entries.  Squared distance is compared (same order, cheaper).
-def _cand_key(dist2: float, norm: int, a: int, c: int, b: int, d: int) -> tuple:
-    return (dist2, norm, a, c, b, d)
-
-
-# Largest ball phase 1 of a trace materializes; larger budgets use the strip scan.
-_PHASE1_CAP = 4096
-
-
-@lru_cache(maxsize=4)
-def _cached_ball(Tint: int) -> tuple:
-    """Shared read-only phase-1 ball and its norms, rows sorted by (norm, a, c, b, d).
-
-    Every consumer copies via fancy indexing.
-    """
-    arr = elements_array(Tint)
-    norms = (arr * arr).sum(axis=1)
-    order = np.lexsort((arr[:, 3], arr[:, 1], arr[:, 2], arr[:, 0], norms))
-    return arr[order], norms[order]
-
-
 def _record_from_key(key: tuple) -> ApproxRecord:
     dist2, norm, a, c, b, d = key
     return ApproxRecord(LatticeElement(a, b, c, d), norm, math.sqrt(dist2))
@@ -133,6 +112,8 @@ def best_approx(
     """
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
+    if math.isnan(float(T)):
+        raise ValueError("budget must not be NaN")
     if _budget_int(T) < 2:
         raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
     return approx_trace(u, v, [T], subgroup).records[0]
@@ -142,25 +123,32 @@ def best_approx(
 # Budget traces
 # ---------------------------------------------------------------------------
 
-def _phase1_records(ball: tuple, u, v, budgets: Sequence[float], subgroup: SubgroupFilter):
-    """Exact per-budget minima over a ``_cached_ball`` (rows sorted for ties)."""
-    arr, norms = ball
-    mask = subgroup.mask(arr)
-    arr, norms = arr[mask], norms[mask]
+def _least_key(a, b, c, d, u, v, Tint: int, subgroup: SubgroupFilter, best: tuple) -> tuple:
+    """Least key among best and the candidate rows (a, b, c, d) that fit the budget.
+
+    The one place any search computes a distance, a norm or a tie key: rows
+    above the budget or outside the filter are dropped, the rest compared by
+    the key (dist2, norm, a, c, b, d), squared distance first (same order as
+    the distance, cheaper).
+    """
+    # entries beyond isqrt(Tint) cannot fit the budget; below it each pair of
+    # squares fits int64 (a primitive row never has |a| = |b| = 2^31)
+    r = math.isqrt(Tint)
+    keep = (np.abs(a) <= r) & (np.abs(b) <= r) & (np.abs(c) <= r) & (np.abs(d) <= r)
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    top = a * a + b * b
+    bottom = c * c + d * d
+    keep = (top <= Tint - bottom) & subgroup.mask(np.stack([a, b, c, d], axis=1))
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    if not a.size:
+        return best
+    norm = top[keep] + bottom[keep]
     u1, u2 = float(u[0]), float(u[1])
-    v1, v2 = float(v[0]), float(v[1])
-    e1 = arr[:, 0] * u1 + arr[:, 1] * u2 - v1
-    e2 = arr[:, 2] * u1 + arr[:, 3] * u2 - v2
+    e1 = a * u1 + b * u2 - float(v[0])
+    e2 = c * u1 + d * u2 - float(v[1])
     dist2 = e1 * e1 + e2 * e2
-    out = []
-    for T in budgets:
-        p = int(np.searchsorted(norms, math.floor(T), side="right"))
-        if p == 0:
-            raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
-        i = int(np.argmin(dist2[:p]))  # first occurrence wins: rows pre-sorted for ties
-        row = arr[i]
-        out.append(_cand_key(float(dist2[i]), int(norms[i]), int(row[0]), int(row[2]), int(row[1]), int(row[3])))
-    return out
+    i = np.lexsort((d, b, c, a, norm, dist2))[0]
+    return min((float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i])), best)
 
 
 def _seed_matrix(u) -> np.ndarray:
@@ -182,7 +170,6 @@ def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, b
     """
     from .homogeneous import _box_candidates
 
-    u1, u2 = float(u[0]), float(u[1])
     v1, v2 = float(v[0]), float(v[1])
     flip = v2 < 0.0
     if flip:
@@ -196,24 +183,7 @@ def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, b
     a, b, c, d, *_ = _box_candidates(g, v1 - eps, v1 + eps, tau_lo, v2 + eps, -s_bound, s_bound)
     if flip:
         a, b, c, d = -a, -b, -c, -d
-    # entries beyond isqrt(Tint) cannot fit the budget; below it each pair of
-    # squares fits int64 (a primitive row never has |a| = |b| = 2^31)
-    r = math.isqrt(Tint)
-    keep = (np.abs(a) <= r) & (np.abs(b) <= r) & (np.abs(c) <= r) & (np.abs(d) <= r)
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    top = a * a + b * b
-    bottom = c * c + d * d
-    keep = (top <= Tint - bottom) & subgroup.mask(np.stack([a, b, c, d], axis=1))
-    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
-    if not a.size:
-        return best
-    norm = top[keep] + bottom[keep]
-    e1 = a * u1 + b * u2 - v[0]
-    e2 = c * u1 + d * u2 - v[1]
-    dist2 = e1 * e1 + e2 * e2
-    i = np.lexsort((d, b, c, a, norm, dist2))[0]
-    cand = _cand_key(float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i]))
-    return min(cand, best)
+    return _least_key(a, b, c, d, u, v, Tint, subgroup, best)
 
 
 # The direct scan walks an integer range of length ~2*sqrt(budget); beyond
@@ -222,109 +192,82 @@ def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, b
 # 89 vs 3.5 ms at 2^40.  Targets on an axis (|v2| <= eps) keep the direct scan.
 _DIRECT_STRIP_LIMIT = 2**22
 
-
-def _shift_interval(a: int, c: int, b0: int, d0: int, S: int):
-    """Exact integer interval of k with (b0 + k*a)^2 + (d0 + k*c)^2 <= S, or None."""
-    if S < 0:
-        return None
-    A = a * a + c * c
-    B = a * b0 + c * d0
-    C = b0 * b0 + d0 * d0
-    disc = B * B - A * (C - S)
-    if disc < 0:
-        return None
-    r = math.isqrt(disc)
-
-    def f(k: int) -> int:
-        return (b0 + k * a) ** 2 + (d0 + k * c) ** 2
-
-    # isqrt brackets the real roots within one unit of the integer estimates,
-    # so two guarded bumps per endpoint reach the exact integer interval; an
-    # empty interval (real roots straddle no integer) ends with k_lo > k_hi.
-    k_hi = (-B + r) // A
-    for _ in range(2):
-        if f(k_hi + 1) <= S:
-            k_hi += 1
-    k_lo = -((B + r + 1) // A)
-    for _ in range(2):
-        if f(k_lo) > S:
-            k_lo += 1
-    if k_lo > k_hi or f(k_lo) > S or f(k_hi) > S:
-        return None
-    return k_lo, k_hi
+# Entries c per block of the direct scan: bounds its arrays at deep budgets.
+_C_BLOCK = 1 << 16
 
 
 def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:
-    """Scan second rows (c, d) with |c*u1 + d*u2 - v2| <= eps, norm <= Tint.
+    """Least key among best and the elements within eps of v in the budget-Tint ball.
 
-    Any element with distance <= eps has its second row in the strip, so the
-    returned key is the exact minimum over the whole budget ball whenever
-    eps >= the current best distance.
+    Any element with distance <= eps has its second row (c, d) in the strip
+    |c*u1 + d*u2 - v2| <= eps, so the returned key is the exact minimum over
+    the whole budget ball whenever eps >= the current best distance.  Up to
+    _DIRECT_STRIP_LIMIT, and for targets on an axis, the strip is scanned
+    directly: its primitive rows (c, d) are completed to matrices, and the
+    top-row shifts m that can fit the budget and reach the first-coordinate
+    window are expanded as arrays.
     """
+    from .homogeneous import _bezout_rows, _ranges
+
     u1, u2 = float(u[0]), float(u[1])
     v1, v2 = float(v[0]), float(v[1])
     if Tint > _DIRECT_STRIP_LIMIT and abs(v2) > eps:
         return _deep_strip_improve(u, v, Tint, eps, subgroup, best)
     cap = Tint - 1  # top row contributes at least 1 to the norm
-    if cap < 0:
-        return best
     cmax = math.isqrt(cap)
-
-    def pair_blocks():
-        block = 1 << 22
-        for c0 in range(-cmax, cmax + 1, block):
-            cs = np.arange(c0, min(c0 + block, cmax + 1))
-            if u2 != 0.0:
-                lo = (v2 - eps - cs * u1) / u2
-                hi = (v2 + eps - cs * u1) / u2
-                d_lo, d_hi = np.minimum(lo, hi), np.maximum(lo, hi)
-                rad = np.sqrt(cap - cs.astype(float) ** 2)
-                d_lo = np.ceil(np.maximum(d_lo, -rad) - 1e-9).astype(np.int64)
-                d_hi = np.floor(np.minimum(d_hi, rad) + 1e-9).astype(np.int64)
-                hits = np.nonzero(d_lo <= d_hi)[0]
-                yield from (
-                    (int(cs[i]), dd) for i in hits for dd in range(int(d_lo[i]), int(d_hi[i]) + 1)
-                )
-            else:
-                # u on the horizontal axis: the strip constrains c alone.
-                keep = np.abs(cs * u1 - v2) <= eps
-                yield from (
-                    (int(cv), dd)
-                    for cv in cs[keep]
-                    for dd in range(-math.isqrt(cap - int(cv) ** 2), math.isqrt(cap - int(cv) ** 2) + 1)
-                )
-
-    for c, d in pair_blocks():
-        if c == 0 and d == 0:
+    for c0 in range(-cmax, cmax + 1, _C_BLOCK):
+        cs = np.arange(c0, min(c0 + _C_BLOCK, cmax + 1))
+        rad = np.sqrt(cap - cs.astype(float) ** 2)
+        if u2 != 0.0:
+            lo = (v2 - eps - cs * u1) / u2
+            hi = (v2 + eps - cs * u1) / u2
+            d_lo, d_hi = np.maximum(np.minimum(lo, hi), -rad), np.minimum(np.maximum(lo, hi), rad)
+        else:
+            # u on the horizontal axis: the strip constrains c alone.
+            keep = np.abs(cs * u1 - v2) <= eps
+            cs, d_hi = cs[keep], rad[keep]
+            d_lo = -d_hi
+        d_lo = np.ceil(d_lo - 1e-9)
+        n_d = np.maximum(np.floor(d_hi + 1e-9) - d_lo + 1.0, 0.0).astype(np.int64)
+        k, d = _ranges(d_lo.astype(np.int64), n_d)
+        c = cs[k]
+        keep = np.gcd(c, d) == 1
+        c, d = c[keep], d[keep]
+        if not c.size:
             continue
-        if math.gcd(abs(c), abs(d)) != 1:
-            continue
-        g, x, y = ext_gcd(d, c)
-        a0, b0 = x, -y  # a0*d - b0*c = 1
+        a0, b0 = _bezout_rows(c, d)  # a0*d - b0*c = 1
+        # Shifts m with (a0 + m*c)^2 + (b0 + m*d)^2 <= S = Tint - c^2 - d^2:
+        # by the Lagrange identity the discriminant is (c^2 + d^2)*S - 1.  The
+        # float roots are widened by one; the exact norm test comes last.
+        A = (c * c + d * d).astype(float)
+        B = (a0 * c + b0 * d).astype(float)
+        root = np.sqrt(np.maximum(A * (Tint - A) - 1.0, 0.0))
+        m_lo = np.ceil((-B - root) / A - 1.0)
+        m_hi = np.floor((-B + root) / A + 1.0)
+        # and the first coordinate within eps of v1; a row with tau == 0 has
+        # the same first coordinate for every m
         tau = c * u1 + d * u2
         w1 = a0 * u1 + b0 * u2
-        iv = _shift_interval(c, d, a0, b0, Tint - c * c - d * d)
-        if iv is None:
-            continue
-        m_lo, m_hi = iv
-        if tau != 0.0:
-            lo = (v1 - eps - w1) / tau
-            hi = (v1 + eps - w1) / tau
-            if lo > hi:
-                lo, hi = hi, lo
-            m_lo = max(m_lo, math.ceil(lo - 1e-9))
-            m_hi = min(m_hi, math.floor(hi + 1e-9))
-        for m in range(m_lo, m_hi + 1):
-            a, b = a0 + m * c, b0 + m * d
-            if not subgroup.passes(a, b, c, d):
-                continue
-            e1 = a * u1 + b * u2 - v1
-            e2 = tau - v2
-            dist2 = e1 * e1 + e2 * e2
-            cand = _cand_key(dist2, a * a + b * b + c * c + d * d, a, c, b, d)
-            if cand < best:
-                best = cand
+        t = tau != 0.0
+        q = np.where(t, tau, 1.0)
+        lo = (v1 - eps - w1) / q
+        hi = (v1 + eps - w1) / q
+        w_lo = np.where(t, np.ceil(np.minimum(lo, hi) - 1e-9), m_lo)
+        w_hi = np.where(t, np.floor(np.maximum(lo, hi) + 1e-9), m_hi)
+        # clipped, so that every start cast to int64 stays in range
+        m_lo, m_hi = np.clip(w_lo, m_lo, m_hi + 1.0), np.minimum(w_hi, m_hi)
+        n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64)
+        k, m = _ranges(m_lo.astype(np.int64), n_m)
+        c, d = c[k], d[k]
+        best = _least_key(a0[k] + m * c, b0[k] + m * d, c, d, u, v, Tint, subgroup, best)
     return best
+
+
+# A trace that reaches beyond this budget also scans it (and drops its row
+# unless asked for), so that every deeper scan is seeded at least with the
+# distance reached here: a deep scan seeded with |u - v| or with a tiny
+# budget's distance visits many more candidates.
+_SEED_BUDGET = 4096
 
 
 def approx_trace(
@@ -335,11 +278,10 @@ def approx_trace(
 ) -> ApproxTrace:
     """Exact d(T) trace over an increasing budget grid.
 
-    Phase 1 materializes the ball of norm min(_PHASE1_CAP, last budget) and
-    resolves every budget up to that norm against it.  Larger budgets run the
-    strip scan seeded with the previous budget's best distance (the first of
-    them with the minimum over the phase-1 ball), which cannot miss any
-    improving element.  No ball above the cap is ever built.
+    Starts from the identity (norm 2, in every filter) and strip-scans each
+    budget in turn, seeded with the previous budget's best distance, which
+    cannot miss any improving element.  A grid that reaches beyond
+    _SEED_BUDGET also scans _SEED_BUDGET.  No ball is ever materialized.
     """
     budgets = [float(T) for T in budgets]
     if any(math.isnan(T) for T in budgets):
@@ -350,18 +292,17 @@ def approx_trace(
         raise ValueError("first budget must be at least 2")
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
-    P1 = min(_PHASE1_CAP, budgets[-1])
-    n_low = sum(T <= P1 for T in budgets)  # budgets increase: phase 1 is a prefix
-    ball = _cached_ball(_budget_int(P1))  # unfiltered; filters applied per trace
-    # the minimum over the whole phase-1 ball seeds the strip scan
-    *keys, best = _phase1_records(ball, u, v, budgets[:n_low] + [P1], subgroup)
-    for T in budgets[n_low:]:
+    e1, e2 = float(u[0]) - float(v[0]), float(u[1]) - float(v[1])
+    best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
+    scans = sorted({*budgets, float(_SEED_BUDGET)}) if budgets[-1] > _SEED_BUDGET else budgets
+    keys = {}
+    for T in scans:
         Tint = _budget_int(T)
         eps = math.sqrt(best[0])
         if eps > 0.0:
             best = _strip_improve(u, v, Tint, eps * (1.0 + 1e-12), subgroup, best)
-        keys.append(best)
-    records = [_record_from_key(k) for k in keys]
+        keys[T] = best
+    records = [_record_from_key(keys[T]) for T in budgets]
     return ApproxTrace(
         u=(float(u[0]), float(u[1])),
         v=(float(v[0]), float(v[1])),

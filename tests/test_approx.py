@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import orbitlab.approx as approx_mod
 from conftest import brute_best, brute_min_dist
@@ -117,7 +119,7 @@ def test_trace_monotone_and_matches_best_approx(ball_1e4):
 
 
 def test_trace_strip_phase_cross_validates():
-    # phase-2 strips against the independent family search at a larger budget
+    # a strip seeded from a smaller budget against a one-budget trace
     u, v = (1.37, 1.81), (1.11, 1.62)
     tr = approx_trace(u, v, [2**10, 2**15])
     rec = best_approx(u, v, 2**15)
@@ -145,7 +147,7 @@ def _exact_dist(g, u, v) -> float:
 
 @pytest.mark.parametrize("flt", ["full", "gamma0:2", "gamma0:3", "gamma:2", "gamma:3"])
 def test_trace_witnesses_reproduce_distances(flt):
-    # every row's matrix must reproduce the row's distance, in both phases
+    # every row's matrix must reproduce the row's distance, below and above 4096
     flt = SubgroupFilter.parse(flt)
     seeds = [(1.37, 1.61), (-1.83, 1.14), (1.3, 0.0), (-1.71, 0.0)]
     targets = [(1.5, 0.0), (0.0, -1.2), (1.21, -0.67)]
@@ -195,14 +197,71 @@ def test_deep_strip_matches_direct_scan(flt, monkeypatch):
     assert improved >= 3  # the searches find new witnesses, not only the seed
 
 
-def test_no_ball_beyond_phase1_cap(monkeypatch):
+FILTERS = ["full", "gamma0:2", "gamma0:3", "gamma0:4", "gamma0:5", "gamma:2", "gamma:3"]
+_coord = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+_nonzero = _coord.filter(lambda x: x != 0.0)
+_seeds = st.one_of(
+    st.tuples(_coord, _nonzero),
+    st.tuples(_nonzero, st.just(0.0)),  # horizontal seeds
+    st.sampled_from([(1.5, 1.0), (3.0, -2.0), (1.0, 1.0)]),  # strip rows with tau == 0
+)
+_budgets = st.lists(
+    st.one_of(st.floats(2.0, 1e4), st.sampled_from([2.0, 4096.0, 4097.0, 1e4])),
+    min_size=1,
+    max_size=4,
+    unique=True,
+).map(sorted)
+
+
+@given(
+    u=_seeds,
+    target=st.one_of(
+        st.tuples(_coord, _coord),
+        st.tuples(_coord, st.just(0.0)),
+        st.tuples(st.just(0.0), _coord),
+        st.sampled_from(["origin", "seed"]),
+    ),
+    budgets=_budgets,
+    flt=st.sampled_from(FILTERS),
+)
+def test_trace_rows_match_brute_force(ball_1e4, u, target, budgets, flt):
+    # every row of every trace, across the seed budget, is the least
+    # (dist, norm, a, c, b, d) over the filtered ball
+    v = {"origin": (0.0, 0.0), "seed": u}.get(target, target)
+    flt = SubgroupFilter.parse(flt)
+    rows = ball_1e4[flt.mask(ball_1e4)]
+    tr = approx_trace(u, v, budgets, subgroup=flt)
+    for T, rec in zip(budgets, tr.records):
+        assert rec.gamma.entries() == brute_best(rows, u, v, T), (u, v, T)
+
+
+@pytest.mark.parametrize(
+    "u, v, T, flt, entries, norm, dist",
+    [
+        ((1.37, 1.61), (1.5, 0.0), 2**30, "full", (16939, -14413, -114, 97), 494686695, 0.009999999999990905),
+        ((-1.83, 1.14), (0.0, -1.2), 2**28, "gamma0:3", (-71, -114, -2802, -4499), 28110242, 0.029999999999972715),
+        ((1.3, 0.0), (1.21, 0.0), 2**26, "gamma:2", (1, 0, 0, 1), 2, 0.09000000000000008),
+        ((1.5, 1.0), (0.7, 0.0), 2**24, "full", (1, -1, -2, 3), 15, 0.19999999999999996),
+    ],
+)
+def test_best_approx_pins_above_direct_limit(u, v, T, flt, entries, norm, dist):
+    # beyond brute force: recorded outputs, three of them from the direct scan
+    # of an axis target
+    rec = best_approx(u, v, T, subgroup=SubgroupFilter.parse(flt))
+    assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (entries, norm, dist)
+
+
+def test_traces_build_no_ball(monkeypatch):
+    # every budget is a strip scan: no query materializes any ball
+    import orbitlab.enumeration as enum_mod
+
     built = []
-    real = approx_mod.elements_array
-    monkeypatch.setattr(approx_mod, "elements_array", lambda T: built.append(T) or real(T))
-    approx_mod._cached_ball.cache_clear()
+    real = enum_mod._windows
+    monkeypatch.setattr(enum_mod, "_windows", lambda *args, **kw: built.append(args) or real(*args, **kw))
     best_approx((1.37, 1.52), (1.9, 1.2), 1e5)
     approx_trace((1.41, 1.73), (1.2, 1.5), [65536.0, 262144.0])
-    assert built and max(built) <= 4096
+    approx_trace((1.41, 1.73), (1.2, 1.5), [16.0, 256.0, 4096.0, 65536.0])
+    assert not built
 
 
 def test_trace_single_budget_self_target():
@@ -226,6 +285,11 @@ def test_trace_rejects_nan_budgets():
             approx_trace((1.4, 1.7), (1.2, 1.9), budgets)
     with pytest.raises(BudgetOverflow):
         approx_trace((1.4, 1.7), (1.2, 1.9), [16, math.inf])
+    with pytest.raises(ValueError):
+        best_approx((1.4, 1.7), (1.2, 1.9), math.nan)
+    for T in (math.inf, -math.inf):
+        with pytest.raises(BudgetOverflow):
+            best_approx((1.4, 1.7), (1.2, 1.9), T)
 
 
 def test_trace_csv_roundtrip():
