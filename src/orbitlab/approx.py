@@ -5,11 +5,10 @@ one bottom-row strip scan seeded with the best distance found so far: any
 element beating it has its second row (c, d) inside an explicit strip of
 width twice that distance, which shrinks rapidly as budgets grow.  The first
 scan starts from the identity, which has norm 2 and lies in every filter.
-Up to 2^22, and for targets on an axis, the strip is scanned directly over
-its (c, d) pairs; above, through the quotient-side box kernel, whose cost
-follows the candidates rather than sqrt(budget).  Both hand their candidates
-to one selection, which computes every distance and breaks ties by
-(dist, norm, a, c, b, d).  No ball is ever materialized.
+The rows of the strip inside the norm disk come from the quotient side's
+lattice-point search, whose cost follows the rows rather than sqrt(budget),
+and one selection computes every distance and breaks ties by (dist, norm, a,
+c, b, d).  No ball is ever materialized.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 
 from .enumeration import SubgroupFilter, _budget_int
 from .errors import EmptyBudget, ExactHit, InsufficientData
+from .homogeneous import _bezout_rows, _lattice_points, _ranges
 from .matrices import LatticeElement
 
 __all__ = [
@@ -151,88 +151,33 @@ def _least_key(a, b, c, d, u, v, Tint: int, subgroup: SubgroupFilter, best: tupl
     return min((float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i])), best)
 
 
-def _seed_matrix(u) -> np.ndarray:
-    """Determinant-one matrix whose second column is the orbit seed u."""
-    u1, u2 = float(u[0]), float(u[1])
-    if u2 != 0.0:
-        return np.array([[1.0 / u2, u1], [0.0, u2]])
-    return np.array([[0.0, u1], [-1.0 / u1, 0.0]])
-
-
-def _deep_strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:
-    """Reduced-basis variant of the strip scan for large budgets.
-
-    Enumerates integer candidates with both orbit-point coordinates within eps
-    of the target through the quotient-side box kernel, whose cost scales with
-    the candidate count rather than with sqrt(budget), and takes the least key
-    over their arrays.  Requires the target window [v2 - eps, v2 + eps] to be
-    sign-definite.
-    """
-    from .homogeneous import _box_candidates
-
-    v1, v2 = float(v[0]), float(v[1])
-    flip = v2 < 0.0
-    if flip:
-        v1, v2 = -v1, -v2  # scan the mirrored window; candidates negate back
-    g = _seed_matrix(u)
-    G = float(np.sum(g * g))
-    tau_lo = v2 - eps
-    if tau_lo <= 0.0:
-        raise ValueError("deep strip scan needs a sign-definite target window")
-    s_bound = math.sqrt(Tint * G) / tau_lo + 1.0
-    a, b, c, d, *_ = _box_candidates(g, v1 - eps, v1 + eps, tau_lo, v2 + eps, -s_bound, s_bound)
-    if flip:
-        a, b, c, d = -a, -b, -c, -d
-    return _least_key(a, b, c, d, u, v, Tint, subgroup, best)
-
-
-# The direct scan walks an integer range of length ~2*sqrt(budget); beyond
-# this it switches to the reduced-basis kernel.  Measured per budget (median
-# of 12 pairs, one core): 0.69 vs 0.67 ms at 2^22, 1.0 vs 0.69 ms at 2^24,
-# 89 vs 3.5 ms at 2^40.  Targets on an axis (|v2| <= eps) keep the direct scan.
-_DIRECT_STRIP_LIMIT = 2**22
-
-# Entries c per block of the direct scan: bounds its arrays at deep budgets.
-_C_BLOCK = 1 << 16
-
-
 def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:
     """Least key among best and the elements within eps of v in the budget-Tint ball.
 
     Any element with distance <= eps has its second row (c, d) in the strip
-    |c*u1 + d*u2 - v2| <= eps, so the returned key is the exact minimum over
-    the whole budget ball whenever eps >= the current best distance.  Up to
-    _DIRECT_STRIP_LIMIT, and for targets on an axis, the strip is scanned
-    directly: its primitive rows (c, d) are completed to matrices, and the
-    top-row shifts m that can fit the budget and reach the first-coordinate
-    window are expanded as arrays.
+    |tau - v2| <= eps, tau = c*u1 + d*u2, so the returned key is the exact
+    minimum over the whole budget ball whenever eps >= the current best
+    distance.  ``homogeneous._lattice_points`` yields the strip's rows in the
+    (sigma, tau) coordinates of g = [[u2/n, u1], [-u1/n, u2]], n = |u|^2, with
+    |sigma| and |tau| bounded by Cauchy-Schwarz, as c^2 + d^2 <= Tint - 1.
+    Primitive rows in that disk are completed to matrices, and the top-row
+    shifts that can fit the budget and reach the first-coordinate window are
+    expanded as arrays.
     """
-    from .homogeneous import _bezout_rows, _ranges
-
     u1, u2 = float(u[0]), float(u[1])
     v1, v2 = float(v[0]), float(v[1])
-    if Tint > _DIRECT_STRIP_LIMIT and abs(v2) > eps:
-        return _deep_strip_improve(u, v, Tint, eps, subgroup, best)
-    cap = Tint - 1  # top row contributes at least 1 to the norm
-    cmax = math.isqrt(cap)
-    for c0 in range(-cmax, cmax + 1, _C_BLOCK):
-        cs = np.arange(c0, min(c0 + _C_BLOCK, cmax + 1))
-        rad = np.sqrt(cap - cs.astype(float) ** 2)
-        if u2 != 0.0:
-            lo = (v2 - eps - cs * u1) / u2
-            hi = (v2 + eps - cs * u1) / u2
-            d_lo, d_hi = np.maximum(np.minimum(lo, hi), -rad), np.minimum(np.maximum(lo, hi), rad)
-        else:
-            # u on the horizontal axis: the strip constrains c alone.
-            keep = np.abs(cs * u1 - v2) <= eps
-            cs, d_hi = cs[keep], rad[keep]
-            d_lo = -d_hi
-        d_lo = np.ceil(d_lo - 1e-9)
-        n_d = np.maximum(np.floor(d_hi + 1e-9) - d_lo + 1.0, 0.0).astype(np.int64)
-        k, d = _ranges(d_lo.astype(np.int64), n_d)
-        c = cs[k]
-        keep = np.gcd(c, d) == 1
-        c, d = c[keep], d[keep]
+    n = u1 * u1 + u2 * u2
+    g = ((u2 / n, u1), (-u1 / n, u2))
+    # the disk bounds, widened far beyond their rounding; the exact test is below
+    rad = math.sqrt(Tint - 1) * (1.0 + 1e-9)
+    tau_max, sig_max = rad * math.sqrt(n), rad / math.sqrt(n)
+    window = (max(v2 - eps, -tau_max), min(v2 + eps, tau_max), -sig_max, sig_max)
+    r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
+    for c, d, tau, _ in _lattice_points(g, *window):
+        keep = (np.abs(c) <= r) & (np.abs(d) <= r)
+        c, d, tau = c[keep], d[keep], tau[keep]
+        keep = (c * c + d * d < Tint) & (np.gcd(c, d) == 1)
+        c, d, tau = c[keep], d[keep], tau[keep]
         if not c.size:
             continue
         a0, b0 = _bezout_rows(c, d)  # a0*d - b0*c = 1
@@ -246,7 +191,6 @@ def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: 
         m_hi = np.floor((-B + root) / A + 1.0)
         # and the first coordinate within eps of v1; a row with tau == 0 has
         # the same first coordinate for every m
-        tau = c * u1 + d * u2
         w1 = a0 * u1 + b0 * u2
         t = tau != 0.0
         q = np.where(t, tau, 1.0)
@@ -263,10 +207,9 @@ def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: 
     return best
 
 
-# A trace that reaches beyond this budget also scans it (and drops its row
-# unless asked for), so that every deeper scan is seeded at least with the
-# distance reached here: a deep scan seeded with |u - v| or with a tiny
-# budget's distance visits many more candidates.
+# A trace that reaches beyond four times this budget also scans it (and drops
+# its row unless asked for): a deep scan seeded with |u - v| or with a tiny
+# budget's distance visits many more candidates.  Up to 4 * 4096 one scan is cheaper.
 _SEED_BUDGET = 4096
 
 
@@ -281,7 +224,8 @@ def approx_trace(
     Starts from the identity (norm 2, in every filter) and strip-scans each
     budget in turn, seeded with the previous budget's best distance, which
     cannot miss any improving element.  A grid that reaches beyond
-    _SEED_BUDGET also scans _SEED_BUDGET.  No ball is ever materialized.
+    4 * _SEED_BUDGET also scans _SEED_BUDGET, so a one-budget query makes
+    one scan up to 16384 and two beyond.  No ball is ever materialized.
     """
     budgets = [float(T) for T in budgets]
     if any(math.isnan(T) for T in budgets):
@@ -294,7 +238,7 @@ def approx_trace(
         raise ValueError("orbit seed u must be nonzero")
     e1, e2 = float(u[0]) - float(v[0]), float(u[1]) - float(v[1])
     best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
-    scans = sorted({*budgets, float(_SEED_BUDGET)}) if budgets[-1] > _SEED_BUDGET else budgets
+    scans = sorted({*budgets, float(_SEED_BUDGET)}) if budgets[-1] > 4 * _SEED_BUDGET else budgets
     keys = {}
     for T in scans:
         Tint = _budget_int(T)

@@ -62,7 +62,7 @@ def _parse_grid(text: str) -> list:
     if len(parts) != 3:
         raise ConfigError(f"expected 'lo:hi:ratio', got {text!r}")
     lo, hi, ratio = (float(p) for p in parts)
-    if lo <= 0 or hi < lo or ratio <= 1.0:
+    if not all(math.isfinite(x) for x in (lo, hi, ratio)) or lo <= 0 or hi < lo or ratio <= 1.0:
         raise ConfigError(f"bad geometric grid {text!r}")
     out = []
     t = lo

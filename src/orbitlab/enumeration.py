@@ -34,7 +34,6 @@ from .matrices import LatticeElement
 
 __all__ = [
     "SubgroupFilter",
-    "ext_gcd",
     "enumerate_ball",
     "count",
     "elements_array",
@@ -52,21 +51,6 @@ MAX_BUDGET = float(2**62)
 _WINDOW_NORMS = 1 << 13
 
 DUMP_FORMAT = "orbitlab-ball-v1"
-
-
-def ext_gcd(a: int, b: int) -> tuple:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,14 @@ Candidate search.  Membership of a coset in a projected box asks for integer
 gamma with gamma*g in the box.  Writing gamma = [[a, b], [c, d]], the bottom
 row is constrained by two linear strips in (c, d): the second-column condition
 tau = c*g01 + d*g11 near v2, and the shear-coordinate window on
-sigma = c*g00 + d*g10.  Integer points of that (possibly very thin and long)
-parallelogram are enumerated after a Lagrange basis reduction, so the cost is
-proportional to the number of candidates rather than to the window length.
-Each primitive bottom row is completed by a Bezout top row, and the remaining
-top-row freedom is a short integer interval from the first-column condition.
-One numpy kernel does all of this: after the scalar reduction, every row of
-the reduced lattice, every point, Euclid step and top-row shift is an array
-operation, and the kernel returns the candidates as flat arrays.  The
-experiment drivers in ``ergodic`` and the deep strip search in ``approx``
-reduce those arrays.
+sigma = c*g00 + d*g10.  ``_lattice_points`` enumerates the integer points of
+that (possibly very thin and long) parallelogram after a Lagrange basis
+reduction, so the cost is proportional to the number of points rather than to
+the window length.  ``_box_candidates`` completes each primitive bottom row
+by a Bezout top row and expands the short integer interval of top-row shifts
+left by the first-column condition, all as array operations, and returns flat
+arrays that the drivers in ``ergodic`` reduce.  The strip scan of ``approx``
+is the other consumer of the same search.
 """
 
 from __future__ import annotations
@@ -320,9 +318,9 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
 def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:
     """Top rows (a0, b0) with a0*d - b0*c = 1 for primitive int64 bottom rows.
 
-    The scalar ``ext_gcd(d, c)`` run on all rows at once: the same Euclid
-    steps give the same coefficients.  Only the coefficient x of d is
-    carried; y follows exactly from d*x + c*y = 1.  Integer division by zero
+    The scalar extended Euclid algorithm on (d, c), run on all rows at once.
+    Only the coefficient x of d is carried; y follows exactly from
+    d*x + c*y = 1.  Integer division by zero
     gives 0 here, so a finished row (one remainder zero, the other the gcd
     +-1) swaps its two states each further round harmlessly, which lets the
     loop test for the end every second round only, and c == 0 yields y = 0.
@@ -340,33 +338,24 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:
         return x, (d * x - 1) // c  # b0 = -y
 
 
-def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
-    """Integer gamma with gamma*g in the coordinate box; see the module docstring.
+def _lattice_points(g, tau_lo, tau_hi, sig_lo, sig_hi):
+    """Integer rows (c, d) whose image (sigma, tau) = (c, d) @ g lies in a window.
 
-    Returns seven flat arrays (a, b, c, d, p1, tau, s), int64 then float, in
-    (i, j, m) order: reduced-lattice row, point along the row, top-row shift.
-    (p1, tau) is the second column of gamma*g and s its lower-shear
-    coordinate.  All box comparisons are closed; callers impose strict
-    shear-window boundaries themselves.  Requires tau_lo > 0 (the chart
-    constraint).
-
-    Cost: a scalar Lagrange reduction plus a fixed number of array passes
-    over the rows and lattice points of the window, O(candidates + rows) of
-    them; rows are expanded _ROW_BLOCK at a time, so temporary memory stays
-    bounded on huge windows.  Euclid rounds grow with log max(|c|, |d|).  On
-    one core of a 2-core Xeon: about 30 us for a window without candidates,
-    about 0.3 us per lattice point, and 0.8 us per candidate returned by a
-    wide window (30k candidates in 24 ms).
+    g is given as nested rows of Python floats.  Yields, per block of
+    _ROW_BLOCK rows of the Lagrange-reduced lattice, flat arrays (c, d, tau,
+    sigma) with tau = c*g01 + d*g11 and sigma = c*g00 + d*g10, in (i, j)
+    order: reduced-lattice row, point along the row; the caller may modify
+    them.  Every point of the closed window comes once; tau is filtered
+    exactly, sigma only up to the rounding slack, and no gcd is taken, so
+    callers filter before completing rows.  The tau window may have either
+    sign.  Cost: a scalar reduction plus a fixed number of array passes,
+    O(points + rows).
     """
-    if tau_lo <= 0.0:
-        raise ValueError("tau window must be positive (chart constraint)")
-    (g00, g01), (g10, g11) = np.asarray(g, dtype=float).tolist()
-    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
-    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
+    (g00, g01), (g10, g11) = g
     hw_t = 0.5 * (tau_hi - tau_lo)
     hw_s = 0.5 * (sig_hi - sig_lo)
     if hw_t <= 0.0 or hw_s <= 0.0:
-        return _NO_CANDIDATES
+        return
     mid_t = 0.5 * (tau_hi + tau_lo)
     mid_s = 0.5 * (sig_hi + sig_lo)
     vc = (g01 / hw_t, g00 / hw_s)
@@ -380,8 +369,9 @@ def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
     # windows far from the origin lose digits there, and a window whose best
     # candidates tie on its edge (decimal seeds and targets) would miss them.
     sig_max = max(abs(sig_lo), abs(sig_hi))
-    c_max = abs(g11) * sig_max + abs(g10) * tau_hi
-    d_max = abs(g01) * sig_max + abs(g00) * tau_hi
+    tau_max = max(abs(tau_lo), abs(tau_hi))
+    c_max = abs(g11) * sig_max + abs(g10) * tau_max
+    d_max = abs(g01) * sig_max + abs(g00) * tau_max
     terms = c_max * (abs(vc[0]) + abs(vc[1])) + d_max * (abs(vd[0]) + abs(vd[1])) + abs(o[0]) + abs(o[1])
     slack = 1.0 + 1e-9 + 64.0 * 2.0**-53 * terms
     imin, imax = math.inf, -math.inf
@@ -399,7 +389,6 @@ def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
     r1f, of, r2f, hi = np.array([(r1[c], o[c], r2[c], math.copysign(slack, r2[c])) for c in free]).T
     offs = np.array([-hi, hi])
     i_stop = math.floor(imax) + 2
-    parts = []
     for i0 in range(math.ceil(imin) - 1, i_stop, _ROW_BLOCK):
         i = np.arange(i0, min(i0 + _ROW_BLOCK, i_stop), dtype=np.int64)
         base = i[:, None] * r1f - of
@@ -423,7 +412,34 @@ def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
         tau = c * g01 + d * g11
         keep = (tau_lo <= tau) & (tau <= tau_hi)
         c, d, tau = c[keep], d[keep], tau[keep]
-        s = (c * g00 + d * g10) / tau
+        del i, j, row, keep  # not held while the caller works on the block
+        yield c, d, tau, c * g00 + d * g10
+
+
+def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
+    """Integer gamma with gamma*g in the coordinate box; see the module docstring.
+
+    Returns seven flat arrays (a, b, c, d, p1, tau, s), int64 then float, in
+    (i, j, m) order: reduced-lattice row, point along the row, top-row shift.
+    (p1, tau) is the second column of gamma*g and s its lower-shear
+    coordinate.  All box comparisons are closed; callers impose strict
+    shear-window boundaries themselves.  Requires tau_lo > 0 (the chart
+    constraint).
+
+    Each block of _lattice_points is cut to the shear window and to primitive
+    rows before Bezout completion.  On one core of a 2-core Xeon: about 30 us
+    for a window without candidates, about 0.3 us per lattice point, and 0.8
+    us per candidate returned by a wide window (30k candidates in 24 ms).
+    """
+    if tau_lo <= 0.0:
+        raise ValueError("tau window must be positive (chart constraint)")
+    g = np.asarray(g, dtype=float).tolist()
+    (_, g01), (_, g11) = g
+    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
+    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
+    parts = []
+    for c, d, tau, s in _lattice_points(g, tau_lo, tau_hi, sig_lo, sig_hi):
+        s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi) & (np.gcd(c, d) == 1)
         c, d, tau, s = c[keep], d[keep], tau[keep], s[keep]
         if not c.size:

@@ -162,39 +162,115 @@ def test_trace_witnesses_reproduce_distances(flt):
                 assert rec.dist == pytest.approx(_exact_dist(g, u, v), rel=1e-9, abs=1e-12), (u, v, T, g)
 
 
+# Strip-scan cases at and around 2^22, the budget where closest-point queries
+# once switched from a direct (c, d) scan to the box kernel, and deeper.
+SIDES = [2**20, 2**22, 2**24]
+STRIP_CASES = [
+    ((1.37, 1.61), (1.5, 0.7), SIDES),
+    ((-1.83, 1.14), (1.21, -0.67), SIDES),
+    ((1.17, -1.9), (-0.4, -1.3), SIDES),
+    # decimal seed and target: from 2^13 on every budget's best lies at
+    # distance 1/100 up to rounding, on the edge of the next budget's
+    # window, deep enough that the search's scaled coordinates lose digits
+    ((1.41, 1.73), (1.2, 1.5), SIDES + [2**37]),
+    ((1.41, 1.73), (-1.2, -1.5), SIDES + [2**37]),
+]
+# (case, T, entries, norm, dist) of the row at T of approx_trace(u, v, [T // 4, T]),
+# recorded from the two strip searches this one replaced
+STRIP_PINS = {
+    "full": [
+        (0, 2**20, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (0, 2**22, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (0, 2**24, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (1, 2**20, (289, 465, -156, -251), 387083, 0.022360679774926766),
+        (1, 2**22, (289, 465, -156, -251), 387083, 0.022360679774926766),
+        (1, 2**24, (1847, 2966, -992, -1593), 15730278, 0.022360679774774243),
+        (2, 2**20, (-101, -62, -360, -221), 192486, 0.030000000000009686),
+        (2, 2**22, (-369, -227, -1120, -689), 1916811, 0.0300000000000068),
+        (2, 2**24, (607, 374, 1920, 1183), 5594214, 0.010000000000081832),
+        (3, 2**20, (-101, 83, -129, 106), 44967, 0.02236067977498769),
+        (3, 2**22, (-766, 625, -967, 789), 2534991, 0.009999999999945386),
+        (3, 2**24, (-766, 625, -967, 789), 2534991, 0.009999999999945386),
+        (3, 2**37, (153923, -125451, 193685, -157858), 101863270719, 0.009999999951105565),
+        (4, 2**20, (101, -83, 129, -106), 44967, 0.02236067977498769),
+        (4, 2**22, (766, -625, 967, -789), 2534991, 0.009999999999945386),
+        (4, 2**24, (766, -625, 967, -789), 2534991, 0.009999999999945386),
+        (4, 2**37, (-153923, 125451, -193685, 157858), 101863270719, 0.009999999951105565),
+    ],
+    "gamma0:3": [
+        (0, 2**20, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (0, 2**22, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (0, 2**24, (-496, 423, -231, 197), 517115, 0.009999999999990905),
+        (1, 2**20, (289, 465, -156, -251), 387083, 0.022360679774926766),
+        (1, 2**22, (289, 465, -156, -251), 387083, 0.022360679774926766),
+        (1, 2**24, (289, 465, -156, -251), 387083, 0.022360679774926766),
+        (2, 2**20, (-101, -62, -360, -221), 192486, 0.030000000000009686),
+        (2, 2**22, (-101, -62, -360, -221), 192486, 0.030000000000009686),
+        (2, 2**24, (607, 374, 1920, 1183), 5594214, 0.010000000000081832),
+        (3, 2**20, (-101, 83, -129, 106), 44967, 0.02236067977498769),
+        (3, 2**22, (-101, 83, -129, 106), 44967, 0.02236067977498769),
+        (3, 2**24, (-1285, 1048, -1632, 1331), 7184514, 0.01414213562384668),
+        (3, 2**37, (-178583, 145551, -221742, 180727), 134908744583, 0.009999999951105565),
+        (4, 2**20, (101, -83, 129, -106), 44967, 0.02236067977498769),
+        (4, 2**22, (101, -83, 129, -106), 44967, 0.02236067977498769),
+        (4, 2**24, (1285, -1048, 1632, -1331), 7184514, 0.01414213562384668),
+        (4, 2**37, (178583, -145551, 221742, -180727), 134908744583, 0.009999999951105565),
+    ],
+    "gamma:2": [
+        (0, 2**20, (-187, 160, -90, 77), 74598, 0.0948683298050271),
+        (0, 2**22, (1275, -1084, 514, -437), 3255846, 0.09055385138138466),
+        (0, 2**24, (1691, -1438, 782, -665), 5981074, 0.01414213562384668),
+        (1, 2**20, (-129, -206, 62, 99), 72722, 0.07280109889279618),
+        (1, 2**22, (-803, -1288, 452, 725), 3033682, 0.041231056256058565),
+        (1, 2**24, (1847, 2966, -992, -1593), 15730278, 0.022360679774774243),
+        (2, 2**20, (-101, -62, -360, -221), 192486, 0.030000000000009686),
+        (2, 2**22, (-101, -62, -360, -221), 192486, 0.030000000000009686),
+        (2, 2**24, (607, 374, 1920, 1183), 5594214, 0.010000000000081832),
+        (3, 2**20, (175, -142, 228, -185), 136998, 0.13038404810407692),
+        (3, 2**22, (-777, 634, -940, 767), 2477574, 0.0509901951359707),
+        (3, 2**24, (-1285, 1048, -1632, 1331), 7184514, 0.01414213562384668),
+        (3, 2**37, (86307, -70342, 107704, -87781), 31702550790, 0.014142135603974646),
+        (4, 2**20, (-175, 142, -228, 185), 136998, 0.13038404810407692),
+        (4, 2**22, (777, -634, 940, -767), 2477574, 0.0509901951359707),
+        (4, 2**24, (1285, -1048, 1632, -1331), 7184514, 0.01414213562384668),
+        (4, 2**37, (-86307, 70342, -107704, 87781), 31702550790, 0.014142135603974646),
+    ],
+}
+
+
 @pytest.mark.parametrize("flt", ["full", "gamma0:3", "gamma:2"])
-def test_deep_strip_matches_direct_scan(flt, monkeypatch):
-    # the two strip searches return the same key on both sides of the handover,
-    # including targets below the axis, where the kernel scans the mirror window
+def test_strip_scans_match_recorded_outputs(flt, ball_1e4):
+    # one scan seeded from T // 4, below and above 2^22 and for targets below
+    # the axis, against recorded outputs and, at 10^4, against brute force
+    pins = {(k, T): tuple(rest) for k, T, *rest in STRIP_PINS[flt]}
     flt = SubgroupFilter.parse(flt)
-    limit = approx_mod._DIRECT_STRIP_LIMIT
-    sides = [limit // 4, limit, 4 * limit]
-    cases = [
-        ((1.37, 1.61), (1.5, 0.7), sides),
-        ((-1.83, 1.14), (1.21, -0.67), sides),
-        ((1.17, -1.9), (-0.4, -1.3), sides),
-        # decimal seed and target: from 2^13 on every budget's best lies at
-        # distance 1/100 up to rounding, on the edge of the next budget's
-        # window, deep enough that the kernel's scaled coordinates lose digits
-        ((1.41, 1.73), (1.2, 1.5), sides + [2**37]),
-        ((1.41, 1.73), (-1.2, -1.5), sides + [2**37]),
-    ]
+    rows = ball_1e4[flt.mask(ball_1e4)]
     improved = 0
-    for u, v, budgets in cases:
+    for k, (u, v, budgets) in enumerate(STRIP_CASES):
+        rec = approx_trace(u, v, [2500, 10_000], subgroup=flt).records[1]
+        assert rec.gamma.entries() == brute_best(rows, u, v, 10_000), (u, v)
         for T in budgets:
-            prev = approx_trace(u, v, [T // 4], subgroup=flt).records[0]
-            g = prev.gamma
-            e1 = g.a * u[0] + g.b * u[1] - v[0]
-            e2 = g.c * u[0] + g.d * u[1] - v[1]
-            best = (e1 * e1 + e2 * e2, prev.gamma_norm, g.a, g.c, g.b, g.d)
-            eps = math.sqrt(best[0]) * (1.0 + 1e-12)
-            deep = approx_mod._deep_strip_improve(u, v, T, eps, flt, best)
-            with monkeypatch.context() as m:
-                m.setattr(approx_mod, "_DIRECT_STRIP_LIMIT", 2**62)
-                direct = approx_mod._strip_improve(u, v, T, eps, flt, best)
-            assert deep == direct == approx_mod._strip_improve(u, v, T, eps, flt, best), (u, v, T)
-            improved += direct < best
-    assert improved >= 3  # the searches find new witnesses, not only the seed
+            prev, rec = approx_trace(u, v, [T // 4, T], subgroup=flt).records
+            assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == pins.pop((k, T)), (u, v, T)
+            improved += rec.dist < prev.dist
+    assert not pins
+    assert improved >= 3  # the scans find new witnesses, not only the seed
+
+
+@pytest.mark.parametrize(
+    "u, v, T, flt, entries, norm, dist",
+    [
+        ((1.41, 1.73), (1.2, 0.0), 2**30, "full", (23827, -19419, -200, 163), 944890059, 0.009999999999990905),
+        ((1.37, 1.61), (0.0, -0.9), 2**28, "gamma0:3", (-47, 40, 4116, -3503), 29216274, 0.014142135623631655),
+        ((1.5, 1.0), (0.7, 0.3), 2**26, "gamma:2", (-1, 2, -2, 3), 18, 0.3605551275463989),
+        ((-1.83, 1.14), (0.0, 0.0), 2**32, "full", (-17931, -28784, 38, 61), 1150044582, 0.02999999999155989),
+        ((1.17, -1.9), (-0.4, -1.3), 2**34, "gamma0:2", (-30553, -18814, -96880, -59657), 14232144454, 0.00999999999621648),
+    ],
+)
+def test_best_approx_pins_deep_budgets(u, v, T, flt, entries, norm, dist):
+    # recorded outputs of the earlier searches: axis, zero and rational targets
+    rec = best_approx(u, v, T, subgroup=SubgroupFilter.parse(flt))
+    assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (entries, norm, dist)
 
 
 FILTERS = ["full", "gamma0:2", "gamma0:3", "gamma0:4", "gamma0:5", "gamma:2", "gamma:3"]
@@ -249,6 +325,22 @@ def test_best_approx_pins_above_direct_limit(u, v, T, flt, entries, norm, dist):
     # of an axis target
     rec = best_approx(u, v, T, subgroup=SubgroupFilter.parse(flt))
     assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (entries, norm, dist)
+
+
+def test_seed_budget_scans(monkeypatch):
+    # up to 4 * 4096 a query is one scan from the identity; deeper, the
+    # trace first scans 4096 to seed the deep scan
+    scans = []
+    real = approx_mod._strip_improve
+    monkeypatch.setattr(
+        approx_mod, "_strip_improve", lambda u, v, T, *args: scans.append(T) or real(u, v, T, *args)
+    )
+    u, v = (1.37, 1.52), (1.9, 1.2)
+    best_approx(u, v, 11_000)
+    assert scans == [11_000]
+    scans.clear()
+    approx_trace(u, v, [65536])
+    assert scans == [4096, 65536]
 
 
 def test_traces_build_no_ball(monkeypatch):

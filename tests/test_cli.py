@@ -49,6 +49,18 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", ["inf:inf:2", "nan:64:2", "16:inf:2", "16:nan:2", "16:64:inf", "16:64:nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--u", "1.1,1.2", "--v", "1.3,1.4", "--budgets"], ["miss-rate", "--Ts"], ["matcoef", "--ts"]],
+    ids=["budgets", "Ts", "ts"],
+)
+def test_non_finite_grids_rejected(capsys, argv, grid):
+    # an infinite end once grew the grid without bound, a NaN ratio gave one point
+    rc, _, err = run(capsys, *argv, grid)
+    assert rc == 2 and "bad geometric grid" in err
+
+
 def test_approx_csv_format(tmp_path, capsys):
     path = str(tmp_path / "trace.csv")
     rc, _, _ = run(capsys, "approx", "--u", "1.41,1.73", "--v", "1.2,1.5", "--budgets", "16:4096:2", "--out", path)

@@ -1,4 +1,4 @@
-"""The box-candidate kernel against a brute-force scan of the (c, d) box."""
+"""The lattice-point search and the box-candidate kernel against brute-force (c, d) scans."""
 
 import math
 
@@ -7,10 +7,24 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from orbitlab.enumeration import ext_gcd
-from orbitlab.homogeneous import Y_MAX, _bezout_rows, _box_candidates
+from orbitlab.homogeneous import Y_MAX, _bezout_rows, _box_candidates, _lattice_points
 
 BOX_LIMIT = 250_000  # (c, d) pairs one brute-force scan may visit
+
+
+def ext_gcd(a: int, b: int) -> tuple:
+    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def chart_rep(x, y, theta):
@@ -20,17 +34,14 @@ def chart_rep(x, y, theta):
     return np.array([[r * c - x * s / r, r * s + x * c / r], [-s / r, c / r]])
 
 
-def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
-    """Every (a, b, c, d, p1, tau, s) in the box, with the kernel's float expressions.
+def brute_points(g, tau_lo, tau_hi, sig_lo, sig_hi) -> tuple:
+    """(c, d, tau, sigma) of every (c, d) with tau in the window, over a box
+    one wider than the window on each side, with the kernel's float expressions.
 
-    (sig, tau) = (c*g00 + d*g10, c*g01 + d*g11) has determinant one, so the
-    (c, d) box comes from the corners of the (sig, tau) window; every (c, d)
-    in it is tested, and each primitive row scans its top-row shifts with a
-    margin of two on both sides.
+    (sigma, tau) = (c*g00 + d*g10, c*g01 + d*g11) has determinant one, so the
+    (c, d) box comes from the corners of the (sigma, tau) window.
     """
     g00, g01, g10, g11 = (float(t) for t in g.ravel())
-    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
-    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
     corners = [(sg, t) for sg in (sig_lo, sig_hi) for t in (tau_lo, tau_hi)]
     cs = [g11 * sg - g10 * t for sg, t in corners]
     ds = [-g01 * sg + g00 * t for sg, t in corners]
@@ -41,7 +52,20 @@ def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
     tau = c * g01 + d * g11
     keep = (tau_lo <= tau) & (tau <= tau_hi)
     c, d, tau = c[keep], d[keep], tau[keep]
-    s = (c * g00 + d * g10) / tau
+    return c, d, tau, c * g00 + d * g10
+
+
+def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
+    """Every (a, b, c, d, p1, tau, s) in the box, with the kernel's float expressions.
+
+    Every (c, d) of the brute_points box is tested, and each primitive row
+    scans its top-row shifts with a margin of two on both sides.
+    """
+    g01, g11 = float(g[0, 1]), float(g[1, 1])
+    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
+    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
+    c, d, tau, sig = brute_points(g, tau_lo, tau_hi, sig_lo, sig_hi)
+    s = sig / tau
     keep = (s_lo <= s) & (s <= s_hi)
     out = []
     for cc, dd, t, sv in zip(c[keep].tolist(), d[keep].tolist(), tau[keep].tolist(), s[keep].tolist()):
@@ -128,6 +152,47 @@ def test_box_candidates_order_and_chart_constraint():
             assert (a2 - a, b2 - b) == (c, d) and p1b > p1
     with pytest.raises(ValueError):
         _box_candidates(g, 1.0, 1.6, 0.0, 1.0, -1.0, 1.0)
+
+
+def plane_matrix(u1, u2):
+    """The matrix of the closest-point search: second column u, determinant one."""
+    n = u1 * u1 + u2 * u2
+    return np.array([[u2 / n, u1], [-u1 / n, u2]])
+
+
+_seed_coord = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 1e-3)
+signed_matrices = st.one_of(
+    reps,
+    st.builds(plane_matrix, _seed_coord, st.floats(-3.0, 3.0)),
+    st.builds(plane_matrix, _seed_coord, st.just(0.0)),  # [[0, u1], [-1/u1, 0]]
+)
+
+
+@st.composite
+def signed_windows(draw):
+    """(tau, sigma) windows that straddle tau = 0, lie below it or above it."""
+    tau_mid = draw(st.one_of(st.floats(-3.0, 3.0), st.just(0.0)))
+    tau_half = draw(log_uniform(1e-3, 3.0))
+    sig_mid = draw(st.floats(-1e3, 1e3))
+    sig_half = draw(log_uniform(1e-2, 1e3))
+    return (tau_mid - tau_half, tau_mid + tau_half, sig_mid - sig_half, sig_mid + sig_half)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(signed_matrices, signed_windows())
+def test_lattice_points_match_brute_force(g, window):
+    tau_lo, tau_hi, sig_lo, sig_hi = window
+    blocks = list(_lattice_points(g.tolist(), *window))
+    assert all(col.dtype == np.int64 for c, d, *_ in blocks for col in (c, d))
+    found = [p for block in blocks for p in zip(*(col.tolist() for col in block))]
+    assert len(set(found)) == len(found)
+    brute = list(zip(*(col.tolist() for col in brute_points(g, *window))))
+    assert set(found) <= set(brute)
+    # every point of the closed window, and outside it only rounding slack
+    closed = sorted(p for p in brute if sig_lo <= p[3] <= sig_hi)
+    assert sorted(p for p in found if sig_lo <= p[3] <= sig_hi) == closed
+    pad = 1e-6 * (sig_hi - sig_lo)
+    assert all(sig_lo - pad <= p[3] <= sig_hi + pad and tau_lo <= p[2] <= tau_hi for p in found)
 
 
 pairs = st.tuples(st.integers(-(2**31), 2**31), st.integers(-(2**31), 2**31))
