@@ -157,9 +157,10 @@ def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: 
     Any element with distance <= eps has its second row (c, d) in the strip
     |tau - v2| <= eps, tau = c*u1 + d*u2, so the returned key is the exact
     minimum over the whole budget ball whenever eps >= the current best
-    distance.  ``homogeneous._lattice_points`` yields the strip's rows in the
-    (sigma, tau) coordinates of g = [[u2/n, u1], [-u1/n, u2]], n = |u|^2, with
-    |sigma| and |tau| bounded by Cauchy-Schwarz, as c^2 + d^2 <= Tint - 1.
+    distance.  ``homogeneous._lattice_points``, called on this one window,
+    yields the strip's rows in the (sigma, tau) coordinates of
+    g = [[u2/n, u1], [-u1/n, u2]], n = |u|^2, with |sigma| and |tau| bounded
+    by Cauchy-Schwarz, as c^2 + d^2 <= Tint - 1.
     Primitive rows in that disk are completed to matrices, and the top-row
     shifts that can fit the budget and reach the first-coordinate window are
     expanded as arrays.
@@ -173,7 +174,7 @@ def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: 
     tau_max, sig_max = rad * math.sqrt(n), rad / math.sqrt(n)
     window = (max(v2 - eps, -tau_max), min(v2 + eps, tau_max), -sig_max, sig_max)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
-    for c, d, tau, _ in _lattice_points(g, *window):
+    for _, c, d, tau, _ in _lattice_points([g], [window]):
         keep = (np.abs(c) <= r) & (np.abs(d) <= r)
         c, d, tau = c[keep], d[keep], tau[keep]
         keep = (c * c + d * d < Tint) & (np.gcd(c, d) == 1)

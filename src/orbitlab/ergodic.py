@@ -6,7 +6,10 @@ gamma with gamma*rep in the (tau, p1)-box hits the target exactly at the
 integer shifts k that move its shear coordinate s into (-1/2, 1/2), i.e. at
 the single k = round(-s) (boundary shifts contribute nothing: the window is
 open and the bump vanishes there).  All experiments below exploit this: one
-candidate search per sample point covers every orbit time at once.
+batched candidate search covers every orbit time at once.  A Monte Carlo
+chunk searches one window per sample point, a grid level one window per
+grid target, and a shrinking-target run one window per dyadic shell of orbit
+times, each searched with the largest target its times still use.
 
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
@@ -25,7 +28,7 @@ import numpy as np
 from .homogeneous import (
     HomPoint,
     TargetSpec,
-    _box_candidates,
+    _box_candidates_batch,
     _bump_x_width,
     _haar_reps,
     _rep_of,
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 _CHUNK = 512  # fixed Monte Carlo chunk size; keeps summation order worker-independent
+_MATCOEF_CELLS = 1 << 18  # per-sample orbit-window entries one matcoef pass holds
 
 
 def _chunk_map(chunk_fn: Callable, args: tuple, n_samples: int, seed: int, workers: int) -> list:
@@ -111,34 +115,36 @@ def _hit_times(s: np.ndarray, offset: float = 0.0) -> tuple:
     return k.astype(np.int64), s + k + offset
 
 
-def _weighted_hits(rep, spec: TargetSpec, k_cap: float):
-    """Arrays (k, weight) of bump-weighted orbit hits with |k| <= k_cap."""
+def _search(rep, bounds: list) -> tuple:
+    """_box_candidates_batch on the windows bounds, all of one representative."""
+    return _box_candidates_batch([np.asarray(rep, dtype=float).tolist()] * len(bounds), bounds)
+
+
+def _weighted_hits(reps, spec: TargetSpec, k_cap: float):
+    """Arrays (win, k, weight) of bump-weighted orbit hits with |k| <= k_cap:
+    win is the index of the representative, ascending."""
     dx = _bump_x_width(spec)
     hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
     hw = 0.5 * spec.delta
-    *_, p1, tau, s = _box_candidates(
-        rep,
-        spec.v1 - hw1,
-        spec.v1 + hw1,
-        spec.v2 - hw,
-        spec.v2 + hw,
-        -k_cap - 0.5,
-        k_cap + 0.5,
-    )
+    box = (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw, -k_cap - 0.5, k_cap + 0.5)
+    p1, tau, s, win = _box_candidates_batch(reps, [box] * len(reps))[4:]
     k, r = _hit_times(s)
     hit = (np.abs(k) <= k_cap) & (np.abs(r) < 0.5)
-    k, p1, tau, r = k[hit], p1[hit], tau[hit], r[hit]
+    win, k, p1, tau, r = win[hit], k[hit], p1[hit], tau[hit], r[hit]
     w = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(r)
     pos = w > 0.0
-    return k[pos], w[pos]
+    return win[pos], k[pos], w[pos]
 
 
-def _box_hit_ks(rep, v1, v2, delta, k_cap) -> np.ndarray:
-    """Sorted distinct orbit times |k| <= k_cap at which the coset hits the box."""
+def _box_hits(reps, v1, v2, delta, k_cap) -> tuple:
+    """Arrays (win, k) of the orbit times |k| <= k_cap at which the coset of
+    representative win hits the box (a time may repeat)."""
     hw = 0.5 * delta
-    s = _box_candidates(rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_cap - 0.5, k_cap + 0.5)[6]
+    box = (v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_cap - 0.5, k_cap + 0.5)
+    s, win = _box_candidates_batch(reps, [box] * len(reps))[6:]
     k, r = _hit_times(s)
-    return np.unique(k[(np.abs(k) <= k_cap) & (np.abs(r) < 0.5)])
+    hit = (np.abs(k) <= k_cap) & (np.abs(r) < 0.5)
+    return win[hit], k[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +166,8 @@ def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
     if K < 1:
         raise ValueError("horizon K must be >= 1")
-    ks = _box_hit_ks(_rep_of(point), spec.v1, spec.v2, spec.delta, K)
-    return HitSet(K=K, ks=tuple(int(k) for k in ks))
+    _, ks = _box_hits(_rep_of(point)[None], spec.v1, spec.v2, spec.delta, K)
+    return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +188,17 @@ def _variance_chunk(args):
     v1, v2, delta, Ts, reps = args
     spec = TargetSpec(v1, v2, delta)
     m = bump_mean(spec)
-    t_max = max(Ts)
+    win, ks, ws = _weighted_hits(reps, spec, max(Ts))
+    aks = np.abs(ks)
     n_t = len(Ts)
     s1 = np.zeros(n_t)
     s2 = np.zeros(n_t)
-    for rep in reps:
-        ks, ws = _weighted_hits(rep, spec, t_max)
-        aks = np.abs(ks)
+    # per sample, in index order: its hits are the slice win == n
+    ends = np.searchsorted(win, np.arange(len(reps)), "right").tolist()
+    for lo, hi in zip([0] + ends, ends):
+        ws_n, aks_n = ws[lo:hi], aks[lo:hi]
         for i, T in enumerate(Ts):
-            beta = ws[aks <= T].sum() / (2 * T + 1) if ws.size else 0.0
+            beta = ws_n[aks_n <= T].sum() / (2 * T + 1) if ws_n.size else 0.0
             dev = beta - m
             s1[i] += dev * dev
             s2[i] += dev**4
@@ -231,29 +239,34 @@ def _matcoef_chunk(args):
     dx = _bump_x_width(spec)
     hw1 = 0.5 * dx * (v2 + 0.5 * delta)
     hw = 0.5 * delta
-    n_t = len(ts)
-    s1 = np.zeros(n_t)
-    s2 = np.zeros(n_t)
-    for rep in reps:
-        *_, p1s, taus, ss = _box_candidates(
-            rep, v1 - hw1, v1 + hw1, v2 - hw, v2 + hw, -(W + t_hi) - 0.5, -t_lo + 0.5
-        )
-        wgt = bump((p1s - v1) / (taus * dx)) * bump((taus - v2) / delta)
+    box = (v1 - hw1, v1 + hw1, v2 - hw, v2 + hw, -(W + t_hi) - 0.5, -t_lo + 0.5)
+    p1s, taus, ss, win = _box_candidates_batch(reps, [box] * len(reps))[4:]
+    wgt = bump((p1s - v1) / (taus * dx)) * bump((taus - v2) / delta)
+    s1 = np.zeros(len(ts))
+    s2 = np.zeros(len(ts))
+    # samples n0 .. n0 + step - 1 at a time, so that a long orbit window
+    # keeps the per-sample rows below _MATCOEF_CELLS entries
+    step = max(1, _MATCOEF_CELLS // (W + 1))
+    for n0 in range(0, len(reps), step):
+        lo, hi = np.searchsorted(win, [n0, n0 + step])
+        rows, s_n, w_n = win[lo:hi] - n0, ss[lo:hi], wgt[lo:hi]
 
         def values_at(offset: float) -> np.ndarray:
-            # F at the shear offsets j + offset, j = 0..W: each candidate is
-            # active at the single integer j nearest to -(s + offset).
-            out = np.zeros(W + 1)
-            j, r = _hit_times(ss, offset)
+            # F at the shear offsets j + offset, j = 0..W, one row per
+            # sample: each candidate is active at the single integer j
+            # nearest to -(s + offset), and adds to its sample's row in
+            # candidate order.
+            out = np.zeros((min(step, len(reps) - n0), W + 1))
+            j, r = _hit_times(s_n, offset)
             ok = (j >= 0) & (j <= W) & (np.abs(r) < 0.5)
-            np.add.at(out, j[ok], wgt[ok] * bump(r[ok]))
+            np.add.at(out, (rows[ok], j[ok]), w_n[ok] * bump(r[ok]))
             return out
 
         base = values_at(0.0) - m
-        for i, t in enumerate(ts):
-            prod = float(np.mean(base * (values_at(float(t)) - m)))
-            s1[i] += prod
-            s2[i] += prod * prod
+        prods = np.stack([np.mean(base * (values_at(float(t)) - m), axis=1) for t in ts], axis=1)
+        for prod in prods:  # the samples in index order
+            s1 += prod
+            s2 += prod * prod
     return s1, s2
 
 
@@ -318,11 +331,9 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 def _miss_chunk(args):
     v1, v2, delta, Ts, reps = args
     t_max = max(Ts)
+    win, ks = _box_hits(reps, v1, v2, delta, t_max)
     first = np.full(len(reps), t_max + 1, dtype=np.int64)
-    for n, rep in enumerate(reps):
-        ks = _box_hit_ks(rep, v1, v2, delta, t_max)
-        if ks.size:
-            first[n] = np.abs(ks).min()
+    np.minimum.at(first, win, np.abs(ks))
     return first
 
 
@@ -400,11 +411,34 @@ def _target_v(v) -> tuple:
     return v1, v2
 
 
+def _shells(lo: int, hi: int) -> tuple:
+    """The two shear windows of the orbit times lo <= |k| <= hi (lo >= 1):
+    s in [-hi - 1/2, -lo + 1/2] for k > 0 and its mirror for k < 0."""
+    return (-hi - 0.5, -lo + 0.5), (lo - 0.5, hi + 0.5)
+
+
+def _padded_box(v1: float, v2: float, hw: float) -> tuple:
+    """The (p1, tau) box of half-size hw around v, widened by a few ulps of its
+    far edges: it holds every candidate with |p1 - v1| <= hw and
+    |tau - v2| <= hw in floats, whatever the rounding of its own edges."""
+    e1 = hw + 2.0**-50 * (abs(v1) + hw)
+    e2 = hw + 2.0**-50 * (abs(v2) + hw)
+    return (v1 - e1, v1 + e1, v2 - e2, v2 + e2)
+
+
 def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     """Dyadic certification run for the shrinking-target hit problem.
 
     Returns per-level hit flags and the certified threshold T0 (least dyadic
     horizon from which every level hits), or None when no T0 <= k_max/2 exists.
+
+    One batched candidate search with one shell of orbit times per level:
+    shell 0 holds |k| <= 1 and shell j the times 2^(j-1) < |k| <= 2^j of
+    horizon 2^j that no lower level holds.  Target sizes do not grow with j,
+    so a hit of level j in shell i <= j lies in the box of level i, and each
+    shell is searched with its own box, padded by a few ulps so that the
+    flag test below, not the search, decides every level.  The search thus
+    shrinks with the targets and stops at the last horizon, not at k_max.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
@@ -412,10 +446,11 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
         raise ValueError("k_max must be >= 2")
     v1, v2 = _target_v(v)
     levels = _dyadic_levels(eta, k_max, v2)
-    hw = 0.5 * max(d for _, d in levels)
-    *_, p1, tau, s = _box_candidates(
-        _rep_of(point), v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5
-    )
+    bounds = [_padded_box(v1, v2, 0.5 * levels[0][1]) + (-1.5, 1.5)]
+    for horizon, delta in levels[1:]:
+        box = _padded_box(v1, v2, 0.5 * delta)
+        bounds += [box + sw for sw in _shells(horizon // 2 + 1, horizon)]
+    p1, tau, s = _search(_rep_of(point), bounds)[4:7]
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
     ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
@@ -450,26 +485,30 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
         raise ValueError("shrink exponent must lie in [0, 1)")
     v1, v2 = _target_v(v)
     cap = _delta_cap(v2)
-    rep = _rep_of(point)
-    out = []
+    windows, bounds = [], []
     j = 0
     while 2**j <= k_max:
         lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
-        delta_scan = cap if eta == 0.0 else min(cap, float(lo) ** (-eta))
-        hwv = 0.5 * delta_scan
-        *_, p1, tau, s = _box_candidates(
-            rep, v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5
-        )
-        k, r = _hit_times(s)
-        ak = np.abs(k)
-        hit = (lo <= ak) & (ak <= hi) & (np.abs(r) < 0.5)
-        k, ak, p1, tau = k[hit], ak[hit], p1[hit], tau[hit]
-        # per-time sizes with the scalar pow, which array pow does not match bitwise
-        dk = np.array([cap if eta == 0.0 else min(cap, float(a) ** (-eta)) for a in ak.tolist()])
-        inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
-        out.append({"lo": lo, "hi": hi, "count": int(np.unique(k[inside]).size)})
+        # the window's largest per-time target, at its first time
+        hwv = 0.5 * (cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
+        box = (v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv)
+        windows.append((lo, hi))
+        bounds += [box + sw for sw in _shells(lo, hi)]
         j += 1
-    return out
+    # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
+    # a shell lies at a time of the shell
+    p1, tau, s, win = _search(_rep_of(point), bounds)[4:]
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    k, p1, tau, shell = k[hit], p1[hit], tau[hit], win[hit] // 2
+    ak = np.abs(k)
+    # per-time sizes with the scalar pow, which array pow does not match bitwise
+    dk = np.array([cap if eta == 0.0 else min(cap, float(a) ** (-eta)) for a in ak.tolist()])
+    inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
+    # a time lies in one window: count the distinct times per window
+    _, once = np.unique(k[inside], return_index=True)
+    counts = np.bincount(shell[inside][once], minlength=len(windows))
+    return [{"lo": lo, "hi": hi, "count": int(n)} for (lo, hi), n in zip(windows, counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,14 +551,11 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     for horizon, delta in _dyadic_levels(eta, k_max, y0):
         grid = _grid_points((x0, x1, y0, y1), delta)
         h = 0.5 * delta
-        ok = True
-        for (w1, w2) in grid:
-            s = _box_candidates(
-                rep, w1 - h, w1 + h, w2 - h, w2 + h, -horizon - 0.5, horizon + 0.5
-            )[6]
-            k, r = _hit_times(s)
-            if not np.any((np.abs(k) <= horizon) & (np.abs(r) < 0.5)):
-                ok = False
-                break
-        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": ok})
+        # one batched search per level, one window per grid target
+        bounds = [(w1 - h, w1 + h, w2 - h, w2 + h, -horizon - 0.5, horizon + 0.5) for w1, w2 in grid]
+        s, win = _search(rep, bounds)[6:]
+        k, r = _hit_times(s)
+        hit = np.zeros(len(grid), dtype=bool)
+        hit[win[(np.abs(k) <= horizon) & (np.abs(r) < 0.5)]] = True
+        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool(hit.all())})
     return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)

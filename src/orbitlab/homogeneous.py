@@ -13,11 +13,14 @@ tau = c*g01 + d*g11 near v2, and the shear-coordinate window on
 sigma = c*g00 + d*g10.  ``_lattice_points`` enumerates the integer points of
 that (possibly very thin and long) parallelogram after a Lagrange basis
 reduction, so the cost is proportional to the number of points rather than to
-the window length.  ``_box_candidates`` completes each primitive bottom row
-by a Bezout top row and expands the short integer interval of top-row shifts
-left by the first-column condition, all as array operations, and returns flat
-arrays that the drivers in ``ergodic`` reduce.  The strip scan of ``approx``
-is the other consumer of the same search.
+the window length.  It takes a batch of windows: each is set up in scalar
+floats, and then the (window, row) and (window, row, point) pairs of all of
+them are laid end to end and worked through in a fixed number of array
+passes.  ``_box_candidates_batch`` completes each primitive bottom row by a
+Bezout top row and expands the short integer interval of top-row shifts left
+by the first-column condition, and returns flat arrays with a window index
+that the drivers in ``ergodic`` reduce; ``_box_candidates`` is its call on one
+window.  The strip scan of ``approx`` is the other consumer of the same search.
 """
 
 from __future__ import annotations
@@ -280,31 +283,41 @@ def _gauss_reduce(v1: tuple, v2: tuple):
     similarly for r2.  Candidate coverage never depends on reduction quality,
     only enumeration cost does, so the iteration cap is safe.
     """
-    r1, r2 = v1, v2
-    u1, u2 = (1, 0), (0, 1)
+    (x1, y1), (x2, y2) = v1, v2
+    a1, b1, a2, b2 = 1, 0, 0, 1
     for _ in range(64):
-        n1 = r1[0] * r1[0] + r1[1] * r1[1]
-        n2 = r2[0] * r2[0] + r2[1] * r2[1]
+        n1 = x1 * x1 + y1 * y1
+        n2 = x2 * x2 + y2 * y2
         if n2 < n1:
-            r1, r2 = r2, r1
-            u1, u2 = u2, u1
+            x1, y1, x2, y2, a1, b1, a2, b2 = x2, y2, x1, y1, a2, b2, a1, b1
             n1 = n2
-        mu = round((r1[0] * r2[0] + r1[1] * r2[1]) / n1)
+        mu = round((x1 * x2 + y1 * y2) / n1)
         if mu == 0:
             break
-        r2 = (r2[0] - mu * r1[0], r2[1] - mu * r1[1])
-        u2 = (u2[0] - mu * u1[0], u2[1] - mu * u1[1])
-    return r1, r2, u1, u2
+        x2, y2, a2, b2 = x2 - mu * x1, y2 - mu * y1, a2 - mu * a1, b2 - mu * b1
+    return (x1, y1), (x2, y2), (a1, b1), (a2, b2)
 
 
-# Reduced-lattice rows expanded per block: bounds the temporary arrays of one
-# call on huge windows, whatever its candidate count.
+# (window, row) pairs of the reduced lattices expanded per block, and about
+# the most points one pass of a batch expands: bounds the temporary arrays of
+# one call on huge or many windows, whatever its candidate count.
 _ROW_BLOCK = 1 << 12
 
+# A component of the second reduced vector below this moves a point by less
+# than 2^-800 along any row an int64 index can reach, far inside the slack's
+# 1e-9 margin, so it counts as constant along the row.  This also keeps every
+# row bound finite: dividing by a subnormal component would overflow.
+_FLAT = 2.0**-900
 
-# The result of a window without candidates, shared by every such call (an
-# empty array has nothing to overwrite).
-_NO_CANDIDATES = tuple(np.empty(0, dtype=t) for t in (np.int64,) * 4 + (float,) * 3)
+# A lone window with at most this many rows finds its rows in scalar floats
+# (_scalar_rows): most membership windows hold no lattice point and so stop
+# before any array pass.
+_SCALAR_ROWS = 8
+
+
+# The result of a batch without candidates, shared by every such call (an
+# empty array has nothing to overwrite): the seven columns and the window index.
+_NO_CANDIDATES = tuple(np.empty(0, dtype=t) for t in (np.int64,) * 4 + (float,) * 3 + (np.int64,))
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
@@ -312,7 +325,23 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
     end, with the index k each value comes from; counts are nonnegative."""
     first = np.cumsum(count) - count
     owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(count.sum()) + (start - first)[owner]
+    return owner, np.arange(owner.size) + (start - first)[owner]
+
+
+def _columns(table, dtype=float) -> list:
+    """The columns of a table with one row per window, each a scalar when
+    every window shares it bitwise, else an array over the windows."""
+    if len(table) == 1:
+        return list(table[0])
+    t = np.array(table, dtype=dtype)
+    bits = t.view(np.int64)
+    same = (bits == bits[0]).all(axis=0)
+    return [t[0, k] if same[k] else t[:, k] for k in range(t.shape[1])]
+
+
+def _at(cols: list, w) -> list:
+    """The columns per element of the window indices w (scalars stay)."""
+    return [c[w] if isinstance(c, np.ndarray) else c for c in cols]
 
 
 def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:
@@ -338,31 +367,34 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:
         return x, (d * x - 1) // c  # b0 = -y
 
 
-def _lattice_points(g, tau_lo, tau_hi, sig_lo, sig_hi):
-    """Integer rows (c, d) whose image (sigma, tau) = (c, d) @ g lies in a window.
+def _window_rows(g, tau_lo, tau_hi, sig_lo, sig_hi, reduced: dict):
+    """Scalar set-up of one window of the lattice-point search; reduced maps
+    the scaled bases of a batch to their reductions.
 
-    g is given as nested rows of Python floats.  Yields, per block of
-    _ROW_BLOCK rows of the Lagrange-reduced lattice, flat arrays (c, d, tau,
-    sigma) with tau = c*g01 + d*g11 and sigma = c*g00 + d*g10, in (i, j)
-    order: reduced-lattice row, point along the row; the caller may modify
-    them.  Every point of the closed window comes once; tau is filtered
-    exactly, sigma only up to the rounding slack, and no gcd is taken, so
-    callers filter before completing rows.  The tau window may have either
-    sign.  Cost: a scalar reduction plus a fixed number of array passes,
-    O(points + rows).
+    Returns None for a window of zero width, else (i0, n_rows, bounds,
+    basis): only rows i0 .. i0 + n_rows - 1 of the Lagrange-reduced lattice
+    can hold points, bounds = (r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack)
+    are the floats of their bounds and basis = (u1c, u1d, u2c, u2d) the
+    integer coordinates of the reduced basis.  Row i holds the points
+    i*r1 + j*r2 - o.  Per coordinate the slack square bounds j by
+    (-h - base) / r2 and (h - base) / r2, base = i*r1 - o, with h = +-slack
+    as the sign of r2 makes these a lower and an upper bound.  A flat
+    coordinate (|r2| < _FLAT) is constant along the row: it gets r2 = 1 and
+    h = inf, which leaves j free, and the row must hold |base| <= slack.
     """
     (g00, g01), (g10, g11) = g
     hw_t = 0.5 * (tau_hi - tau_lo)
     hw_s = 0.5 * (sig_hi - sig_lo)
     if hw_t <= 0.0 or hw_s <= 0.0:
-        return
-    mid_t = 0.5 * (tau_hi + tau_lo)
-    mid_s = 0.5 * (sig_hi + sig_lo)
+        return None
     vc = (g01 / hw_t, g00 / hw_s)
     vd = (g11 / hw_t, g10 / hw_s)
-    o = (mid_t / hw_t, mid_s / hw_s)
-    r1, r2, u1, u2 = _gauss_reduce(vc, vd)
-    det = r1[0] * r2[1] - r1[1] * r2[0]
+    ox, oy = 0.5 * (tau_hi + tau_lo) / hw_t, 0.5 * (sig_hi + sig_lo) / hw_s
+    basis = reduced.get((vc, vd))
+    if basis is None:
+        basis = reduced[vc, vd] = _gauss_reduce(vc, vd)
+    (r1x, r1y), (r2x, r2y), u1, u2 = basis
+    det = r1x * r2y - r1y * r2x
     # The slack also covers rounding: 64 ulps of the largest terms in the
     # scaled coordinates of a window point, whose |c| and |d| are at most
     # c_max and d_max (the image of the (sig, tau) window under g^-1).  Long
@@ -372,78 +404,196 @@ def _lattice_points(g, tau_lo, tau_hi, sig_lo, sig_hi):
     tau_max = max(abs(tau_lo), abs(tau_hi))
     c_max = abs(g11) * sig_max + abs(g10) * tau_max
     d_max = abs(g01) * sig_max + abs(g00) * tau_max
-    terms = c_max * (abs(vc[0]) + abs(vc[1])) + d_max * (abs(vd[0]) + abs(vd[1])) + abs(o[0]) + abs(o[1])
+    terms = c_max * (abs(vc[0]) + abs(vc[1])) + d_max * (abs(vd[0]) + abs(vd[1])) + abs(ox) + abs(oy)
     slack = 1.0 + 1e-9 + 64.0 * 2.0**-53 * terms
-    imin, imax = math.inf, -math.inf
-    for e1 in (-slack, slack):
-        for e2 in (-slack, slack):
-            t1, t2 = o[0] + e1, o[1] + e2
-            iv = (t1 * r2[1] - t2 * r2[0]) / det
-            imin, imax = min(imin, iv), max(imax, iv)
-    # Row i holds the points i*r1 + j*r2 - o.  Per coordinate with r2 != 0
-    # the slack square bounds j by (off - (i*r1 - o)) / r2, with the offset
-    # -slack or +slack as the sign of r2 makes it a lower or upper bound; a
-    # coordinate with r2 == 0 is constant along the row.
-    free = [comp for comp in (0, 1) if r2[comp] != 0.0]
-    fixed = [comp for comp in (0, 1) if r2[comp] == 0.0]
-    r1f, of, r2f, hi = np.array([(r1[c], o[c], r2[c], math.copysign(slack, r2[c])) for c in free]).T
-    offs = np.array([-hi, hi])
-    i_stop = math.floor(imax) + 2
-    for i0 in range(math.ceil(imin) - 1, i_stop, _ROW_BLOCK):
-        i = np.arange(i0, min(i0 + _ROW_BLOCK, i_stop), dtype=np.int64)
-        base = i[:, None] * r1f - of
-        bounds = (offs - base[:, None, :]) / r2f
-        j_lo = np.ceil(bounds[:, 0].max(axis=1))
-        j_hi = np.floor(bounds[:, 1].min(axis=1))
+    # the row index at the corners of the slack square
+    lo_x, hi_x, lo_y, hi_y = (ox - slack) * r2y, (ox + slack) * r2y, (oy - slack) * r2x, (oy + slack) * r2x
+    corners = ((lo_x - lo_y) / det, (lo_x - hi_y) / det, (hi_x - lo_y) / det, (hi_x - hi_y) / det)
+    i0 = math.ceil(min(corners)) - 1
+    n_rows = math.floor(max(corners)) + 2 - i0
+    hx = math.copysign(slack, r2x) if abs(r2x) >= _FLAT else math.inf
+    hy = math.copysign(slack, r2y) if abs(r2y) >= _FLAT else math.inf
+    r2x, r2y = (r2x if hx != math.inf else 1.0), (r2y if hy != math.inf else 1.0)
+    return i0, n_rows, (r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack), (*u1, *u2)
+
+
+def _scalar_rows(i0: int, n_rows: int, bounds: tuple) -> list:
+    """The rows of a window that hold a point of its slack square, as
+    (i, j_lo, count): the points i*r1 + j*r2 - o, j_lo <= j < j_lo + count.
+
+    The scalar twin of the row bounds of _array_rows, with the same
+    operations in the same order, so it finds the same rows.
+    """
+    r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack = bounds
+    rows = []
+    for i in range(i0, i0 + n_rows):
+        b0 = i * r1x - ox
+        b1 = i * r1y - oy
+        if (hx == math.inf and abs(b0) > slack) or (hy == math.inf and abs(b1) > slack):
+            continue
+        j_lo = math.ceil(max((-hx - b0) / r2x, (-hy - b1) / r2y))
+        j_hi = math.floor(min((hx - b0) / r2x, (hy - b1) / r2y))
+        if j_lo <= j_hi:
+            rows.append((i, j_lo, j_hi - j_lo + 1))
+    return rows
+
+
+def _row_runs(k, i: np.ndarray, j_lo: np.ndarray, count: np.ndarray):
+    """Rows i of windows k with count points from j_lo on, as one pass.
+
+    The rows of a batch come in runs of about _ROW_BLOCK points (a longer
+    row is a run of its own), so that many windows' points never pile up in
+    one pass; a lone window (k is None) keeps its rows in one pass, which
+    spares a long strip scan a second pass.
+    """
+    if k is None or count.sum() <= _ROW_BLOCK:
+        yield k, i, j_lo, count
+        return
+    run = (np.cumsum(count) - count) // _ROW_BLOCK
+    cuts = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(), count.size]
+    for a, b in zip(cuts, cuts[1:]):
+        yield k[a:b], i[a:b], j_lo[a:b], count[a:b]
+
+
+def _array_rows(setups: list):
+    """The rows of the windows set up by _window_rows that hold a point of
+    their slack squares, per block of _ROW_BLOCK (window, row) pairs, in the
+    passes of _row_runs.  Yields arrays (k, i, j_lo, count) as _scalar_rows
+    gives them, k the position of the row's window in setups (None for a
+    lone window)."""
+    single = len(setups) == 1
+    if single:
+        i_off, total = setups[0][:2]
+    else:
+        i0, n_rows = np.array([s[:2] for s in setups], dtype=np.int64).T
+        first = np.cumsum(n_rows) - n_rows
+        i_off = i0 - first  # row i of pair p is p + i_off of its window
+        total = int(first[-1] + n_rows[-1])
+    bounds = _columns([s[2] for s in setups])
+    flat = any(math.inf in s[2][6:8] for s in setups)
+    for p0 in range(0, total, _ROW_BLOCK):
+        p = np.arange(p0, min(p0 + _ROW_BLOCK, total))
+        k = None if single else np.searchsorted(first, p, "right") - 1
+        i = p + (i_off if single else i_off[k])
+        r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack = _at(bounds, k)
+        b0 = i * r1x - ox
+        b1 = i * r1y - oy
+        j_lo = np.ceil(np.maximum((-hx - b0) / r2x, (-hy - b1) / r2y))
+        j_hi = np.floor(np.minimum((hx - b0) / r2x, (hy - b1) / r2y))
         ok = j_lo <= j_hi
-        for comp in fixed:
-            base = i * r1[comp] - o[comp]
-            ok &= (-slack <= base) & (base <= slack)
+        if flat:
+            ok &= ((hx != math.inf) | (np.abs(b0) <= slack)) & ((hy != math.inf) | (np.abs(b1) <= slack))
         rows = ok.nonzero()[0]
         if not rows.size:
             continue
-        # (i, j) points row by row, j ascending; a row with points has a
-        # small integer j_lo
+        # a row with points has a small integer j_lo
         j_lo = j_lo[rows]
-        row, j = _ranges(j_lo.astype(np.int64), (j_hi[rows] - j_lo + 1.0).astype(np.int64))
-        i = i[rows][row]
-        c = i * u1[0] + j * u2[0]
-        d = i * u1[1] + j * u2[1]
+        count = (j_hi[rows] - j_lo + 1.0).astype(np.int64)
+        yield from _row_runs(None if single else k[rows], i[rows], j_lo.astype(np.int64), count)
+
+
+def _lattice_points(gs, windows):
+    """Integer rows (c, d) whose image (sigma, tau) = (c, d) @ g lies in a
+    window, for a batch of windows.
+
+    gs holds one matrix g per window as nested rows of Python floats, and
+    windows the tuples (tau_lo, tau_hi, sig_lo, sig_hi).  Yields, per pass of
+    _row_runs, flat arrays (w, c, d, tau, sigma): w is the window's index in
+    the batch (an int when one window alone has rows), tau = c*g01 + d*g11
+    and sigma = c*g00 + d*g10.  The order is (w, i, j): window,
+    reduced-lattice row, point along the row, so each window's points come
+    as a call on it alone gives them.
+    The caller may modify the arrays.  Every point of a closed window comes
+    once; tau is filtered exactly, sigma only up to the rounding slack, and no
+    gcd is taken, so callers filter before completing rows.  The tau window
+    may have either sign.  The rows of a lone window with at most
+    _SCALAR_ROWS of them come from _scalar_rows, which most membership
+    windows leave empty.  Cost: a scalar reduction per window plus a fixed
+    number of array passes per block, O(points + rows).
+    """
+    reduced = {}  # mirror windows share a reduced basis
+    setups = []
+    for w, (g, window) in enumerate(zip(gs, windows)):
+        s = _window_rows(g, *window, reduced)
+        if s:
+            setups.append((w, s))
+    if not setups:
+        return
+    if len(gs) == 1 and setups[0][1][1] <= _SCALAR_ROWS:
+        rows = _scalar_rows(*setups[0][1][:3])
+        if not rows:
+            return
+        blocks = _row_runs(None, *np.array(rows, dtype=np.int64).T)
+    else:
+        blocks = _array_rows([s for _, s in setups])
+    # parameters that every window shares act as scalars
+    index = np.array([w for w, _ in setups])
+    basis = _columns([s[3] for _, s in setups], np.int64)
+    coefs = _columns([(*gs[w][0], *gs[w][1], *windows[w][:2]) for w, _ in setups])
+    for k, i, j_lo, count in blocks:
+        # (w, i, j) points row by row, j ascending
+        row, j = _ranges(j_lo, count)
+        i = i[row]
+        k = None if k is None else k[row]
+        u1c, u1d, u2c, u2d = _at(basis, k)
+        g00, g01, g10, g11, tau_lo, tau_hi = _at(coefs, k)
+        c = i * u1c + j * u2c
+        d = i * u1d + j * u2d
         tau = c * g01 + d * g11
         keep = (tau_lo <= tau) & (tau <= tau_hi)
         c, d, tau = c[keep], d[keep], tau[keep]
-        del i, j, row, keep  # not held while the caller works on the block
-        yield c, d, tau, c * g00 + d * g10
+        g00, g10 = (x[keep] if isinstance(x, np.ndarray) else x for x in (g00, g10))
+        w = int(index[0]) if k is None else index[k[keep]]
+        del i, j, row, k, keep  # not held while the caller works on the block
+        yield w, c, d, tau, c * g00 + d * g10
 
 
-def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
-    """Integer gamma with gamma*g in the coordinate box; see the module docstring.
+def _box_candidates_batch(reps, bounds) -> tuple:
+    """Integer gamma with gamma*g in a coordinate box, for a batch of windows.
 
-    Returns seven flat arrays (a, b, c, d, p1, tau, s), int64 then float, in
-    (i, j, m) order: reduced-lattice row, point along the row, top-row shift.
-    (p1, tau) is the second column of gamma*g and s its lower-shear
-    coordinate.  All box comparisons are closed; callers impose strict
-    shear-window boundaries themselves.  Requires tau_lo > 0 (the chart
-    constraint).
+    reps holds one matrix g per window (shape (n, 2, 2)) and bounds its box
+    (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) (shape (n, 6)), each an array
+    or a list of rows of Python floats, which is used as it is.  Returns eight
+    flat arrays (a, b, c, d, p1, tau, s, win), int64, then float, then int64:
+    (p1, tau) is the second column of gamma*g, s its lower-shear coordinate
+    and win the index of the window.  Windows come in batch order, each in
+    (i, j, m) order: reduced-lattice row, point along the row, top-row
+    shift, so window k's rows are bitwise those of a call on it alone.  All
+    box comparisons are closed; callers impose strict shear-window
+    boundaries themselves.  Requires tau_lo > 0 (the chart constraint).
 
-    Each block of _lattice_points is cut to the shear window and to primitive
-    rows before Bezout completion.  On one core of a 2-core Xeon: about 30 us
-    for a window without candidates, about 0.3 us per lattice point, and 0.8
-    us per candidate returned by a wide window (30k candidates in 24 ms).
+    Each block of _lattice_points is cut to the shear windows and to
+    primitive rows before Bezout completion.  On one core of a shared 2-core
+    Xeon (best of 7): about 15 us for a lone membership window (delta = 0.1,
+    most without a lattice point), about 8 us per window of a batch of 512
+    such windows (their scalar set-up), and 0.2 us per lattice point or 0.4
+    us per candidate of a wide window (40k points, 22k candidates in 8 ms).
     """
-    if tau_lo <= 0.0:
+    if not isinstance(reps, list):
+        reps = np.asarray(reps, dtype=float).reshape(-1, 2, 2).tolist()
+    if not isinstance(bounds, list):
+        bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
+    if any(b[2] <= 0.0 for b in bounds):
         raise ValueError("tau window must be positive (chart constraint)")
-    g = np.asarray(g, dtype=float).tolist()
-    (_, g01), (_, g11) = g
-    sig_lo = s_lo * (tau_hi if s_lo < 0 else tau_lo)
-    sig_hi = s_hi * (tau_hi if s_hi > 0 else tau_lo)
+    windows = [
+        (t_lo, t_hi, s_lo * (t_hi if s_lo < 0 else t_lo), s_hi * (t_hi if s_hi > 0 else t_lo))
+        for _, _, t_lo, t_hi, s_lo, s_hi in bounds
+    ]
     parts = []
-    for c, d, tau, s in _lattice_points(g, tau_lo, tau_hi, sig_lo, sig_hi):
+    s_cols = None
+    for w, c, d, tau, s in _lattice_points(reps, windows):
+        if s_cols is None:  # window parameters per candidate, shared ones as scalars
+            s_cols = _columns([b[4:] for b in bounds])
+            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1]) for g, b in zip(reps, bounds)])
+        s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi) & (np.gcd(c, d) == 1)
         c, d, tau, s = c[keep], d[keep], tau[keep], s[keep]
         if not c.size:
             continue
+        many = isinstance(w, np.ndarray)  # else the one window with rows
+        w = w[keep] if many else w
+        p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
         a0, b0 = _bezout_rows(c, d)
         w1 = a0 * g01 + b0 * g11
         m_lo = np.ceil((p1_lo - w1) / tau - 1e-9)
@@ -454,16 +604,29 @@ def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
         # top rows (a0, b0) + m*(c, d), m ascending per bottom row
         k, m = _ranges(m_lo.astype(np.int64), n_m)
         c, d, tau, s = c[k], d[k], tau[k], s[k]
+        w = w[k] if many else w
+        p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
         a = a0[k] + m * c
         b = b0[k] + m * d
         p1 = a * g01 + b * g11
         keep = (p1_lo <= p1) & (p1 <= p1_hi)
-        parts.append((a[keep], b[keep], c[keep], d[keep], p1[keep], tau[keep], s[keep]))
+        w = w[keep] if many else np.full(np.count_nonzero(keep), w)
+        parts.append((a[keep], b[keep], c[keep], d[keep], p1[keep], tau[keep], s[keep], w))
     if not parts:
         return _NO_CANDIDATES
     if len(parts) == 1:
         return parts[0]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    # column by column, each column's pieces freed once joined
+    cols = list(zip(*parts))
+    del parts
+    return tuple(np.concatenate(cols.pop(0)) for _ in range(8))
+
+
+def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
+    """The seven flat arrays (a, b, c, d, p1, tau, s) of _box_candidates_batch
+    for the one window of g: the n = 1 call."""
+    g = np.asarray(g, dtype=float).tolist()
+    return _box_candidates_batch([g], [(p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi)])[:7]
 
 
 def _rep_of(point) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -442,3 +443,13 @@ def test_survey_deterministic():
     assert rows1 == rows2
     fixed = survey_exponents(3, budgets, seed=7, fixed_v=(1.3, 0.8))
     assert all(r["v1"] == 1.3 and r["v2"] == 0.8 for r in fixed)
+
+
+def test_subnormal_seed_coordinate_does_not_warn():
+    # a subnormal seed coordinate gives a reduced basis vector of the strip
+    # window a subnormal component, which the row bounds must not divide by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = best_approx((1.0, 2.2250738585072014e-308), (0.3, 0.2), 100)
+    assert rec.gamma == LatticeElement(1, 0, 0, 1)
+    assert rec.dist == 0.7280109889280517

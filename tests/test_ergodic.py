@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.ergodic import (
+    _certified_T0,
+    _delta_cap,
+    _dyadic_levels,
+    _hit_times,
     hit_set,
     matcoef_curve,
     matrix_coefficient,
@@ -19,6 +24,7 @@ from orbitlab.ergodic import (
 from orbitlab.homogeneous import (
     HomPoint,
     TargetSpec,
+    _box_candidates,
     _haar_reps,
     bump_mean,
     haar_sample,
@@ -212,6 +218,84 @@ def test_shrinking_fast_targets_taper():
         agg = cs if agg is None else agg + cs
     assert agg[-1] <= agg[3]  # late windows much emptier than early ones
     assert agg[-1] <= 0.05 * 300
+
+
+def report_one_window(eta, rep, k_max, v) -> dict:
+    """Oracle: shrinking_hit_report as one search with the largest target
+    over all |k| <= k_max, the levels then picked out by the flag test."""
+    v1, v2 = v
+    levels = _dyadic_levels(eta, k_max, v2)
+    hw = 0.5 * max(d for _, d in levels)
+    *_, p1, tau, s = _box_candidates(rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5)
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
+    horizon = np.array([lv[0] for lv in levels])[:, None]
+    half = 0.5 * np.array([lv[1] for lv in levels])[:, None]
+    flags = np.any((ak <= horizon) & (np.abs(p1 - v1) <= half) & (np.abs(tau - v2) <= half), axis=1)
+    return {
+        "eta": eta,
+        "kMax": k_max,
+        "T0": _certified_T0(flags, k_max),
+        "levels": [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)],
+    }
+
+
+def window_counts_one_window(rep, v, eta, k_max) -> list:
+    """Oracle: window_hit_counts with one search per window over all
+    |k| <= hi, the times below the window dropped after the search."""
+    v1, v2 = v
+    cap = _delta_cap(v2)
+    out = []
+    j = 0
+    while 2**j <= k_max:
+        lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
+        hwv = 0.5 * (cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
+        *_, p1, tau, s = _box_candidates(rep, v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5)
+        k, r = _hit_times(s)
+        ak = np.abs(k)
+        hit = (lo <= ak) & (ak <= hi) & (np.abs(r) < 0.5)
+        k, ak, p1, tau = k[hit], ak[hit], p1[hit], tau[hit]
+        dk = np.array([cap if eta == 0.0 else min(cap, float(a) ** (-eta)) for a in ak.tolist()])
+        inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
+        out.append({"lo": lo, "hi": hi, "count": int(np.unique(k[inside]).size)})
+        j += 1
+    return out
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.7])
+def test_shell_searches_match_one_window(eta):
+    # one search per dyadic shell, each with its own target, against one
+    # search with the largest target over the whole orbit
+    reps = _haar_reps(3, seed=24)
+    for k_max in (2, 3, 4096, 30_000, 100_000):
+        for v in ((1.3, 0.8), (-1.3, 0.8), (-0.45, 1.7)):
+            for rep in reps:
+                assert shrinking_hit_report(eta, rep, k_max, v) == report_one_window(eta, rep, k_max, v)
+                assert window_hit_counts(rep, v, eta, k_max) == window_counts_one_window(rep, v, eta, k_max)
+
+
+def test_shell_search_visits_a_quarter_of_the_points(monkeypatch):
+    # cost claim of shrinking_hit_report: a spy on the lattice-point search
+    # counts the points it yields
+    search = homogeneous_mod._lattice_points
+    visited = []
+
+    def spy(gs, windows):
+        for block in search(gs, windows):
+            visited[-1] += block[1].size
+            yield block
+
+    monkeypatch.setattr(homogeneous_mod, "_lattice_points", spy)
+    shells = one = 0
+    for rep in _haar_reps(8, seed=25):
+        visited.append(0)
+        report = shrinking_hit_report(0.25, rep, 30_000, V0)
+        visited.append(0)
+        assert report == report_one_window(0.25, rep, 30_000, V0)
+        one += visited.pop()
+        shells += visited.pop()
+    assert shells < one / 4
 
 
 def test_uniform_grid_single_point_reduces_to_single_target():

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from orbitlab.homogeneous import Y_MAX, _bezout_rows, _box_candidates, _lattice_points
+from orbitlab.homogeneous import (
+    Y_MAX,
+    _array_rows,
+    _bezout_rows,
+    _box_candidates,
+    _box_candidates_batch,
+    _lattice_points,
+    _scalar_rows,
+    _window_rows,
+)
 
 BOX_LIMIT = 250_000  # (c, d) pairs one brute-force scan may visit
 
@@ -154,6 +163,50 @@ def test_box_candidates_order_and_chart_constraint():
         _box_candidates(g, 1.0, 1.6, 0.0, 1.0, -1.0, 1.0)
 
 
+@st.composite
+def batch_windows(draw):
+    """One (g, box) pair of a batch: a generic window, or an empty, thin,
+    long, huge-shear or cusp one."""
+    kind = draw(st.sampled_from(["generic", "empty", "thin", "long", "shear", "cusp"]))
+    if kind == "cusp":
+        g = chart_rep(draw(st.floats(-0.5, 0.5)), draw(log_uniform(1e3, Y_MAX)), draw(st.floats(0.0, 6.28)))
+    else:
+        g = draw(reps)
+    p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = draw(windows())
+    if kind == "empty":
+        p1_lo, p1_hi = p1_hi, p1_lo
+    elif kind == "thin":
+        v2 = 0.5 * (tau_lo + tau_hi)
+        tau_lo, tau_hi = v2 - 1e-4, v2 + 1e-4
+        s_lo, s_hi = -0.5, 0.5
+    elif kind in ("long", "shear"):
+        # a small box keeps the candidate count of a long window moderate
+        v1, v2 = 0.5 * (p1_lo + p1_hi), 0.5 * (tau_lo + tau_hi)
+        hw = 0.02 * min(1.0, v2)
+        p1_lo, p1_hi, tau_lo, tau_hi = v1 - hw, v1 + hw, v2 - hw, v2 + hw
+        if kind == "long":
+            s_lo, s_hi = -3e4, 3e4
+        else:
+            s_lo = draw(st.floats(1e5, 1e6))
+            s_hi = s_lo + draw(log_uniform(1.0, 1e3))
+    return g, (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi)
+
+
+def bits(cols) -> list:
+    return [(col.dtype, col.tobytes()) for col in cols]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(batch_windows(), min_size=1, max_size=6))
+def test_batch_matches_lone_windows(batch):
+    # the batch is the lone windows' results laid end to end, bitwise, plus
+    # the window index
+    lone = [_box_candidates(g, *box) for g, box in batch]
+    win = np.concatenate([np.full(cols[0].size, k, dtype=np.int64) for k, cols in enumerate(lone)])
+    together = _box_candidates_batch(np.array([g for g, _ in batch]), np.array([box for _, box in batch]))
+    assert bits(together) == bits([np.concatenate(col) for col in zip(*lone)] + [win])
+
+
 def plane_matrix(u1, u2):
     """The matrix of the closest-point search: second column u, determinant one."""
     n = u1 * u1 + u2 * u2
@@ -182,9 +235,10 @@ def signed_windows(draw):
 @given(signed_matrices, signed_windows())
 def test_lattice_points_match_brute_force(g, window):
     tau_lo, tau_hi, sig_lo, sig_hi = window
-    blocks = list(_lattice_points(g.tolist(), *window))
-    assert all(col.dtype == np.int64 for c, d, *_ in blocks for col in (c, d))
-    found = [p for block in blocks for p in zip(*(col.tolist() for col in block))]
+    blocks = list(_lattice_points([g.tolist()], [window]))
+    assert all(w == 0 for w, *_ in blocks)
+    assert all(col.dtype == np.int64 for block in blocks for col in block[1:3])
+    found = [p for _, *cols in blocks for p in zip(*(col.tolist() for col in cols))]
     assert len(set(found)) == len(found)
     brute = list(zip(*(col.tolist() for col in brute_points(g, *window))))
     assert set(found) <= set(brute)
@@ -193,6 +247,29 @@ def test_lattice_points_match_brute_force(g, window):
     assert sorted(p for p in found if sig_lo <= p[3] <= sig_hi) == closed
     pad = 1e-6 * (sig_hi - sig_lo)
     assert all(sig_lo - pad <= p[3] <= sig_hi + pad and tau_lo <= p[2] <= tau_hi for p in found)
+
+
+# the (tau, sigma) windows of in_quotient_target
+membership_windows = st.builds(
+    lambda v2, delta: (v2 - delta / 2, v2 + delta / 2, -0.5 * (v2 + delta / 2), 0.5 * (v2 + delta / 2)),
+    st.floats(0.3, 3.0),
+    st.floats(1e-3, 0.29),
+)
+
+
+@settings(max_examples=500)
+@given(reps, st.one_of(membership_windows, signed_windows()))
+def test_scalar_rows_match_array_rows(g, window):
+    # a lone window with few rows takes its rows from the scalar twin of the
+    # array row bounds: the same rows, so the same points as in a batch
+    g = g.tolist()
+    setup = _window_rows(g, *window, {})
+    rows = [r for _, *cols in _array_rows([setup]) for r in zip(*(c.tolist() for c in cols))]
+    assert _scalar_rows(*setup[:3]) == rows
+    pair = _lattice_points([g, g], [window, window])
+    both = [p for w, *cols in pair for p in zip(w.tolist(), *(c.tolist() for c in cols))]
+    lone = [p for _, *cols in _lattice_points([g], [window]) for p in zip(*(c.tolist() for c in cols))]
+    assert lone == [p[1:] for p in both if p[0] == 0]
 
 
 pairs = st.tuples(st.integers(-(2**31), 2**31), st.integers(-(2**31), 2**31))
