@@ -1,14 +1,19 @@
 """Best approximation of plane targets by finite orbit pieces, and exponent estimates.
 
-Every closest-point query is a budget trace, and every budget of a trace is
-one bottom-row strip scan seeded with the best distance found so far: any
-element beating it has its second row (c, d) inside an explicit strip of
-width twice that distance, which shrinks rapidly as budgets grow.  The first
-scan starts from the identity, which has norm 2 and lies in every filter.
-The rows of the strip inside the norm disk come from the quotient side's
-lattice-point search, whose cost follows the rows rather than sqrt(budget),
-and one selection computes every distance and breaks ties by (dist, norm, a,
-c, b, d).  No ball is ever materialized.
+Every closest-point query is a budget trace, and a trace is a plan of strip
+scans seeded with the best distance eps found so far.  Any element within
+eps of v has the row of gamma whose coordinate of v is the smaller one in
+absolute value inside an explicit strip of width 2*eps (a scan swaps the
+rows when that is the top row), and the determinant identity between the
+two rows cuts the strip's length to about min(|v1|, |v2|)/|v| of the norm
+disk's diameter.  The strip's area predicts the lattice points a scan
+visits, so one scan answers every next budget whose strip stays under a
+fixed point count, and a deep budget is reached through seed scans that
+first shrink eps.  The first scan starts from the identity, which has norm
+2 and lies in every filter.  The rows of the strip come from the quotient
+side's lattice-point search, whose cost follows the rows rather than
+sqrt(budget), and one selection computes every distance and breaks ties by
+(dist, norm, a, c, b, d).  No ball is ever materialized.
 """
 
 from __future__ import annotations
@@ -123,14 +128,17 @@ def best_approx(
 # Budget traces
 # ---------------------------------------------------------------------------
 
-def _least_key(a, b, c, d, u, v, Tint: int, subgroup: SubgroupFilter, best: tuple) -> tuple:
-    """Least key among best and the candidate rows (a, b, c, d) that fit the budget.
+def _least_key(a, b, c, d, u, v, budgets: list, subgroup: SubgroupFilter, keys: list) -> list:
+    """Per ascending integer budget, the least of its key in keys and the
+    keys of the candidate rows (a, b, c, d) that fit it.
 
     The one place any search computes a distance, a norm or a tie key: rows
-    above the budget or outside the filter are dropped, the rest compared by
-    the key (dist2, norm, a, c, b, d), squared distance first (same order as
-    the distance, cheaper).
+    above the largest budget or outside the filter are dropped, the rest
+    sorted by the key (dist2, norm, a, c, b, d), squared distance first (same
+    order as the distance, cheaper), and each budget takes the first sorted
+    key whose norm fits it.
     """
+    Tint = budgets[-1]
     # entries beyond isqrt(Tint) cannot fit the budget; below it each pair of
     # squares fits int64 (a primitive row never has |a| = |b| = 2^31)
     r = math.isqrt(Tint)
@@ -141,39 +149,123 @@ def _least_key(a, b, c, d, u, v, Tint: int, subgroup: SubgroupFilter, best: tupl
     keep = (top <= Tint - bottom) & subgroup.mask(np.stack([a, b, c, d], axis=1))
     a, b, c, d = a[keep], b[keep], c[keep], d[keep]
     if not a.size:
-        return best
+        return keys
     norm = top[keep] + bottom[keep]
     u1, u2 = float(u[0]), float(u[1])
     e1 = a * u1 + b * u2 - float(v[0])
     e2 = c * u1 + d * u2 - float(v[1])
     dist2 = e1 * e1 + e2 * e2
-    i = np.lexsort((d, b, c, a, norm, dist2))[0]
-    return min((float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i])), best)
+    # keys only fall as budgets grow, so no budget takes a key beyond the
+    # squared distance of the smallest one's: only rows up to it are sorted
+    fits = norm <= budgets[0]
+    bound = min(keys[0][0], dist2[fits].min()) if fits.any() else keys[0][0]
+    keep = dist2 <= bound
+    a, b, c, d, norm, dist2 = a[keep], b[keep], c[keep], d[keep], norm[keep], dist2[keep]
+    order = np.lexsort((d, b, c, a, norm, dist2))
+    first = [0]  # every row left fits the largest budget
+    if len(budgets) > 1:
+        # the first sorted key with norm <= T is where the running minimum
+        # of the sorted norms first drops to T
+        low = np.minimum.accumulate(norm[order])
+        first = np.searchsorted(-low, -np.array(budgets), side="left").tolist()
+    out = []
+    for k, key in zip(first, keys):
+        if k < order.size:
+            i = order[k]
+            key = min((float(dist2[i]), int(norm[i]), int(a[i]), int(c[i]), int(b[i]), int(d[i])), key)
+        out.append(key)
+    return out
 
 
-def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: tuple) -> tuple:
-    """Least key among best and the elements within eps of v in the budget-Tint ball.
+def _scan_target(v) -> tuple:
+    """Whether a scan swaps the rows, and the target w of the scanned frame.
 
-    Any element with distance <= eps has its second row (c, d) in the strip
-    |tau - v2| <= eps, tau = c*u1 + d*u2, so the returned key is the exact
-    minimum over the whole budget ball whenever eps >= the current best
-    distance.  ``homogeneous._lattice_points``, called on this one window,
-    yields the strip's rows in the (sigma, tau) coordinates of
-    g = [[u2/n, u1], [-u1/n, u2]], n = |u|^2, with |sigma| and |tau| bounded
-    by Cauchy-Schwarz, as c^2 + d^2 <= Tint - 1.
-    Primitive rows in that disk are completed to matrices, and the top-row
-    shifts that can fit the budget and reach the first-coordinate window are
-    expanded as arrays.
+    A scan bounds the rows of J*gamma = [[c, d], [-a, -b]] against the target
+    (v2, -v1) when |v1| < |v2|, else those of gamma against v: its strip
+    holds the bottom row, and the sigma cut of _strip_window is thinnest when
+    the target coordinate of that row is the smaller one.
+    """
+    v1, v2 = float(v[0]), float(v[1])
+    swap = abs(v1) < abs(v2)
+    return swap, ((v2, -v1) if swap else (v1, v2))
+
+
+def _cut_terms(u, w, Tint: int, eps: float) -> tuple:
+    """(n, A, B) of the sigma cut of _strip_window: n = |u|^2, A = |w1| - eps
+    and B = |w2| + eps, each widened by the float error of image coordinates
+    up to the budget Tint."""
+    u1, u2 = float(u[0]), float(u[1])
+    err = 2.0**-50 * (math.sqrt(Tint) * (abs(u1) + abs(u2)) + abs(w[0]) + abs(w[1]))
+    return u1 * u1 + u2 * u2, abs(w[0]) - eps - err, abs(w[1]) + eps + err
+
+
+def _strip_window(u, w, Tint: int, eps: float) -> tuple:
+    """(g, window) of the strip of the bottom rows (c, d) of the elements
+    within eps of the target w in the budget-Tint ball.
+
+    In the coordinates (sigma, tau) = (c, d) @ g, g = [[u2/n, u1], [-u1/n, u2]],
+    n = |u|^2, a row's norm is c^2 + d^2 = n*sigma^2 + tau^2/n, tau is its
+    image coordinate, and the two rows P = (c, d), Q = (a, b) of an element
+    satisfy sigma_P*tau_Q - tau_P*sigma_Q = -1.  The strip is |tau - w2| <= eps,
+    |tau| <= sqrt(n*(Tint - 1)).  With A = |w1| - eps > 0, B = |w2| + eps and
+    R = sqrt(Tint/n) >= |(sigma_P, sigma_Q)|, the identity gives
+    |sigma_P| <= (1 + B*|sigma_Q|)/A, hence |sigma_P| <= B*R/sqrt(A^2 + B^2) + 1/A
+    on the norm disk; the window takes the lesser of this and
+    sqrt((Tint - 1)/n).  A and B are widened by the float error of the image
+    coordinates (_cut_terms), the radii by a relative 1e-9, far beyond their
+    rounding.  det g = 1, so the window's area predicts its lattice points.
     """
     u1, u2 = float(u[0]), float(u[1])
-    v1, v2 = float(v[0]), float(v[1])
-    n = u1 * u1 + u2 * u2
+    n, A, B = _cut_terms(u, w, Tint, eps)
     g = ((u2 / n, u1), (-u1 / n, u2))
-    # the disk bounds, widened far beyond their rounding; the exact test is below
     rad = math.sqrt(Tint - 1) * (1.0 + 1e-9)
     tau_max, sig_max = rad * math.sqrt(n), rad / math.sqrt(n)
-    window = (max(v2 - eps, -tau_max), min(v2 + eps, tau_max), -sig_max, sig_max)
+    if A > 0.0:
+        R = math.sqrt(Tint / n) * (1.0 + 1e-9)
+        sig_max = min(sig_max, (B * R / math.hypot(A, B) + 1.0 / A) * (1.0 + 1e-9))
+    w2 = w[1]
+    return g, (max(w2 - eps, -tau_max), min(w2 + eps, tau_max), -sig_max, sig_max)
+
+
+def _predicted_points(u, w, Tint: int, eps: float) -> float:
+    """Expected lattice points of the strip window: its area (det g = 1)."""
+    tau_lo, tau_hi, sig_lo, sig_hi = _strip_window(u, w, Tint, eps)[1]
+    return max(tau_hi - tau_lo, 0.0) * (sig_hi - sig_lo)
+
+
+def _seed_budget(u, w, Tint: int, eps: float) -> int:
+    """A budget, at most Tint, whose strip at eps predicts at most, and
+    about, _SCAN_POINTS points: the half-length in sigma of its window is at most
+    min(R, (k*R + 1/A)*(1 + 1e-9)), R = sqrt(T/n)*(1 + 1e-9), k = B/sqrt(A^2 + B^2),
+    which is inverted here with the terms of the larger budget Tint."""
+    n, A, B = _cut_terms(u, w, Tint, eps)
+    sig = _SCAN_POINTS / (4.0 * eps)
+    R = sig
+    if A > 0.0:
+        R = max(R, (sig / (1.0 + 1e-9) - 1.0 / A) * math.hypot(A, B) / B)
+    return int(min(n * (R / (1.0 + 1e-9)) ** 2 * (1.0 - 1e-9), float(Tint)))
+
+
+def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple) -> list:
+    """Least key among best and the elements within eps of v, per ascending
+    integer budget: one strip scan of the largest budget.
+
+    Any element with distance <= eps lies in the strip of _strip_window at
+    the largest budget, in the frame of _scan_target, so each returned key is
+    the exact minimum over its budget's ball whenever eps >= the current best
+    distance.  ``homogeneous._lattice_points``, called on this one window,
+    yields the strip's rows.  Primitive rows in the disk are completed to
+    matrices, and the top-row shifts that can fit the budget and reach the
+    first-coordinate window are expanded as arrays; the candidates are mapped
+    back to the rows of gamma before the one selection, so keys, tie order
+    and filters never see the frame.
+    """
+    u1, u2 = float(u[0]), float(u[1])
+    swap, (w1, w2) = _scan_target(v)
+    Tint = budgets[-1]
+    g, window = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
+    keys = [best] * len(budgets)
     for _, c, d, tau, _ in _lattice_points([g], [window]):
         keep = (np.abs(c) <= r) & (np.abs(d) <= r)
         c, d, tau = c[keep], d[keep], tau[keep]
@@ -190,28 +282,41 @@ def _strip_improve(u, v, Tint: int, eps: float, subgroup: SubgroupFilter, best: 
         root = np.sqrt(np.maximum(A * (Tint - A) - 1.0, 0.0))
         m_lo = np.ceil((-B - root) / A - 1.0)
         m_hi = np.floor((-B + root) / A + 1.0)
-        # and the first coordinate within eps of v1; a row with tau == 0 has
-        # the same first coordinate for every m
-        w1 = a0 * u1 + b0 * u2
-        t = tau != 0.0
-        q = np.where(t, tau, 1.0)
-        lo = (v1 - eps - w1) / q
-        hi = (v1 + eps - w1) / q
-        w_lo = np.where(t, np.ceil(np.minimum(lo, hi) - 1e-9), m_lo)
-        w_hi = np.where(t, np.floor(np.maximum(lo, hi) + 1e-9), m_hi)
+        # and the first coordinate within eps of w1.  A row with tau == 0 has
+        # about the same first coordinate for every m: all its shifts that fit
+        # are candidates, but for a seed on an axis, whose rows (0, +-1) or
+        # (+-1, 0) make it the same float for every m, only those of least
+        # norm, around the vertex -B/A widened by one, can win
+        p1 = a0 * u1 + b0 * u2
+        flat = tau == 0.0
+        q = np.where(flat, 1.0, tau)
+        lo = (w1 - eps - p1) / q
+        hi = (w1 + eps - p1) / q
+        w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
+        w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
+        if flat.any():
+            if u1 == 0.0 or u2 == 0.0:
+                vertex = -B[flat] / A[flat]
+                w_lo[flat], w_hi[flat] = np.ceil(vertex - 1.0), np.floor(vertex + 1.0)
+            else:
+                w_lo[flat], w_hi[flat] = m_lo[flat], m_hi[flat]
         # clipped, so that every start cast to int64 stays in range
         m_lo, m_hi = np.clip(w_lo, m_lo, m_hi + 1.0), np.minimum(w_hi, m_hi)
         n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64)
         k, m = _ranges(m_lo.astype(np.int64), n_m)
         c, d = c[k], d[k]
-        best = _least_key(a0[k] + m * c, b0[k] + m * d, c, d, u, v, Tint, subgroup, best)
-    return best
+        a, b = a0[k] + m * c, b0[k] + m * d
+        if swap:  # gamma = J^-1 * gamma'
+            a, b, c, d = -c, -d, a, b
+        keys = _least_key(a, b, c, d, u, v, budgets, subgroup, keys)
+    return keys
 
 
-# A trace that reaches beyond four times this budget also scans it (and drops
-# its row unless asked for): a deep scan seeded with |u - v| or with a tiny
-# budget's distance visits many more candidates.  Up to 4 * 4096 one scan is cheaper.
-_SEED_BUDGET = 4096
+# Most lattice points a scan of a trace's plan is predicted to visit.  A
+# scan costs about 0.35 ms plus 0.35 us per point, so merging budgets into
+# one scan pays until its strip holds thousands of points (1000 to 6000 gave
+# the same survey times within a tenth).
+_SCAN_POINTS = 3000
 
 
 def approx_trace(
@@ -222,11 +327,23 @@ def approx_trace(
 ) -> ApproxTrace:
     """Exact d(T) trace over an increasing budget grid.
 
-    Starts from the identity (norm 2, in every filter) and strip-scans each
-    budget in turn, seeded with the previous budget's best distance, which
-    cannot miss any improving element.  A grid that reaches beyond
-    4 * _SEED_BUDGET also scans _SEED_BUDGET, so a one-budget query makes
-    one scan up to 16384 and two beyond.  No ball is ever materialized.
+    Starts from the identity (norm 2, in every filter) and plans strip scans
+    by their predicted lattice points (_predicted_points), each seeded with
+    the best distance eps found so far, which cannot miss any improving
+    element.  One scan answers the longest run of next budgets whose strips
+    at eps predict at most _SCAN_POINTS points: the strip of the run's
+    largest budget contains those of the others, and each budget takes the
+    least key whose norm fits it.  When the next budget alone predicts more
+    than twice _SCAN_POINTS, a seed scan at the budget whose prediction meets
+    _SCAN_POINTS shrinks eps first, and its row is dropped; a seed is made
+    only when it is at least twice the last budget scanned, else the budget
+    is scanned as it is.  A one-budget query is one scan whenever
+    4*|u - v|*sqrt(T)/|u| <= _SCAN_POINTS (for example below T = 62500 when
+    |v| <= 2|u|), and a generic pair over 4^8 .. 4^22 makes about 5 scans
+    (at most 8 over 93 pairs drawn from [1, 2]^4).  A scan costs a fixed
+    part plus its lattice points, which are at most
+    2 * (predicted points + rows of the reduced lattice).  No ball is ever
+    materialized.
     """
     budgets = [float(T) for T in budgets]
     if any(math.isnan(T) for T in budgets):
@@ -237,22 +354,32 @@ def approx_trace(
         raise ValueError("first budget must be at least 2")
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
+    ints = [_budget_int(T) for T in budgets]
+    w = _scan_target(v)[1]
     e1, e2 = float(u[0]) - float(v[0]), float(u[1]) - float(v[1])
     best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
-    scans = sorted({*budgets, float(_SEED_BUDGET)}) if budgets[-1] > 4 * _SEED_BUDGET else budgets
-    keys = {}
-    for T in scans:
-        Tint = _budget_int(T)
-        eps = math.sqrt(best[0])
-        if eps > 0.0:
-            best = _strip_improve(u, v, Tint, eps * (1.0 + 1e-12), subgroup, best)
-        keys[T] = best
-    records = [_record_from_key(keys[T]) for T in budgets]
+    keys, last = [], 0
+    while len(keys) < len(ints):
+        i = j = len(keys)
+        eps = math.sqrt(best[0]) * (1.0 + 1e-12)
+        if not eps > 0.0:  # an exact hit (or a NaN input) stays
+            keys.append(best)
+            continue
+        while j + 1 < len(ints) and _predicted_points(u, w, ints[j + 1], eps) <= _SCAN_POINTS:
+            j += 1
+        if j == i and _predicted_points(u, w, ints[i], eps) > 2 * _SCAN_POINTS:
+            seed = _seed_budget(u, w, ints[i], eps)
+            if max(2, 2 * last) <= seed < ints[i]:
+                best = _strip_improve(u, v, [seed], eps, subgroup, best)[0]
+                last = seed
+                continue
+        keys += _strip_improve(u, v, ints[i : j + 1], eps, subgroup, best)
+        best, last = keys[-1], ints[j]
     return ApproxTrace(
         u=(float(u[0]), float(u[1])),
         v=(float(v[0]), float(v[1])),
         budgets=budgets,
-        records=records,
+        records=[_record_from_key(key) for key in keys],
     )
 
 

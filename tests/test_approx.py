@@ -328,20 +328,132 @@ def test_best_approx_pins_above_direct_limit(u, v, T, flt, entries, norm, dist):
     assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (entries, norm, dist)
 
 
-def test_seed_budget_scans(monkeypatch):
-    # up to 4 * 4096 a query is one scan from the identity; deeper, the
-    # trace first scans 4096 to seed the deep scan
+def test_scan_plan_merges_and_seeds(monkeypatch):
+    # a query whose strip predicts at most _SCAN_POINTS points is one scan
+    # from the identity; a deep one-budget query with a far target first
+    # makes seed scans that each predict at most _SCAN_POINTS points and at
+    # least double, and their rows are dropped
     scans = []
     real = approx_mod._strip_improve
-    monkeypatch.setattr(
-        approx_mod, "_strip_improve", lambda u, v, T, *args: scans.append(T) or real(u, v, T, *args)
-    )
-    u, v = (1.37, 1.52), (1.9, 1.2)
-    best_approx(u, v, 11_000)
-    assert scans == [11_000]
+
+    def spy(u, v, budgets, eps, *args):
+        w = approx_mod._scan_target(v)[1]
+        scans.append((list(budgets), approx_mod._predicted_points(u, w, budgets[-1], eps)))
+        return real(u, v, budgets, eps, *args)
+
+    monkeypatch.setattr(approx_mod, "_strip_improve", spy)
+    u = (1.37, 1.52)
+    best_approx(u, (1.9, 1.2), 11_000)
+    assert [b for b, _ in scans] == [[11_000]]
+    assert scans[0][1] <= approx_mod._SCAN_POINTS
     scans.clear()
-    approx_trace(u, v, [65536])
-    assert scans == [4096, 65536]
+    tr = approx_trace(u, (-1.9, 1.2), [2**40])
+    *seeds, (last, _) = scans
+    assert last == [2**40] and len(tr.records) == 1
+    Ts = [b[0] for b, _ in seeds]
+    assert len(Ts) >= 2 and [b for b, _ in seeds] == [[T] for T in Ts]
+    assert all(pred <= approx_mod._SCAN_POINTS for _, pred in seeds)
+    assert all(t2 >= 2 * t1 for t1, t2 in zip(Ts, Ts[1:])) and Ts[-1] < 2**40
+    # recorded output of the earlier search, which scanned 4096 and then 2^40
+    rec = tr.records[0]
+    assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (
+        (315737, -284580, -198368, 178793), 251992429842, 0.009999999916181057
+    )
+
+
+def test_strip_scans_cost_what_the_docstring_says(monkeypatch):
+    # approx_trace: a generic pair over 4^8 .. 4^22 makes at most 8 scans,
+    # and a scan visits at most 2 * (predicted points + reduced-lattice rows)
+    import orbitlab.homogeneous as hom_mod
+
+    scans, points, rows = [], [], []
+    real_improve, real_points = approx_mod._strip_improve, approx_mod._lattice_points
+    real_rows = hom_mod._window_rows
+
+    def improve(u, v, budgets, eps, *args):
+        scans.append(approx_mod._predicted_points(u, approx_mod._scan_target(v)[1], budgets[-1], eps))
+        return real_improve(u, v, budgets, eps, *args)
+
+    def lattice_points(gs, windows):
+        points.append(0)
+        for block in real_points(gs, windows):
+            points[-1] += block[1].size
+            yield block
+
+    def window_rows(*args):
+        s = real_rows(*args)
+        rows.append(s[1] if s else 0)
+        return s
+
+    monkeypatch.setattr(approx_mod, "_strip_improve", improve)
+    monkeypatch.setattr(approx_mod, "_lattice_points", lattice_points)
+    monkeypatch.setattr(hom_mod, "_window_rows", window_rows)
+    budgets = [4.0**k for k in range(8, 23)]
+    rng = np.random.default_rng(42)  # the first pairs of survey_exponents(seed=42)
+    for _ in range(3):
+        u, v = tuple(rng.uniform(1, 2, 2)), tuple(rng.uniform(1, 2, 2))
+        scans.clear(), points.clear(), rows.clear()
+        approx_trace(u, v, budgets)
+        assert 1 <= len(scans) <= 8, (u, v, len(scans))
+        assert len(points) == len(rows) == len(scans)
+        for pts, pred, n_rows in zip(points, scans, rows):
+            assert pts <= 2 * (pred + n_rows), (u, v, pts, pred, n_rows)
+
+
+def test_axis_target_of_horizontal_seed_expands_few_shifts(monkeypatch):
+    # u = (1.3, 0), v = (1.21, 0): the best stays the identity at 0.09 and
+    # the strip holds only the rows (0, +-1), whose image coordinate is 0, so
+    # every top-row shift ties on distance; only the shifts around the
+    # norm's vertex reach the selection, not all ~2*sqrt(T) of them
+    seen = []
+    real = approx_mod._least_key
+    monkeypatch.setattr(approx_mod, "_least_key", lambda a, *args: seen.append(a.size) or real(a, *args))
+    budgets = [4.0**k for k in range(2, 23)]
+    tr = approx_trace((1.3, 0.0), (1.21, 0.0), budgets)
+    assert [(rec.gamma.entries(), rec.gamma_norm, rec.dist) for rec in tr.records] == [
+        ((1, 0, 0, 1), 2, 0.09000000000000008)
+    ] * len(budgets)
+    assert seen and max(seen) <= 6  # two rows, at most three shifts each
+
+
+_cut_seeds = st.one_of(
+    st.tuples(_nonzero, _nonzero).filter(lambda u: min(map(abs, u)) >= 0.05),  # decimal seeds
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),  # generic seeds
+    st.tuples(_nonzero.filter(lambda x: abs(x) >= 0.05), st.just(0.0)),  # horizontal seeds
+)
+
+
+@given(
+    u=_cut_seeds,
+    target=st.one_of(
+        st.tuples(_coord, _coord),
+        st.tuples(_coord, st.just(0.0)),
+        st.tuples(st.just(0.0), _coord),
+        st.just((0.0, 0.0)),
+    ),
+    T=st.sampled_from([2, 50, 500, 4096, 10_000]),
+    k=st.integers(0, 60),
+    wide=st.booleans(),
+)
+def test_sigma_cut_keeps_every_close_element(ball_1e4, u, target, T, k, wide):
+    # every element of the budget-T ball within eps of v has its scanned row
+    # inside the strip window of either frame; eps is the k-th smallest
+    # distance (ties on the edge), or at least |w_far| (no cut)
+    rows = ball_1e4[(ball_1e4 * ball_1e4).sum(axis=1) <= T].astype(float)
+    a, b, c, d = rows.T
+    v = target
+    u1, u2 = u
+    dist = np.hypot(a * u1 + b * u2 - v[0], c * u1 + d * u2 - v[1])
+    eps = float(np.sort(dist)[min(k, dist.size - 1)])
+    n = u1 * u1 + u2 * u2
+    for swap in (False, True):
+        w = (v[1], -v[0]) if swap else tuple(v)
+        x, y = (-a, -b) if swap else (c, d)  # the bottom row of the frame
+        e = max(eps, abs(w[0]) + 0.01) if wide else eps
+        tau_lo, tau_hi, sig_lo, sig_hi = approx_mod._strip_window(u, w, T, e)[1]
+        close = dist <= e
+        sigma = (x * u2 - y * u1) / n
+        assert np.all((sig_lo <= sigma[close]) & (sigma[close] <= sig_hi)), (u, v, T, e, swap)
 
 
 def test_traces_build_no_ball(monkeypatch):
