@@ -191,12 +191,13 @@ def _scan_target(v) -> tuple:
 
 
 def _cut_terms(u, w, Tint: int, eps: float) -> tuple:
-    """(n, A, B) of the sigma cut of _strip_window: n = |u|^2, A = |w1| - eps
-    and B = |w2| + eps, each widened by the float error of image coordinates
-    up to the budget Tint."""
+    """(n, A, B, err) of the sigma cut of _strip_window: n = |u|^2, A = |w1| - eps
+    and B = |w2| + eps, each widened by err, a bound on the float error of an
+    image coordinate x*u1 + y*u2 with |x|, |y| <= sqrt(Tint), or of its
+    distance to a coordinate of w."""
     u1, u2 = float(u[0]), float(u[1])
     err = 2.0**-50 * (math.sqrt(Tint) * (abs(u1) + abs(u2)) + abs(w[0]) + abs(w[1]))
-    return u1 * u1 + u2 * u2, abs(w[0]) - eps - err, abs(w[1]) + eps + err
+    return u1 * u1 + u2 * u2, abs(w[0]) - eps - err, abs(w[1]) + eps + err, err
 
 
 def _strip_window(u, w, Tint: int, eps: float) -> tuple:
@@ -216,7 +217,7 @@ def _strip_window(u, w, Tint: int, eps: float) -> tuple:
     rounding.  det g = 1, so the window's area predicts its lattice points.
     """
     u1, u2 = float(u[0]), float(u[1])
-    n, A, B = _cut_terms(u, w, Tint, eps)
+    n, A, B, _ = _cut_terms(u, w, Tint, eps)
     g = ((u2 / n, u1), (-u1 / n, u2))
     rad = math.sqrt(Tint - 1) * (1.0 + 1e-9)
     tau_max, sig_max = rad * math.sqrt(n), rad / math.sqrt(n)
@@ -238,7 +239,7 @@ def _seed_budget(u, w, Tint: int, eps: float) -> int:
     about, _SCAN_POINTS points: the half-length in sigma of its window is at most
     min(R, (k*R + 1/A)*(1 + 1e-9)), R = sqrt(T/n)*(1 + 1e-9), k = B/sqrt(A^2 + B^2),
     which is inverted here with the terms of the larger budget Tint."""
-    n, A, B = _cut_terms(u, w, Tint, eps)
+    n, A, B, _ = _cut_terms(u, w, Tint, eps)
     sig = _SCAN_POINTS / (4.0 * eps)
     R = sig
     if A > 0.0:
@@ -265,6 +266,7 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     Tint = budgets[-1]
     g, window = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
+    reach = eps + 3.0 * _cut_terms(u, (w1, w2), Tint, eps)[3]  # see the shift window below
     keys = [best] * len(budgets)
     for _, c, d, tau, _ in _lattice_points([g], [window]):
         keep = (np.abs(c) <= r) & (np.abs(d) <= r)
@@ -290,8 +292,14 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
         p1 = a0 * u1 + b0 * u2
         flat = tau == 0.0
         q = np.where(flat, 1.0, tau)
-        lo = (w1 - eps - p1) / q
-        hi = (w1 + eps - p1) / q
+        # The float p1 + m*tau and the exact first coordinate of shift m
+        # differ by the errors of p1 and of m*tau (|m*c|, |m*d| <=
+        # 2*sqrt(Tint) for a shift that fits), and the float coordinate of
+        # _least_key differs from the exact one by a third error.  Each is
+        # below the err of _cut_terms, so the window reaches 3*err beyond eps:
+        # a row whose float tau is a rounding residue spans every shift that fits
+        lo = (w1 - reach - p1) / q
+        hi = (w1 + reach - p1) / q
         w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
         w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
         if flat.any():

@@ -380,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--out", default=None, help="output file (stdout when omitted)")

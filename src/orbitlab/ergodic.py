@@ -6,10 +6,12 @@ gamma with gamma*rep in the (tau, p1)-box hits the target exactly at the
 integer shifts k that move its shear coordinate s into (-1/2, 1/2), i.e. at
 the single k = round(-s) (boundary shifts contribute nothing: the window is
 open and the bump vanishes there).  All experiments below exploit this: one
-batched candidate search covers every orbit time at once.  A Monte Carlo
-chunk searches one window per sample point, a grid level one window per
-grid target, and a shrinking-target run one window per dyadic shell of orbit
-times, each searched with the largest target its times still use.
+batched candidate search covers every orbit time at once, and one hit step,
+_hits, keeps the candidates that hit.  A Monte Carlo chunk searches one
+window per sample point, a grid level one window per grid target, and a
+shrinking-target run one window per dyadic shell of orbit times, each
+searched with the largest target its times still use.  The correlation
+chunks alone keep every candidate, to place it at several shear offsets.
 
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
@@ -115,36 +117,27 @@ def _hit_times(s: np.ndarray, offset: float = 0.0) -> tuple:
     return k.astype(np.int64), s + k + offset
 
 
-def _search(rep, bounds: list) -> tuple:
-    """_box_candidates_batch on the windows bounds, all of one representative."""
-    return _box_candidates_batch([np.asarray(rep, dtype=float).tolist()] * len(bounds), bounds)
+def _hits(reps, bounds: list) -> tuple:
+    """The one hit step: arrays (win, k, p1, tau, r) of the candidates of one
+    _box_candidates_batch call that hit at their orbit time k (|r| < 1/2).
 
-
-def _weighted_hits(reps, spec: TargetSpec, k_cap: float):
-    """Arrays (win, k, weight) of bump-weighted orbit hits with |k| <= k_cap:
-    win is the index of the representative, ascending."""
-    dx = _bump_x_width(spec)
-    hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
-    hw = 0.5 * spec.delta
-    box = (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw, -k_cap - 0.5, k_cap + 0.5)
-    p1, tau, s, win = _box_candidates_batch(reps, [box] * len(reps))[4:]
+    reps holds one representative per window, or is one matrix for all of
+    them.  A closed s window [-K - 1/2, K + 1/2] needs no time cap of its
+    own: an s inside it rounds to |k| <= K, and one at an end gives
+    |r| = 1/2, no hit.
+    """
+    if np.ndim(reps) == 2:
+        reps = [np.asarray(reps, dtype=float).tolist()] * len(bounds)
+    p1, tau, s, win = _box_candidates_batch(reps, bounds)[4:]
     k, r = _hit_times(s)
-    hit = (np.abs(k) <= k_cap) & (np.abs(r) < 0.5)
-    win, k, p1, tau, r = win[hit], k[hit], p1[hit], tau[hit], r[hit]
-    w = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(r)
-    pos = w > 0.0
-    return win[pos], k[pos], w[pos]
+    hit = np.abs(r) < 0.5
+    return win[hit], k[hit], p1[hit], tau[hit], r[hit]
 
 
-def _box_hits(reps, v1, v2, delta, k_cap) -> tuple:
-    """Arrays (win, k) of the orbit times |k| <= k_cap at which the coset of
-    representative win hits the box (a time may repeat)."""
-    hw = 0.5 * delta
-    box = (v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_cap - 0.5, k_cap + 0.5)
-    s, win = _box_candidates_batch(reps, [box] * len(reps))[6:]
-    k, r = _hit_times(s)
-    hit = (np.abs(k) <= k_cap) & (np.abs(r) < 0.5)
-    return win[hit], k[hit]
+def _orbit_box(v1: float, v2: float, hw1: float, hw2: float, K) -> tuple:
+    """Kernel bounds of the (p1, tau) box of half-sizes (hw1, hw2) around v
+    over the orbit times |k| <= K."""
+    return (v1 - hw1, v1 + hw1, v2 - hw2, v2 + hw2, -K - 0.5, K + 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +159,8 @@ def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
     if K < 1:
         raise ValueError("horizon K must be >= 1")
-    _, ks = _box_hits(_rep_of(point)[None], spec.v1, spec.v2, spec.delta, K)
+    hw = 0.5 * spec.delta
+    ks = _hits(_rep_of(point), [_orbit_box(spec.v1, spec.v2, hw, hw, K)])[1]
     return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
 
@@ -188,8 +182,13 @@ def _variance_chunk(args):
     v1, v2, delta, Ts, reps = args
     spec = TargetSpec(v1, v2, delta)
     m = bump_mean(spec)
-    win, ks, ws = _weighted_hits(reps, spec, max(Ts))
-    aks = np.abs(ks)
+    dx = _bump_x_width(spec)
+    box = _orbit_box(v1, v2, 0.5 * dx * (v2 + 0.5 * delta), 0.5 * delta, max(Ts))
+    win, ks, p1, tau, r = _hits(reps, [box] * len(reps))
+    # bump-weighted hits; win is the index of the sample, ascending
+    ws = bump((p1 - v1) / (tau * dx)) * bump((tau - v2) / delta) * bump(r)
+    pos = ws > 0.0
+    win, aks, ws = win[pos], np.abs(ks[pos]), ws[pos]
     n_t = len(Ts)
     s1 = np.zeros(n_t)
     s2 = np.zeros(n_t)
@@ -331,7 +330,8 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 def _miss_chunk(args):
     v1, v2, delta, Ts, reps = args
     t_max = max(Ts)
-    win, ks = _box_hits(reps, v1, v2, delta, t_max)
+    hw = 0.5 * delta
+    win, ks = _hits(reps, [_orbit_box(v1, v2, hw, hw, t_max)] * len(reps))[:2]
     first = np.full(len(reps), t_max + 1, dtype=np.int64)
     np.minimum.at(first, win, np.abs(ks))
     return first
@@ -380,19 +380,24 @@ def _delta_cap(v2: float) -> float:
     return min(0.499, 0.98 * v2)
 
 
+def _target_size(t, eta: float, cap: float) -> float:
+    """The shrinking target size min(cap, t^-eta) at orbit time t >= 1, with
+    the scalar pow, which numpy's array pow does not match bitwise (cap < 1,
+    so eta = 0 gives cap)."""
+    return min(cap, float(t) ** -eta)
+
+
 def _dyadic_levels(eta: float, k_max: int, v2: float) -> list:
-    """Levels (horizon, delta): horizon 2^j with the target size taken at the
-    covering interval's far end min(2^(j+1), k_max), so a level hit certifies
-    every time in [2^j, min(2^(j+1), k_max)] by monotonicity of orbits and
-    targets."""
+    """Levels (horizon, delta): horizon 2^j <= k_max with the target size
+    taken at the covering interval's far end min(2^(j+1), k_max), so a level
+    hit certifies every time in [2^j, min(2^(j+1), k_max)] by monotonicity of
+    orbits and targets."""
     cap = _delta_cap(v2)
     levels = []
-    j = 0
-    while 2**j <= k_max:
-        end = min(2 ** (j + 1), k_max)
-        delta = cap if eta == 0.0 else min(cap, float(end) ** (-eta))
-        levels.append((2**j, delta))
-        j += 1
+    horizon = 1
+    while horizon <= k_max:
+        levels.append((horizon, _target_size(min(2 * horizon, k_max), eta, cap)))
+        horizon *= 2
     return levels
 
 
@@ -432,13 +437,14 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     Returns per-level hit flags and the certified threshold T0 (least dyadic
     horizon from which every level hits), or None when no T0 <= k_max/2 exists.
 
-    One batched candidate search with one shell of orbit times per level:
-    shell 0 holds |k| <= 1 and shell j the times 2^(j-1) < |k| <= 2^j of
-    horizon 2^j that no lower level holds.  Target sizes do not grow with j,
-    so a hit of level j in shell i <= j lies in the box of level i, and each
-    shell is searched with its own box, padded by a few ulps so that the
-    flag test below, not the search, decides every level.  The search thus
-    shrinks with the targets and stops at the last horizon, not at k_max.
+    One hit step (_hits) with one shell of orbit times per level of
+    _dyadic_levels: shell 0 holds |k| <= 1 and shell j the times
+    2^(j-1) < |k| <= 2^j of horizon 2^j that no lower level holds.  Target
+    sizes do not grow with j, so a hit of level j in shell i <= j lies in the
+    box of level i, and each shell is searched with its own box, padded by a
+    few ulps so that the flag test below, not the search, decides every
+    level.  The search thus shrinks with the targets and stops at the last
+    horizon, not at k_max.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
@@ -450,10 +456,8 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     for horizon, delta in levels[1:]:
         box = _padded_box(v1, v2, 0.5 * delta)
         bounds += [box + sw for sw in _shells(horizon // 2 + 1, horizon)]
-    p1, tau, s = _search(_rep_of(point), bounds)[4:7]
-    k, r = _hit_times(s)
-    hit = np.abs(r) < 0.5
-    ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
+    _, k, p1, tau, _ = _hits(_rep_of(point), bounds)
+    ak = np.abs(k)
     # one row per level: its horizon and half target size against every hit
     horizon = np.array([lv[0] for lv in levels])[:, None]
     half = 0.5 * np.array([lv[1] for lv in levels])[:, None]
@@ -479,35 +483,27 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
 
     Window j counts times with |k| in [2^j, min(2^(j+1), k_max+1)) for which the
     translate lies in the box of size min(cap, |k|**-eta).  Returns a list of
-    dicts {lo, hi, count}.
+    dicts {lo, hi, count}.  The windows start at the horizons of
+    _dyadic_levels, and one hit step (_hits) searches each window's two
+    shells with the window's largest box.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
     v1, v2 = _target_v(v)
     cap = _delta_cap(v2)
-    windows, bounds = [], []
-    j = 0
-    while 2**j <= k_max:
-        lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
-        # the window's largest per-time target, at its first time
-        hwv = 0.5 * (cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
-        box = (v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv)
-        windows.append((lo, hi))
-        bounds += [box + sw for sw in _shells(lo, hi)]
-        j += 1
+    windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in _dyadic_levels(eta, k_max, v2)]
+    bounds = []
+    for lo, hi in windows:
+        hw = 0.5 * _target_size(lo, eta, cap)  # the window's largest, at its first time
+        bounds += [(v1 - hw, v1 + hw, v2 - hw, v2 + hw) + sw for sw in _shells(lo, hi)]
     # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
     # a shell lies at a time of the shell
-    p1, tau, s, win = _search(_rep_of(point), bounds)[4:]
-    k, r = _hit_times(s)
-    hit = np.abs(r) < 0.5
-    k, p1, tau, shell = k[hit], p1[hit], tau[hit], win[hit] // 2
-    ak = np.abs(k)
-    # per-time sizes with the scalar pow, which array pow does not match bitwise
-    dk = np.array([cap if eta == 0.0 else min(cap, float(a) ** (-eta)) for a in ak.tolist()])
+    win, k, p1, tau, _ = _hits(_rep_of(point), bounds)
+    dk = np.array([_target_size(a, eta, cap) for a in np.abs(k).tolist()])
     inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
     # a time lies in one window: count the distinct times per window
     _, once = np.unique(k[inside], return_index=True)
-    counts = np.bincount(shell[inside][once], minlength=len(windows))
+    counts = np.bincount(win[inside][once] // 2, minlength=len(windows))
     return [{"lo": lo, "hi": hi, "count": int(n)} for (lo, hi), n in zip(windows, counts)]
 
 
@@ -537,7 +533,8 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     the box is covered by a grid of spacing equal to the level's target size
     (every point of omega is within that size of a grid point in the box
     norm), and the level passes when every grid target is hit within the
-    horizon.  Reports the certified uniform T0, or None.
+    horizon: one hit step (_hits) per level, one window per grid target.
+    Reports the certified uniform T0, or None.
     """
     x0, x1, y0, y1 = (float(t) for t in omega)
     if x0 > x1 or y0 > y1:
@@ -551,11 +548,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     for horizon, delta in _dyadic_levels(eta, k_max, y0):
         grid = _grid_points((x0, x1, y0, y1), delta)
         h = 0.5 * delta
-        # one batched search per level, one window per grid target
-        bounds = [(w1 - h, w1 + h, w2 - h, w2 + h, -horizon - 0.5, horizon + 0.5) for w1, w2 in grid]
-        s, win = _search(rep, bounds)[6:]
-        k, r = _hit_times(s)
-        hit = np.zeros(len(grid), dtype=bool)
-        hit[win[(np.abs(k) <= horizon) & (np.abs(r) < 0.5)]] = True
-        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool(hit.all())})
+        win = _hits(rep, [_orbit_box(w1, w2, h, h, horizon) for w1, w2 in grid])[0]
+        hit = np.unique(win).size == len(grid)
+        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool(hit)})
     return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)

@@ -728,6 +728,9 @@ def target_measure(spec: TargetSpec, probe: int = 128, seed: int = 0) -> float:
 
 
 def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:
+    """Does every probe point of the box meet it through at most one group
+    translate?  The 12 corner-and-edge points come first, then n_probe
+    uniform ones; one batched search holds them all."""
     rng = np.random.default_rng(seed)
     hw = 0.5 * spec.delta
     pts = []
@@ -743,15 +746,10 @@ def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:
                 rng.uniform(-0.5, 0.5),
             )
         )
-    for p1v, tauv, sv in pts:
-        D = tauv
-        B = p1v
-        C = sv * tauv
-        A = (1.0 + B * C) / D
-        g = np.array([[A, B], [C, D]])
-        s = _box_candidates(
-            g, spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw, -0.5, 0.5
-        )[6]
-        if np.count_nonzero(np.abs(s) < 0.5) > 1:
-            return False
-    return True
+    reps = []
+    for p1v, tauv, sv in pts:  # the chart matrix: second column (p1, tau), shear s
+        c = sv * tauv
+        reps.append([[(1.0 + p1v * c) / tauv, p1v], [c, tauv]])
+    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw, -0.5, 0.5)
+    s, win = _box_candidates_batch(reps, [box] * len(reps))[6:]
+    return not (np.bincount(win[np.abs(s) < 0.5]) > 1).any()

@@ -328,6 +328,22 @@ def test_best_approx_pins_above_direct_limit(u, v, T, flt, entries, norm, dist):
     assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (entries, norm, dist)
 
 
+def test_shift_window_of_a_residue_row_holds_the_least_norm_witness():
+    # the row (c, d) = (141, 50) of u = (0.7, -1.974) has c*u1 + d*u2 = 0 in
+    # exact decimals, so its float tau is a rounding residue (about 1e-14);
+    # its shift window must carry the float error of the first coordinate
+    # over tau, or (-3071, -1089, -141, -50), of the same float dist2 but
+    # norm 10,639,343, wins the tie
+    rec = best_approx((0.7, -1.974), (0.0, 0.0), 20481105.323350403, SubgroupFilter.gamma0(3))
+    assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == ((-2992, -1061, 141, 50), 10100166, 0.013999999999668944)
+
+    def dist2(a, b, c, d):
+        e1, e2 = a * 0.7 + b * -1.974, c * 0.7 + d * -1.974
+        return e1 * e1 + e2 * e2
+
+    assert dist2(-3071, -1089, -141, -50) == dist2(-2992, -1061, 141, 50) == 0.00019599999999073042
+
+
 def test_scan_plan_merges_and_seeds(monkeypatch):
     # a query whose strip predicts at most _SCAN_POINTS points is one scan
     # from the identity; a deep one-budget query with a far target first

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import orbitlab.ergodic as ergodic_mod
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.ergodic import (
     _certified_T0,
@@ -342,3 +343,37 @@ def test_grid_refinement_consistent_with_stability():
             fine = set(hit_set(pt, TargetSpec(vf[0], vf[1], delta), K).ks)
             coarse = set(hit_set(pt, TargetSpec(v[0], v[1], 2 * delta), K).ks)
             assert fine <= coarse
+
+
+def test_window_ends_imply_the_time_cap():
+    # a closed s window [-K - 1/2, K + 1/2] needs no |k| <= K test: its end
+    # points land at |r| = 1/2, no hit, and the floats just inside them hit
+    # at |k| <= K
+    Ks = np.array(sorted({K for j in range(41) for K in (2**j - 1, 2**j, 2**j + 1) if 1 <= K <= 2**40}))
+    for sign in (-1.0, 1.0):
+        ends = sign * (Ks + 0.5)
+        _, r = _hit_times(ends)
+        assert np.all(np.abs(r) == 0.5)
+        k, r = _hit_times(np.nextafter(ends, 0.0))
+        assert np.all(np.abs(r) < 0.5) and np.all(np.abs(k) <= Ks)
+
+
+def test_drivers_make_one_kernel_call(monkeypatch):
+    # one batched search per shrinking report, per window count and per
+    # uniform-grid level
+    kernel = ergodic_mod._box_candidates_batch
+    calls = []
+
+    def spy(reps, bounds):
+        calls.append(len(bounds))
+        return kernel(reps, bounds)
+
+    monkeypatch.setattr(ergodic_mod, "_box_candidates_batch", spy)
+    rep = _haar_reps(1, seed=31)[0]
+    shrinking_hit_report(0.25, rep, 30_000, V0)
+    assert len(calls) == 1 and calls[0] > 1
+    window_hit_counts(rep, V0, 0.7, 30_000)
+    assert len(calls) == 2 and calls[1] == 2 * 15  # two shells per dyadic window
+    report = uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.1, rep, 512)
+    assert len(calls) == 2 + len(report.levels)
+    assert calls[2:] == [lv["nGrid"] for lv in report.levels]

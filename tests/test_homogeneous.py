@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.enumeration import count, enumerate_ball
 from orbitlab.errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
 from orbitlab.homogeneous import (
@@ -250,6 +251,23 @@ def test_target_measure_and_injectivity_probe():
     wide = TargetSpec(1.3, 0.6, 0.45)
     with pytest.warns(InjectivityUnverified):
         target_measure(wide, probe=64, seed=3)
+
+
+def test_injectivity_probe_is_one_batched_search(monkeypatch):
+    # the 12 corner-and-edge points and the probe points share one kernel call
+    kernel = homogeneous_mod._box_candidates_batch
+    calls = []
+
+    def spy(reps, bounds):
+        calls.append(len(bounds))
+        return kernel(reps, bounds)
+
+    monkeypatch.setattr(homogeneous_mod, "_box_candidates_batch", spy)
+    target_measure(TargetSpec(*V0, 0.2), probe=128, seed=3)
+    assert calls == [12 + 128]
+    with pytest.warns(InjectivityUnverified):
+        target_measure(TargetSpec(1.3, 0.6, 0.45), probe=64, seed=3)
+    assert calls == [12 + 128, 12 + 64]
 
 
 def test_hit_fraction_matches_measure():
