@@ -297,9 +297,12 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
         # 2*sqrt(Tint) for a shift that fits), and the float coordinate of
         # _least_key differs from the exact one by a third error.  Each is
         # below the err of _cut_terms, so the window reaches 3*err beyond eps:
-        # a row whose float tau is a rounding residue spans every shift that fits
-        lo = (w1 - reach - p1) / q
-        hi = (w1 + reach - p1) / q
+        # a row whose float tau is a rounding residue spans every shift that fits.
+        # A subnormal tau (deeply subnormal seeds) overflows the bounds to +-inf,
+        # which is harmless: the clip below cuts them to the shifts that fit
+        with np.errstate(over="ignore"):
+            lo = (w1 - reach - p1) / q
+            hi = (w1 + reach - p1) / q
         w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
         w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
         if flat.any():

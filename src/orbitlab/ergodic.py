@@ -21,7 +21,6 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -70,6 +69,9 @@ def _chunk_map(chunk_fn: Callable, args: tuple, n_samples: int, seed: int, worke
     chunks = [args + (reps[i : i + _CHUNK],) for i in range(0, n_samples, _CHUNK)]
     if workers <= 1 or len(chunks) <= 1:
         return [chunk_fn(ch) for ch in chunks]
+    # Imported here: only a pool run needs multiprocessing, so `import orbitlab` skips it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk_fn, chunks))
 

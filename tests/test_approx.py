@@ -573,11 +573,18 @@ def test_survey_deterministic():
     assert all(r["v1"] == 1.3 and r["v2"] == 0.8 for r in fixed)
 
 
-def test_subnormal_seed_coordinate_does_not_warn():
+def test_subnormal_seed_coordinate_does_not_warn(ball_1e4):
     # a subnormal seed coordinate gives a reduced basis vector of the strip
-    # window a subnormal component, which the row bounds must not divide by
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rec = best_approx((1.0, 2.2250738585072014e-308), (0.3, 0.2), 100)
-    assert rec.gamma == LatticeElement(1, 0, 0, 1)
-    assert rec.dist == 0.7280109889280517
+    # window a subnormal component, which the row bounds must not divide by;
+    # a deeply subnormal one gives rows a subnormal tau, whose shift window
+    # bounds overflow to infinity before the clip cuts them
+    seeds = [(1.0, 2.2250738585072014e-308), (1.0, 5e-324), (1.0, 1e-310), (1.0, 1e-320), (5e-324, 1.0)]
+    for u in seeds:
+        for T in (100, 2**40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rec = best_approx(u, (0.3, 0.2), T)
+            if T == 100:
+                assert rec.gamma.entries() == brute_best(ball_1e4, u, (0.3, 0.2), T), u
+            expected = (1, 0, 0, 1) if u[0] == 1.0 else (0, 1, -1, 0)
+            assert (rec.gamma.entries(), rec.gamma_norm, rec.dist) == (expected, 2, 0.7280109889280517), (u, T)

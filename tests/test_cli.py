@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orbitlab
 from orbitlab.cli import main
 from orbitlab.enumeration import load_elements
 
@@ -195,3 +200,26 @@ def test_rerun_byte_identical(tmp_path, capsys, argv):
     capsys.readouterr()
     b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
     assert b1 == b2 and len(b1) > 0
+
+
+def test_quotient_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
+    # one fresh interpreter: the bump is a constant, and the pool is imported
+    # only by a run with more than one worker
+    script = f"""
+import sys
+import numpy as np
+import orbitlab
+from orbitlab.cli import main
+from orbitlab.homogeneous import TargetSpec, target_bump
+assert target_bump(np.array([[1.25, 1.3], [0.0, 0.8]]), TargetSpec(1.3, 0.8, 0.2)) > 0.0
+for argv in (
+    ["ergodic-variance", "--delta", "0.15", "--Ts", "16:64:4", "--samples", "64", "--workers", "1"],
+    ["matcoef", "--delta", "0.15", "--ts", "1:16:4", "--samples", "64", "--workers", "1"],
+):
+    assert main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+print(sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules))
+"""
+    src = str(Path(orbitlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300)
+    assert done.stdout.splitlines()[-1] == "[]"

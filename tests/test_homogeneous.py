@@ -67,6 +67,18 @@ def test_bump_profile():
     assert bump(0.0) > 1.0
 
 
+def test_bump_normalizer_constant_has_mass_one():
+    # the constant QUADPACK gave for 1/integral, kept for bitwise continuity
+    assert repr(bump.normalizer) == "4.50456724208717"
+    # tanh-sinh: t = tanh(s)/2 with s = (pi/2) sinh(x) makes 1 - 4t^2 = sech^2 s,
+    # so the integrand is exp(-cosh^2 s) (pi/4) cosh(x) sech^2(s); h = 1/64 and
+    # |x| <= 6 give the integral correctly rounded
+    x = np.arange(-384, 385) / 64.0
+    c = np.cosh((math.pi / 2) * np.sinh(x))
+    integral = float(np.sum(np.exp(-c * c) * (math.pi / 4) * np.cosh(x) / (c * c))) / 64.0
+    assert abs(bump.normalizer * integral - 1.0) < 4e-15
+
+
 def test_reduce_examples():
     pt, gam = reduce_point(np.eye(2))
     assert abs(gam.a) == 1 and gam.b == 0 and gam.c == 0
