@@ -21,6 +21,12 @@ Bezout top row and expands the short integer interval of top-row shifts left
 by the first-column condition, and returns flat arrays with a window index
 that the drivers in ``ergodic`` reduce; ``_box_candidates`` is its call on one
 window.  The strip scan of ``approx`` is the other consumer of the same search.
+
+Membership of a reduced point.  ``in_quotient_target`` and ``target_bump``
+decide a point whose z = g*i lies in the fundamental domain from the few
+bottom rows with |cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``), by
+the kernel's own float expressions, so with the kernel's answer bitwise.
+Other representatives, and bump sums of more than two terms, go to the kernel.
 """
 
 from __future__ import annotations
@@ -301,11 +307,6 @@ _ROW_BLOCK = 1 << 12
 # row bound finite: dividing by a subnormal component would overflow.
 _FLAT = 2.0**-900
 
-# A lone window with at most this many rows finds its rows in scalar floats
-# (_scalar_rows): most membership windows hold no lattice point and so stop
-# before any array pass.
-_SCALAR_ROWS = 8
-
 
 # The result of a batch without candidates, shared by every such call (an
 # empty array has nothing to overwrite): the seven columns and the window index.
@@ -409,27 +410,6 @@ def _window_rows(g, tau_lo, tau_hi, sig_lo, sig_hi, reduced: dict):
     return i0, n_rows, (r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack), (*u1, *u2)
 
 
-def _scalar_rows(i0: int, n_rows: int, bounds: tuple) -> list:
-    """The rows of a window that hold a point of its slack square, as
-    (i, j_lo, count): the points i*r1 + j*r2 - o, j_lo <= j < j_lo + count.
-
-    The scalar twin of the row bounds of _array_rows, with the same
-    operations in the same order, so it finds the same rows.
-    """
-    r1x, r1y, ox, oy, r2x, r2y, hx, hy, slack = bounds
-    rows = []
-    for i in range(i0, i0 + n_rows):
-        b0 = i * r1x - ox
-        b1 = i * r1y - oy
-        if (hx == math.inf and abs(b0) > slack) or (hy == math.inf and abs(b1) > slack):
-            continue
-        j_lo = math.ceil(max((-hx - b0) / r2x, (-hy - b1) / r2y))
-        j_hi = math.floor(min((hx - b0) / r2x, (hy - b1) / r2y))
-        if j_lo <= j_hi:
-            rows.append((i, j_lo, j_hi - j_lo + 1))
-    return rows
-
-
 def _row_runs(k, i: np.ndarray, j_lo: np.ndarray, count: np.ndarray):
     """Rows i of windows k with count points from j_lo on, as one pass.
 
@@ -450,9 +430,9 @@ def _row_runs(k, i: np.ndarray, j_lo: np.ndarray, count: np.ndarray):
 def _array_rows(setups: list):
     """The rows of the windows set up by _window_rows that hold a point of
     their slack squares, per block of _ROW_BLOCK (window, row) pairs, in the
-    passes of _row_runs.  Yields arrays (k, i, j_lo, count) as _scalar_rows
-    gives them, k the position of the row's window in setups (None for a
-    lone window)."""
+    passes of _row_runs.  Yields arrays (k, i, j_lo, count): the points
+    i*r1 + j*r2 - o, j_lo <= j < j_lo + count, of row i of the window at
+    position k in setups (None for a lone window)."""
     single = len(setups) == 1
     if single:
         i_off, total = setups[0][:2]
@@ -498,9 +478,7 @@ def _lattice_points(gs, windows):
     The caller may modify the arrays.  Every point of a closed window comes
     once; tau is filtered exactly, sigma only up to the rounding slack, and no
     gcd is taken, so callers filter before completing rows.  The tau window
-    may have either sign.  The rows of a lone window with at most
-    _SCALAR_ROWS of them come from _scalar_rows, which most membership
-    windows leave empty.  Cost: a scalar reduction per window plus a fixed
+    may have either sign.  Cost: a scalar reduction per window plus a fixed
     number of array passes per block, O(points + rows).
     """
     reduced = {}  # mirror windows share a reduced basis
@@ -511,13 +489,7 @@ def _lattice_points(gs, windows):
             setups.append((w, s))
     if not setups:
         return
-    if len(gs) == 1 and setups[0][1][1] <= _SCALAR_ROWS:
-        rows = _scalar_rows(*setups[0][1][:3])
-        if not rows:
-            return
-        blocks = _row_runs(None, *np.array(rows, dtype=np.int64).T)
-    else:
-        blocks = _array_rows([s for _, s in setups])
+    blocks = _array_rows([s for _, s in setups])
     # parameters that every window shares act as scalars
     index = np.array([w for w, _ in setups])
     basis = _columns([s[3] for _, s in setups], np.int64)
@@ -556,10 +528,10 @@ def _box_candidates_batch(reps, bounds) -> tuple:
 
     Each block of _lattice_points is cut to the shear windows and to
     primitive rows before Bezout completion.  On one core of a shared 2-core
-    Xeon (best of 7): about 15 us for a lone membership window (delta = 0.1,
-    most without a lattice point), about 8 us per window of a batch of 512
-    such windows (their scalar set-up), and 0.2 us per lattice point or 0.4
-    us per candidate of a wide window (40k points, 22k candidates in 8 ms).
+    Xeon (best of 7): about 55 us for a lone membership window (delta = 0.1;
+    reduced points skip the kernel), 15 us per window of a batch of 512 such
+    windows (their scalar set-up), and 0.2 us per lattice point or 0.4 us
+    per candidate of a wide window (40k points, 22k candidates in 8 ms).
     """
     if not isinstance(reps, list):
         reps = np.asarray(reps, dtype=float).reshape(-1, 2, 2).tolist()
@@ -621,6 +593,66 @@ def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
     return _box_candidates_batch([g], [(p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi)])[:7]
 
 
+def _bezout_row(c: int, d: int) -> tuple:
+    """The top row (a0, b0) that _bezout_rows gives the primitive row (c, d)."""
+    old_r, r, old_x, x = d, c, 1, 0
+    while r:
+        q = old_r // r
+        old_r, r, old_x, x = r, old_r - q * r, x, old_x - q * x
+    x = old_x * old_r
+    return x, (d * x - 1) // c if c else 0
+
+
+def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
+    """(p1, tau, s) of the candidates of _box_candidates(g, p1_lo, p1_hi,
+    tau_lo, tau_hi, -1/2, 1/2) with |s| < 1/2, for a g whose z = g*i lies in
+    the fundamental domain F widened by 1e-6; None for any other g.
+
+    A hit has |sigma| <= tau/2 (a float |sigma| > tau/2 rounds to |s| >= 1/2),
+    so sigma^2 + tau^2 <= 1.25*tau_hi^2.  For the float g itself, of
+    determinant D, sigma^2 + tau^2 = n*|cz + d|^2 with n = g10^2 + g11^2 and
+    z = (g00*g10 + g01*g11 + i*D)/n, so only rows with (cx + d)^2 + c^2*y^2
+    <= 1.25*tau_hi^2/n can hit (Serre, A Course in Arithmetic, VII.1).
+    Rounding: for z in the widened F, c^2|z|^2 + d^2 <= 2.01*|cz + d|^2, so
+    the float tau and sigma are within a few ulps of sqrt(n)*|cz + d|, and
+    the float x, y and n within a few ulps of |z|, |z| and n, with y >=
+    0.86|z|; the margins, 1e-6 relative on the bound and 1e-6 on each end of
+    the c and d ranges, cover these many times over.  Each row is decided by
+    the kernel's own float expressions and Bezout top row, so the result is
+    the kernel's bitwise.  Of each pair +-(c, d) the row with tau > 0 is
+    tried.  The rows number about 30 at most while k <= 16*y (tau_hi up to
+    about 3.5); a larger box gets None too.
+    """
+    (g00, g01), (g10, g11) = g
+    n = g10 * g10 + g11 * g11
+    if not n > 0.0:
+        return None
+    x = (g00 * g10 + g01 * g11) / n
+    y = (g00 * g11 - g01 * g10) / n
+    k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
+    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6 and y > 0.0 and k <= 16.0 * y):
+        return None
+    out = []
+    for c in range(math.floor(math.sqrt(k) / y + 1e-6) + 1):
+        r = math.sqrt(max(k - c * c * y * y, 0.0)) + 1e-6
+        for d in range(math.ceil(-c * x - r), math.floor(-c * x + r) + 1) if c else (1,):
+            tau = c * g01 + d * g11
+            cs, ds = c, d
+            if tau < 0.0:  # the row of the pair with tau > 0: negation is exact in floats
+                cs, ds, tau = -c, -d, -tau
+            if not tau_lo <= tau <= tau_hi:
+                continue
+            s = (cs * g00 + ds * g10) / tau
+            if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
+                a0, b0 = _bezout_row(cs, ds)
+                w1 = a0 * g01 + b0 * g11
+                for m in range(math.ceil((p1_lo - w1) / tau - 1e-9), math.floor((p1_hi - w1) / tau + 1e-9) + 1):
+                    p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11
+                    if p1_lo <= p1 <= p1_hi:
+                        out.append((p1, tau, s))
+    return out
+
+
 def _rep_of(point) -> np.ndarray:
     return point.rep if isinstance(point, HomPoint) else np.asarray(point, dtype=float)
 
@@ -655,10 +687,12 @@ def in_quotient_target(point, spec: TargetSpec) -> bool:
     """Does the coset of the point meet the projected box target?"""
     rep = _rep_of(point)
     hw = 0.5 * spec.delta
-    s = _box_candidates(
-        rep, spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw, -0.5, 0.5
-    )[6]
-    return bool(s.size) and bool((np.abs(s) < 0.5).any())
+    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
+    hits = _reduced_candidates(rep.tolist(), *box)
+    if hits is not None:
+        return bool(hits)
+    s = _box_candidates(rep, *box, -0.5, 0.5)[6]
+    return bool((np.abs(s) < 0.5).any())
 
 
 def _bump_x_width(spec: TargetSpec) -> float:
@@ -677,11 +711,16 @@ def target_bump(point, spec: TargetSpec) -> float:
     dx = _bump_x_width(spec)
     hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
     hw = 0.5 * spec.delta
-    *_, p1, tau, s = _box_candidates(
-        rep, spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw, -0.5, 0.5
-    )
-    if not s.size:  # most points: skip three profile evaluations
+    box = (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw)
+    hits = _reduced_candidates(rep.tolist(), *box)
+    if hits == []:  # most points: skip three profile evaluations
         return 0.0
+    if hits is None or len(hits) > 2:  # a longer sum takes the kernel's order
+        *_, p1, tau, s = _box_candidates(rep, *box, -0.5, 0.5)
+        if not s.size:
+            return 0.0
+    else:  # the kernel's other terms have |s| = 1/2 and add exact zeros
+        p1, tau, s = np.array(hits).T
     w = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)
     return float(w.sum())
 

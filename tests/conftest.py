@@ -1,15 +1,26 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import orbitlab
 from orbitlab.enumeration import elements_array
 
 # Tier-1 must repeat exactly: property tests draw their examples from a fixed
 # seed and neither read nor write an example database.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+
+# Hypothesis also draws some examples from the literals of the local modules
+# loaded at the time (test files excepted), so a property test would draw
+# different examples when fewer test files, and so fewer orbitlab modules, are
+# collected.  Loading every orbitlab module first makes the draws the same in
+# every selection.
+for _module in pkgutil.walk_packages(orbitlab.__path__, "orbitlab."):
+    importlib.import_module(_module.name)
 
 
 @pytest.fixture(scope="session")

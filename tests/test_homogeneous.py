@@ -13,8 +13,11 @@ from orbitlab.homogeneous import (
     HomPoint,
     TargetSpec,
     Y_MAX,
+    _box_candidates_batch,
+    _bump_x_width,
     _haar_coords,
     _haar_reps,
+    _reduced_candidates,
     box_haar_mass,
     bump,
     bump_mean,
@@ -32,6 +35,7 @@ from orbitlab.matrices import (
     rotation,
     upper_shear,
 )
+from test_kernel import chart_rep
 
 V0 = (1.3, 0.8)
 
@@ -216,6 +220,147 @@ def test_bump_center_value_and_support():
     for i in range(3000):
         if target_bump(reps[i], spec) > 0.0:
             assert in_quotient_target(reps[i], spec)
+
+
+PATH_SAMPLES = 25_000  # reduced samples per spec against the batched kernel (about 1 s each)
+
+# The specs of the reduced-point path: V0 at three sizes, delta at its caps
+# (1/2, and 0.98*v2 for a small v2), the non-injective box, a negative v1 and
+# v2 near 2.
+PATH_SPECS = [
+    TargetSpec(*V0, 0.2),
+    TargetSpec(*V0, 0.1),
+    TargetSpec(*V0, 0.05),
+    TargetSpec(*V0, 0.499),
+    TargetSpec(0.7, 0.25, 0.98 * 0.25),
+    TargetSpec(1.3, 0.6, 0.45),
+    TargetSpec(-2.0, 1.4, 0.2),
+    TargetSpec(-0.9, 2.1, 0.3),
+]
+
+
+def spec_id(spec):
+    return f"{spec.v1},{spec.v2},{spec.delta:.4g}"
+
+
+def membership_box(spec):
+    hw = 0.5 * spec.delta
+    return (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
+
+
+def bump_box(spec):
+    hw1 = 0.5 * _bump_x_width(spec) * (spec.v2 + 0.5 * spec.delta)
+    hw = 0.5 * spec.delta
+    return (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw)
+
+
+def kernel_terms(reps, box):
+    """Per rep, the kernel's (p1, tau, s) in its order, from one batched call."""
+    p1, tau, s, win = (col.tolist() for col in _box_candidates_batch(reps, [box + (-0.5, 0.5)] * len(reps))[4:])
+    out = [[] for _ in reps]
+    for w, *t in zip(win, p1, tau, s):
+        out[w].append(tuple(t))
+    return out
+
+
+def check_path_against_kernel(reps, spec, n_bump):
+    """The reduced-point path lists the kernel's candidates with |s| < 1/2
+    (bitwise, as a multiset) and in_quotient_target follows them; target_bump
+    equals the kernel's sum bitwise on the first n_bump reps.  Returns how
+    many reps took the path."""
+    reps = np.asarray(reps, dtype=float).tolist()
+    box = membership_box(spec)
+    taken = 0
+    for g, terms in zip(reps, kernel_terms(reps, box)):
+        fast = _reduced_candidates(g, *box)
+        hits = sorted(t for t in terms if abs(t[2]) < 0.5)
+        assert in_quotient_target(np.array(g), spec) == bool(hits)
+        if fast is not None:
+            assert sorted(fast) == hits
+            taken += 1
+    dx = _bump_x_width(spec)
+    for g, terms in zip(reps[:n_bump], kernel_terms(reps[:n_bump], bump_box(spec))):
+        p1, tau, s = np.array(terms).reshape(-1, 3).T
+        ref = (bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)).sum()
+        assert target_bump(np.array(g), spec) == float(ref)
+    return taken
+
+
+@pytest.mark.parametrize("spec", PATH_SPECS, ids=spec_id)
+def test_reduced_path_matches_kernel(spec):
+    reps = _haar_reps(PATH_SAMPLES, seed=21)
+    assert check_path_against_kernel(reps, spec, PATH_SAMPLES // 5) == PATH_SAMPLES
+
+
+def adversarial_reps(n, seed):
+    """Reps whose z lies on the boundary of F (x = +-1/2, |z| = 1, the corners),
+    deep in the cusp, at theta near +-pi/2 (g11 near or at 0), and just
+    outside F: within the path's 1e-6 margin and beyond it."""
+    rng = np.random.default_rng(seed)
+    th = lambda: float(rng.uniform(0.0, 2.0 * math.pi))
+    xs = lambda: float(rng.uniform(-0.5, 0.5))
+    ys = lambda x: math.sqrt(1.0 - x * x) * math.exp(rng.uniform(0.0, 3.5))  # z in F
+    reps = []
+    for _ in range(n):
+        x = xs()
+        reps += [chart_rep(0.5, ys(0.5), th()), chart_rep(-0.5, ys(0.5), th()), chart_rep(x, math.sqrt(1.0 - x * x), th())]
+        reps += [chart_rep(-0.5, math.sqrt(3.0) / 2.0, th()), chart_rep(0.5, math.sqrt(3.0) / 2.0, th())]
+        reps += [chart_rep(xs(), Y_MAX * (1.0 - rng.uniform(0.0, 1e-3)), th())]
+        for sign in (1.0, -1.0):
+            reps.append(chart_rep(x, ys(x), sign * (0.5 * math.pi + rng.uniform(-1e-9, 1e-9))))
+            g = chart_rep(x, ys(x), sign * 0.5 * math.pi)
+            g[1, 1] = 0.0
+            reps.append(g)
+        for eps in (1e-7, 1e-3):  # inside the margin, then beyond it
+            reps += [chart_rep(math.copysign(0.5 + eps, x), ys(0.5), th())]
+            reps += [chart_rep(x, math.sqrt(1.0 - eps - x * x), th())]
+    return reps
+
+
+def shear_edge_reps(spec):
+    """Reduced reps of chart points with s = +-1/2, (p1, tau) at the box
+    center, edges and corners; s stays exact where the reduction is an
+    upper shear (tau <= 0.89)."""
+    hw = 0.5 * spec.delta
+    out = []
+    for s in (0.5, -0.5):
+        for p1 in (spec.v1 - hw, spec.v1, spec.v1 + hw):
+            for tau in (spec.v2 - hw, spec.v2, spec.v2 + hw):
+                h = np.array([[(1.0 + p1 * s * tau) / tau, p1], [s * tau, tau]])
+                out.append(reduce_point(h)[0].rep)
+    return out
+
+
+@pytest.mark.parametrize("spec", PATH_SPECS, ids=spec_id)
+def test_reduced_path_adversarial_reps(spec):
+    reps = adversarial_reps(300, seed=22) + shear_edge_reps(spec)
+    taken = check_path_against_kernel(reps, spec, len(reps))
+    # all but the two reps per round beyond the margin take the path
+    assert taken == len(reps) - 2 * 300
+    assert any(in_quotient_target(np.array(g), spec) for g in reps)
+
+
+def test_reduced_points_skip_the_kernel(monkeypatch):
+    kernel = homogeneous_mod._box_candidates_batch
+    calls = []
+
+    def spy(reps, bounds):
+        calls.append(len(bounds))
+        return kernel(reps, bounds)
+
+    monkeypatch.setattr(homogeneous_mod, "_box_candidates_batch", spy)
+    spec = TargetSpec(*V0, 0.2)
+    reps = _haar_reps(2000, seed=23)
+    member = [in_quotient_target(g, spec) for g in reps]
+    bumps = [target_bump(g, spec) for g in reps]
+    assert calls == [] and any(member) and any(b > 0.0 for b in bumps)
+    # a non-reduced rep of the same coset goes to the kernel, with the same answer
+    g0 = np.array([[2.0, 1.0], [1.0, 1.0]])
+    picks = [i for i in range(2000) if member[i]][:10] + list(range(10))
+    for i in picks:
+        assert in_quotient_target(g0 @ reps[i], spec) == member[i]
+        assert target_bump(g0 @ reps[i], spec) == pytest.approx(bumps[i], rel=1e-9, abs=1e-12)
+    assert calls == [1] * 2 * len(picks)
 
 
 def test_bump_mean_matches_monte_carlo():

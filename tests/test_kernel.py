@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from orbitlab.homogeneous import (
     Y_MAX,
-    _array_rows,
+    _bezout_row,
     _bezout_rows,
     _box_candidates,
     _box_candidates_batch,
     _lattice_points,
-    _scalar_rows,
-    _window_rows,
 )
 
 BOX_LIMIT = 250_000  # (c, d) pairs one brute-force scan may visit
@@ -259,13 +257,9 @@ membership_windows = st.builds(
 
 @settings(max_examples=500)
 @given(reps, st.one_of(membership_windows, signed_windows()))
-def test_scalar_rows_match_array_rows(g, window):
-    # a lone window with few rows takes its rows from the scalar twin of the
-    # array row bounds: the same rows, so the same points as in a batch
+def test_lone_window_matches_batch(g, window):
+    # a lone window's points are those its copy gives in a batch of two
     g = g.tolist()
-    setup = _window_rows(g, *window, {})
-    rows = [r for _, *cols in _array_rows([setup]) for r in zip(*(c.tolist() for c in cols))]
-    assert _scalar_rows(*setup[:3]) == rows
     pair = _lattice_points([g, g], [window, window])
     both = [p for w, *cols in pair for p in zip(w.tolist(), *(c.tolist() for c in cols))]
     lone = [p for _, *cols in _lattice_points([g], [window]) for p in zip(*(c.tolist() for c in cols))]
@@ -285,4 +279,4 @@ def test_bezout_rows_match_scalar_euclid(rows):
     for (cc, dd), x, y in zip(rows, a0.tolist(), b0.tolist()):
         assert x * dd - y * cc == 1
         _, xs, ys = ext_gcd(dd, cc)
-        assert (x, y) == (xs, -ys)
+        assert (x, y) == (xs, -ys) == _bezout_row(cc, dd)
