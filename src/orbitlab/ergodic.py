@@ -7,11 +7,13 @@ integer shifts k that move its shear coordinate s into (-1/2, 1/2), i.e. at
 the single k = round(-s) (boundary shifts contribute nothing: the window is
 open and the bump vanishes there).  All experiments below exploit this: one
 batched candidate search covers every orbit time at once, and one hit step,
-_hits, keeps the candidates that hit.  A Monte Carlo chunk searches one
-window per sample point, a grid level one window per grid target, and a
-shrinking-target run one window per dyadic shell of orbit times, each
-searched with the largest target its times still use.  The correlation
-chunks alone keep every candidate, to place it at several shear offsets.
+_hits, keeps the candidates that hit.  The variance chunks search one
+window per sample point, and a shrinking-target run one window per dyadic
+shell of orbit times, each searched with the largest target its times still
+use.  Miss rates and grid levels ask only for the first hit of each sample or
+grid target: _first_hits searches shells of orbit times outward and drops a
+window once it has hit.  The correlation chunks alone keep every candidate,
+to place it at several shear offsets.
 
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
@@ -27,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .homogeneous import (
+    COVOLUME,
     HomPoint,
     TargetSpec,
     _box_candidates_batch,
@@ -140,6 +143,45 @@ def _orbit_box(v1: float, v2: float, hw1: float, hw2: float, K) -> tuple:
     """Kernel bounds of the (p1, tau) box of half-sizes (hw1, hw2) around v
     over the orbit times |k| <= K."""
     return (v1 - hw1, v1 + hw1, v2 - hw2, v2 + hw2, -K - 0.5, K + 0.5)
+
+
+# The first shell of a first-hit search predicts _FIRST_SHELL_POINTS lattice
+# points per window, to amortise a window's set-up (about 15 us), or one hit of
+# a random orbit if that takes longer, so that few windows pay a second set-up.
+_FIRST_SHELL_POINTS = 100
+_SHELL_GROWTH = 4
+
+
+def _first_hits(reps, boxes: list, horizon: int) -> np.ndarray:
+    """The least |k| <= horizon at which each window hits, horizon + 1 where
+    none does.
+
+    reps is one representative per window or one matrix for all, boxes the
+    (p1_lo, p1_hi, tau_lo, tau_hi) of each window.  Each shell of orbit
+    times is one _hits call on the windows not yet hit: |k| <= k0, then the
+    mirror pairs of _shells(lo, hi), each reaching _SHELL_GROWTH times as far
+    as the last, up to the horizon.  Over |k| <= k a window holds about
+    (tau_hi - tau_lo)*(2k + 1)*tau_hi lattice points, and a random orbit
+    expects 2k + 1 times the box measure 2*(p1_hi - p1_lo)*(tau_hi -
+    tau_lo)/COVOLUME hits.  A hit has s strictly inside (-k - 1/2, -k + 1/2),
+    so it lies in exactly one shell, with the floats of a one-window search.
+    """
+    n = len(boxes)
+    reps = [np.asarray(reps, dtype=float).tolist()] * n if np.ndim(reps) == 2 else np.asarray(reps).tolist()
+    area = max((b[3] - b[2]) * b[3] for b in boxes)
+    measure = min(2.0 * (b[1] - b[0]) * (b[3] - b[2]) / COVOLUME for b in boxes)
+    hi = min(horizon, math.ceil((max(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0))
+    shells = [(-hi - 0.5, hi + 0.5)]
+    first = np.full(n, horizon + 1, dtype=np.int64)
+    pending = list(range(n))
+    while True:
+        win, k = _hits([reps[i] for i in pending for _ in shells], [boxes[i] + w for i in pending for w in shells])[:2]
+        np.minimum.at(first, np.array(pending)[win // len(shells)], np.abs(k))
+        pending = [i for i in pending if first[i] > horizon]
+        if hi == horizon or not pending:
+            return first
+        lo, hi = hi + 1, min(horizon, _SHELL_GROWTH * hi)
+        shells = _shells(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +373,8 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 
 def _miss_chunk(args):
     v1, v2, delta, Ts, reps = args
-    t_max = max(Ts)
     hw = 0.5 * delta
-    win, ks = _hits(reps, [_orbit_box(v1, v2, hw, hw, t_max)] * len(reps))[:2]
-    first = np.full(len(reps), t_max + 1, dtype=np.int64)
-    np.minimum.at(first, win, np.abs(ks))
-    return first
+    return _first_hits(reps, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw)] * len(reps), max(Ts))
 
 
 def miss_rate_curve(
@@ -354,6 +392,10 @@ def miss_rate_curve(
     """
     TargetSpec(float(v[0]), float(v[1]), float(delta))  # validate
     Ts = sorted(int(T) for T in Ts)
+    if not Ts:
+        raise ValueError("need at least one orbit half-width")
+    if Ts[0] < 0:
+        raise ValueError("orbit half-widths must be >= 0")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     parts = _chunk_map(_miss_chunk, (float(v[0]), float(v[1]), float(delta), Ts), n_samples, seed, workers)
@@ -534,9 +576,9 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     omega = (x0, x1, y0, y1) must avoid the axes with y0 > 0.  Per dyadic level
     the box is covered by a grid of spacing equal to the level's target size
     (every point of omega is within that size of a grid point in the box
-    norm), and the level passes when every grid target is hit within the
-    horizon: one hit step (_hits) per level, one window per grid target.
-    Reports the certified uniform T0, or None.
+    norm), and the level passes when every grid target's first hit
+    (_first_hits, one call per level) lies within the horizon.  Reports the
+    certified uniform T0, or None.
     """
     x0, x1, y0, y1 = (float(t) for t in omega)
     if x0 > x1 or y0 > y1:
@@ -550,7 +592,6 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     for horizon, delta in _dyadic_levels(eta, k_max, y0):
         grid = _grid_points((x0, x1, y0, y1), delta)
         h = 0.5 * delta
-        win = _hits(rep, [_orbit_box(w1, w2, h, h, horizon) for w1, w2 in grid])[0]
-        hit = np.unique(win).size == len(grid)
-        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool(hit)})
+        first = _first_hits(rep, [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in grid], horizon)
+        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool((first <= horizon).all())})
     return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)

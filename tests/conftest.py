@@ -1,12 +1,14 @@
 import importlib
 import math
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import orbitlab
+from orbitlab import ergodic, homogeneous
 from orbitlab.enumeration import elements_array
 
 # Tier-1 must repeat exactly: property tests draw their examples from a fixed
@@ -21,6 +23,29 @@ settings.load_profile("tier1")
 # every selection.
 for _module in pkgutil.walk_packages(orbitlab.__path__, "orbitlab."):
     importlib.import_module(_module.name)
+
+
+@pytest.fixture
+def search_spy(monkeypatch):
+    """Counts the lattice points homogeneous._lattice_points yields (.points)
+    and the windows _box_candidates_batch receives (.windows) on the quotient
+    side, from the experiments and from test oracles alike; a test resets them."""
+    spy = SimpleNamespace(points=0, windows=0)
+    search, batch = homogeneous._lattice_points, homogeneous._box_candidates_batch
+
+    def lattice_points(gs, windows):
+        for block in search(gs, windows):
+            spy.points += block[1].size
+            yield block
+
+    def box_candidates_batch(reps, bounds):
+        spy.windows += len(bounds)
+        return batch(reps, bounds)
+
+    monkeypatch.setattr(homogeneous, "_lattice_points", lattice_points)
+    for module in (homogeneous, ergodic):
+        monkeypatch.setattr(module, "_box_candidates_batch", box_candidates_batch)
+    return spy
 
 
 @pytest.fixture(scope="session")

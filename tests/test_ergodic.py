@@ -6,9 +6,12 @@ import pytest
 import orbitlab.ergodic as ergodic_mod
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.ergodic import (
+    UniformGridReport,
     _certified_T0,
     _delta_cap,
     _dyadic_levels,
+    _first_hits,
+    _grid_points,
     _hit_times,
     hit_set,
     matcoef_curve,
@@ -276,27 +279,145 @@ def test_shell_searches_match_one_window(eta):
                 assert window_hit_counts(rep, v, eta, k_max) == window_counts_one_window(rep, v, eta, k_max)
 
 
-def test_shell_search_visits_a_quarter_of_the_points(monkeypatch):
-    # cost claim of shrinking_hit_report: a spy on the lattice-point search
-    # counts the points it yields
-    search = homogeneous_mod._lattice_points
-    visited = []
-
-    def spy(gs, windows):
-        for block in search(gs, windows):
-            visited[-1] += block[1].size
-            yield block
-
-    monkeypatch.setattr(homogeneous_mod, "_lattice_points", spy)
+def test_shell_search_visits_a_quarter_of_the_points(search_spy):
+    # cost claim of shrinking_hit_report, counted by the shared spy on the
+    # lattice-point search
     shells = one = 0
     for rep in _haar_reps(8, seed=25):
-        visited.append(0)
+        search_spy.points = 0
         report = shrinking_hit_report(0.25, rep, 30_000, V0)
-        visited.append(0)
+        shells += search_spy.points
+        search_spy.points = 0
         assert report == report_one_window(0.25, rep, 30_000, V0)
-        one += visited.pop()
-        shells += visited.pop()
+        one += search_spy.points
     assert shells < one / 4
+
+
+def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
+    """Oracle: the least |k| <= horizon at which each window hits (horizon + 1
+    where none does), from one search per window over all |k| <= horizon."""
+    reps = np.broadcast_to(reps, (len(boxes), 2, 2))
+    bounds = [b + (-horizon - 0.5, horizon + 0.5) for b in boxes]
+    s, win = homogeneous_mod._box_candidates_batch(reps, bounds)[6:]
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    first = np.full(len(boxes), horizon + 1, dtype=np.int64)
+    np.minimum.at(first, win[hit], np.abs(k[hit]))
+    return first
+
+
+def miss_chunk_one_window(args) -> np.ndarray:
+    """Oracle: _miss_chunk as one search per sample over all |k| <= max(Ts)."""
+    v1, v2, delta, Ts, reps = args
+    hw = 0.5 * delta
+    return first_hits_one_window(reps, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw)] * len(reps), max(Ts))
+
+
+def grid_one_window(omega, eta, point, k_max) -> UniformGridReport:
+    """Oracle: uniform_grid_experiment with one search per grid target over
+    all |k| <= horizon at every level."""
+    levels = []
+    for horizon, delta in _dyadic_levels(eta, k_max, omega[2]):
+        grid = _grid_points(omega, delta)
+        h = 0.5 * delta
+        first = first_hits_one_window(point.rep, [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in grid], horizon)
+        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool((first <= horizon).all())})
+    return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
+def test_miss_rates_match_one_window(delta, monkeypatch):
+    # first hits searched shell by shell against one search per sample over
+    # the whole horizon; horizons 0 and 1 included, two chunks for workers 2
+    cases = [(V0, [0, 1, 16, 1024], 300, 41), ((-0.7, 1.6), [1, 4096], 300, 42), (V0, [0], 50, 43)]
+    cases += [((-0.7, 1.6), [0, 1, 64, 4096], 700, 44), (V0, [2, 256], 700, 45)]
+    for v, Ts, n, seed in cases:
+        with monkeypatch.context() as m:
+            m.setattr(ergodic_mod, "_miss_chunk", miss_chunk_one_window)
+            want = miss_rate_curve(Ts, delta, v, n, seed)
+        for workers in (1, 2) if n > 512 else (1,):
+            assert miss_rate_curve(Ts, delta, v, n, seed, workers=workers) == want
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.15, 0.5, 0.7])
+def test_uniform_grid_matches_one_window(eta):
+    # targets on strips along either axis, on either side of the v2 axis, and
+    # a square (whose grid at eta = 0.7 would hold 10^4 targets per level)
+    omegas = [(1.2, 1.3, 0.8, 0.8), (-0.75, -0.65, 1.6, 1.6), (1.3, 1.3, 0.7, 0.9)]
+    omegas += [(1.2, 1.3, 0.75, 0.85)] if eta <= 0.5 else []
+    for pt in haar_sample(2, seed=46):
+        for k_max in (1, 2, 3, 4096, 100_000):
+            for omega in omegas:
+                assert uniform_grid_experiment(omega, eta, pt, k_max) == grid_one_window(omega, eta, pt, k_max)
+
+
+def test_first_hit_search_visits_a_quarter_of_the_points(search_spy, monkeypatch):
+    # the README miss-rate configuration (delta 0.2, Ts 16:4096:2) on two chunks
+    Ts = [2**j for j in range(4, 13)]
+    search_spy.points = 0
+    rates = miss_rate_curve(Ts, 0.2, V0, 1024, seed=26)
+    shells = search_spy.points
+    monkeypatch.setattr(ergodic_mod, "_miss_chunk", miss_chunk_one_window)
+    search_spy.points = 0
+    assert miss_rate_curve(Ts, 0.2, V0, 1024, seed=26) == rates
+    assert shells < search_spy.points / 4
+
+
+def test_first_hits_on_shell_edges(monkeypatch):
+    # orbits planted to hit the box at the last time of a shell or the first
+    # time of the next, where a search that skipped or repeated a time would
+    # go wrong.  g = [[(1 + p1*s*tau)/tau, p1], [s*tau, tau]] has chart
+    # coordinates (p1, tau, s), and g @ lower_shear(-t) reaches them at k = t.
+    hw, horizon = 0.005, 40_000
+    box = (V0[0] - hw, V0[0] + hw, V0[1] - hw, V0[1] + hw)
+    hits, ends = ergodic_mod._hits, []
+    monkeypatch.setattr(ergodic_mod, "_hits", lambda reps, bounds: ends.extend(b[5] for b in bounds) or hits(reps, bounds))
+    # the identity's orbit stays at the cusp, where tau is an integer: it
+    # never hits, so its search runs through every shell
+    assert _first_hits(np.eye(2), [box], horizon).tolist() == [horizon + 1]
+    edges = sorted({int(abs(e) - 0.5) for e in ends})  # the last time of each shell
+    assert len(edges) >= 3 and edges[-1] == horizon
+    times = [t for e in edges[:-1] for t in (e, e + 1)]
+    rng = np.random.default_rng(48)
+    reps = []
+    for t in times:
+        for sign in (-1, 1):
+            for p1, tau, s in rng.uniform((-0.8, -0.8, -0.4), (0.8, 0.8, 0.4), (4, 3)) * (hw, hw, 1) + (*V0, 0):
+                g = np.array([[(1.0 + p1 * s * tau) / tau, p1], [s * tau, tau]])
+                reps.append(g @ lower_shear(-sign * t))
+    reps = np.array(reps)
+    first = _first_hits(reps, [box] * len(reps), horizon)
+    assert first.tolist() == first_hits_one_window(reps, [box] * len(reps), horizon).tolist()
+    # a random orbit expects one hit within the first shell, so some planted
+    # hits at its edge are first hits (later edges meet earlier chance hits)
+    planted = np.repeat(times, 8)
+    assert set(planted[first == planted].tolist()) >= set(times[:2])
+
+
+@pytest.mark.parametrize("eta", [0.4, 0.5])
+def test_no_hit_windows_visit_no_more_points_than_one_window(eta, search_spy):
+    # the grid targets a level misses, searched again alone: their shells
+    # visit the one-window points plus the overlaps of the sigma rectangles
+    # of adjacent shells, of area 2*(k + 1/2)*delta^2 at a shell edge k
+    # against (2*horizon + 1)*delta*tau for the window; the edges grow
+    # fourfold below the horizon, so the overlaps come to about
+    # (4/3)*delta/tau of the points at most, bounded here by twice delta/tau
+    omega = (1.0, 1.5, 1.0, 1.5)
+    split = False
+    for pt in haar_sample(2, seed=47):
+        for horizon, delta in _dyadic_levels(eta, 2048, omega[2]):
+            h = 0.5 * delta
+            boxes = [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in _grid_points(omega, delta)]
+            missed = [b for b, t in zip(boxes, _first_hits(pt.rep, boxes, horizon)) if t > horizon]
+            if not missed:
+                continue
+            search_spy.points = search_spy.windows = 0
+            assert (_first_hits(pt.rep, missed, horizon) > horizon).all()
+            shells, split = search_spy.points, split or search_spy.windows > len(missed)
+            search_spy.points = 0
+            assert (first_hits_one_window(pt.rep, missed, horizon) > horizon).all()
+            assert shells <= search_spy.points * (1.0 + 2.0 * delta / omega[2])
+    assert split  # some missed targets were searched in more than one shell
 
 
 def test_uniform_grid_single_point_reduces_to_single_target():
@@ -359,8 +480,8 @@ def test_window_ends_imply_the_time_cap():
 
 
 def test_drivers_make_one_kernel_call(monkeypatch):
-    # one batched search per shrinking report, per window count and per
-    # uniform-grid level
+    # one batched search per shrinking report and per window count, and one
+    # first-hit search per uniform-grid level
     kernel = ergodic_mod._box_candidates_batch
     calls = []
 
@@ -374,6 +495,20 @@ def test_drivers_make_one_kernel_call(monkeypatch):
     assert len(calls) == 1 and calls[0] > 1
     window_hit_counts(rep, V0, 0.7, 30_000)
     assert len(calls) == 2 and calls[1] == 2 * 15  # two shells per dyadic window
+    first_hits = ergodic_mod._first_hits
+    searches = []
+
+    def first_hits_spy(reps, boxes, horizon):
+        searches.append(len(boxes))
+        return first_hits(reps, boxes, horizon)
+
+    monkeypatch.setattr(ergodic_mod, "_first_hits", first_hits_spy)
     report = uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.1, rep, 512)
-    assert len(calls) == 2 + len(report.levels)
-    assert calls[2:] == [lv["nGrid"] for lv in report.levels]
+    assert searches == [lv["nGrid"] for lv in report.levels]
+
+
+@pytest.mark.parametrize("Ts", [[], [-4], [16, -1]])
+def test_miss_rate_rejects_bad_half_widths(Ts):
+    match = "at least one" if not Ts else "must be >= 0"
+    with pytest.raises(ValueError, match=match):
+        miss_rate_curve(Ts, 0.2, V0, 50, seed=1)
