@@ -33,9 +33,11 @@ from .homogeneous import (
     HomPoint,
     TargetSpec,
     _box_candidates_batch,
-    _bump_x_width,
+    _bump_box,
+    _bump_weight,
     _haar_reps,
     _rep_of,
+    _target_box,
     bump,
     bump_mean,
     reduce_point,
@@ -126,23 +128,14 @@ def _hits(reps, bounds: list) -> tuple:
     """The one hit step: arrays (win, k, p1, tau, r) of the candidates of one
     _box_candidates_batch call that hit at their orbit time k (|r| < 1/2).
 
-    reps holds one representative per window, or is one matrix for all of
-    them.  A closed s window [-K - 1/2, K + 1/2] needs no time cap of its
-    own: an s inside it rounds to |k| <= K, and one at an end gives
-    |r| = 1/2, no hit.
+    reps and bounds are as _box_candidates_batch takes them.  A closed s
+    window [-K - 1/2, K + 1/2] needs no time cap of its own: an s inside it
+    rounds to |k| <= K, and one at an end gives |r| = 1/2, no hit.
     """
-    if np.ndim(reps) == 2:
-        reps = [np.asarray(reps, dtype=float).tolist()] * len(bounds)
-    p1, tau, s, win = _box_candidates_batch(reps, bounds)[4:]
+    p1, tau, s, win = _box_candidates_batch(reps, bounds)
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
     return win[hit], k[hit], p1[hit], tau[hit], r[hit]
-
-
-def _orbit_box(v1: float, v2: float, hw1: float, hw2: float, K) -> tuple:
-    """Kernel bounds of the (p1, tau) box of half-sizes (hw1, hw2) around v
-    over the orbit times |k| <= K."""
-    return (v1 - hw1, v1 + hw1, v2 - hw2, v2 + hw2, -K - 0.5, K + 0.5)
 
 
 # The first shell of a first-hit search predicts _FIRST_SHELL_POINTS lattice
@@ -167,7 +160,7 @@ def _first_hits(reps, boxes: list, horizon: int) -> np.ndarray:
     so it lies in exactly one shell, with the floats of a one-window search.
     """
     n = len(boxes)
-    reps = [np.asarray(reps, dtype=float).tolist()] * n if np.ndim(reps) == 2 else np.asarray(reps).tolist()
+    reps = np.asarray(reps, dtype=float)
     area = max((b[3] - b[2]) * b[3] for b in boxes)
     measure = min(2.0 * (b[1] - b[0]) * (b[3] - b[2]) / COVOLUME for b in boxes)
     hi = min(horizon, math.ceil((max(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0))
@@ -175,7 +168,8 @@ def _first_hits(reps, boxes: list, horizon: int) -> np.ndarray:
     first = np.full(n, horizon + 1, dtype=np.int64)
     pending = list(range(n))
     while True:
-        win, k = _hits([reps[i] for i in pending for _ in shells], [boxes[i] + w for i in pending for w in shells])[:2]
+        pick = reps if reps.ndim == 2 else reps[np.repeat(pending, len(shells))]
+        win, k, *_ = _hits(pick, [boxes[i] + w for i in pending for w in shells])
         np.minimum.at(first, np.array(pending)[win // len(shells)], np.abs(k))
         pending = [i for i in pending if first[i] > horizon]
         if hi == horizon or not pending:
@@ -203,8 +197,7 @@ def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
     if K < 1:
         raise ValueError("horizon K must be >= 1")
-    hw = 0.5 * spec.delta
-    ks = _hits(_rep_of(point), [_orbit_box(spec.v1, spec.v2, hw, hw, K)])[1]
+    _, ks, *_ = _hits(_rep_of(point), [_target_box(spec.v1, spec.v2, spec.delta) + (-K - 0.5, K + 0.5)])
     return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
 
@@ -223,14 +216,12 @@ class VarianceCurve:
 
 
 def _variance_chunk(args):
-    v1, v2, delta, Ts, reps = args
-    spec = TargetSpec(v1, v2, delta)
+    spec, Ts, reps = args
     m = bump_mean(spec)
-    dx = _bump_x_width(spec)
-    box = _orbit_box(v1, v2, 0.5 * dx * (v2 + 0.5 * delta), 0.5 * delta, max(Ts))
-    win, ks, p1, tau, r = _hits(reps, [box] * len(reps))
+    K = max(Ts)
+    win, ks, p1, tau, r = _hits(reps, [_bump_box(spec) + (-K - 0.5, K + 0.5)] * len(reps))
     # bump-weighted hits; win is the index of the sample, ascending
-    ws = bump((p1 - v1) / (tau * dx)) * bump((tau - v2) / delta) * bump(r)
+    ws = _bump_weight(spec, p1, tau) * bump(r)
     pos = ws > 0.0
     win, aks, ws = win[pos], np.abs(ks[pos]), ws[pos]
     n_t = len(Ts)
@@ -264,7 +255,7 @@ def variance_curve(
     Ts = [int(T) for T in Ts]
     if any(T < 0 for T in Ts):
         raise ValueError("orbit half-widths must be >= 0")
-    parts = _chunk_map(_variance_chunk, (spec.v1, spec.v2, spec.delta, Ts), n_samples, seed, workers)
+    parts = _chunk_map(_variance_chunk, (spec, Ts), n_samples, seed, workers)
     values, stderrs = _moments(parts, n_samples)
     return VarianceCurve(Ts=Ts, values=values.tolist(), stderrs=stderrs.tolist())
 
@@ -274,17 +265,13 @@ def variance_curve(
 # ---------------------------------------------------------------------------
 
 def _matcoef_chunk(args):
-    v1, v2, delta, ts, W, reps = args
-    spec = TargetSpec(v1, v2, delta)
+    spec, ts, W, reps = args
     m = bump_mean(spec)
     t_hi = max(max(ts), 0.0)
     t_lo = min(min(ts), 0.0)
-    dx = _bump_x_width(spec)
-    hw1 = 0.5 * dx * (v2 + 0.5 * delta)
-    hw = 0.5 * delta
-    box = (v1 - hw1, v1 + hw1, v2 - hw, v2 + hw, -(W + t_hi) - 0.5, -t_lo + 0.5)
-    p1s, taus, ss, win = _box_candidates_batch(reps, [box] * len(reps))[4:]
-    wgt = bump((p1s - v1) / (taus * dx)) * bump((taus - v2) / delta)
+    box = _bump_box(spec) + (-(W + t_hi) - 0.5, -t_lo + 0.5)
+    p1s, taus, ss, win = _box_candidates_batch(reps, [box] * len(reps))
+    wgt = _bump_weight(spec, p1s, taus)
     s1 = np.zeros(len(ts))
     s2 = np.zeros(len(ts))
     # samples n0 .. n0 + step - 1 at a time, so that a long orbit window
@@ -330,7 +317,7 @@ def matcoef_curve(
     """
     ts = [float(t) for t in ts]
     W = int(orbit_window)
-    parts = _chunk_map(_matcoef_chunk, (spec.v1, spec.v2, spec.delta, ts, W), n_samples, seed, workers)
+    parts = _chunk_map(_matcoef_chunk, (spec, ts, W), n_samples, seed, workers)
     values, stderrs = _moments(parts, n_samples)
     return values.tolist(), stderrs.tolist()
 
@@ -372,9 +359,8 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 
 
 def _miss_chunk(args):
-    v1, v2, delta, Ts, reps = args
-    hw = 0.5 * delta
-    return _first_hits(reps, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw)] * len(reps), max(Ts))
+    spec, Ts, reps = args
+    return _first_hits(reps, [_target_box(spec.v1, spec.v2, spec.delta)] * len(reps), max(Ts))
 
 
 def miss_rate_curve(
@@ -390,7 +376,7 @@ def miss_rate_curve(
     Sharing samples across the grid makes the curve exactly nonincreasing in T
     (orbits only grow), which is also the statistical content being measured.
     """
-    TargetSpec(float(v[0]), float(v[1]), float(delta))  # validate
+    spec = TargetSpec(float(v[0]), float(v[1]), float(delta))  # validates v and delta
     Ts = sorted(int(T) for T in Ts)
     if not Ts:
         raise ValueError("need at least one orbit half-width")
@@ -398,7 +384,7 @@ def miss_rate_curve(
         raise ValueError("orbit half-widths must be >= 0")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    parts = _chunk_map(_miss_chunk, (float(v[0]), float(v[1]), float(delta), Ts), n_samples, seed, workers)
+    parts = _chunk_map(_miss_chunk, (spec, Ts), n_samples, seed, workers)
     first = np.concatenate(parts)
     out = []
     for T in Ts:
@@ -529,7 +515,8 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     translate lies in the box of size min(cap, |k|**-eta).  Returns a list of
     dicts {lo, hi, count}.  The windows start at the horizons of
     _dyadic_levels, and one hit step (_hits) searches each window's two
-    shells with the window's largest box.
+    shells with the window's largest box, padded as in shrinking_hit_report
+    so that the count test, not the search, decides every time.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
@@ -538,8 +525,8 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in _dyadic_levels(eta, k_max, v2)]
     bounds = []
     for lo, hi in windows:
-        hw = 0.5 * _target_size(lo, eta, cap)  # the window's largest, at its first time
-        bounds += [(v1 - hw, v1 + hw, v2 - hw, v2 + hw) + sw for sw in _shells(lo, hi)]
+        box = _padded_box(v1, v2, 0.5 * _target_size(lo, eta, cap))  # the window's largest, at its first time
+        bounds += [box + sw for sw in _shells(lo, hi)]
     # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
     # a shell lies at a time of the shell
     win, k, p1, tau, _ = _hits(_rep_of(point), bounds)
@@ -577,8 +564,9 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     the box is covered by a grid of spacing equal to the level's target size
     (every point of omega is within that size of a grid point in the box
     norm), and the level passes when every grid target's first hit
-    (_first_hits, one call per level) lies within the horizon.  Reports the
-    certified uniform T0, or None.
+    (_first_hits, one call per _CHUNK targets) lies within the horizon; the
+    first slice with a miss ends the level.  Reports the certified uniform
+    T0, or None.
     """
     x0, x1, y0, y1 = (float(t) for t in omega)
     if x0 > x1 or y0 > y1:
@@ -591,7 +579,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     levels = []
     for horizon, delta in _dyadic_levels(eta, k_max, y0):
         grid = _grid_points((x0, x1, y0, y1), delta)
-        h = 0.5 * delta
-        first = _first_hits(rep, [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in grid], horizon)
-        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool((first <= horizon).all())})
+        slices = ([_target_box(*w, delta) for w in grid[i : i + _CHUNK]] for i in range(0, len(grid), _CHUNK))
+        hit = all((_first_hits(rep, boxes, horizon) <= horizon).all() for boxes in slices)
+        levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": hit})
     return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)

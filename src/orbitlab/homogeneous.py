@@ -18,9 +18,10 @@ floats, and then the (window, row) and (window, row, point) pairs of all of
 them are laid end to end and worked through in a fixed number of array
 passes.  ``_box_candidates_batch`` completes each primitive bottom row by a
 Bezout top row and expands the short integer interval of top-row shifts left
-by the first-column condition, and returns flat arrays with a window index
-that the drivers in ``ergodic`` reduce; ``_box_candidates`` is its call on one
-window.  The strip scan of ``approx`` is the other consumer of the same search.
+by the first-column condition, and returns the flat arrays (p1, tau, s, win)
+that the drivers in ``ergodic`` reduce: the second column and shear coordinate
+of each candidate, and its window's index.  The strip scan of ``approx`` is
+the other consumer of the same search.
 
 Membership of a reduced point.  ``in_quotient_target`` and ``target_bump``
 decide a point whose z = g*i lies in the fundamental domain from the few
@@ -31,6 +32,7 @@ Other representatives, and bump sums of more than two terms, go to the kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -309,8 +311,8 @@ _FLAT = 2.0**-900
 
 
 # The result of a batch without candidates, shared by every such call (an
-# empty array has nothing to overwrite): the seven columns and the window index.
-_NO_CANDIDATES = tuple(np.empty(0, dtype=t) for t in (np.int64,) * 4 + (float,) * 3 + (np.int64,))
+# empty array has nothing to overwrite): the columns p1, tau, s and win.
+_NO_CANDIDATES = tuple(np.empty(0, dtype=t) for t in (float, float, float, np.int64))
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> tuple:
@@ -515,16 +517,18 @@ def _lattice_points(gs, windows):
 def _box_candidates_batch(reps, bounds) -> tuple:
     """Integer gamma with gamma*g in a coordinate box, for a batch of windows.
 
-    reps holds one matrix g per window (shape (n, 2, 2)) and bounds its box
-    (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) (shape (n, 6)), each an array
-    or a list of rows of Python floats, which is used as it is.  Returns eight
-    flat arrays (a, b, c, d, p1, tau, s, win), int64, then float, then int64:
-    (p1, tau) is the second column of gamma*g, s its lower-shear coordinate
-    and win the index of the window.  Windows come in batch order, each in
-    (i, j, m) order: reduced-lattice row, point along the row, top-row
-    shift, so window k's rows are bitwise those of a call on it alone.  All
-    box comparisons are closed; callers impose strict shear-window
-    boundaries themselves.  Requires tau_lo > 0 (the chart constraint).
+    bounds holds the box (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) of each
+    window (shape (n, 6)), and reps one matrix g for every window (shape
+    (2, 2)) or one per window (shape (n, 2, 2)); each is an array or a list
+    of rows of Python floats, which is used as it is (a list of reps is one
+    per window).  Returns four flat arrays (p1, tau, s, win), float, float,
+    float, int64: (p1, tau) is the second column of gamma*g, s its
+    lower-shear coordinate and win the index of the window.  Windows come in
+    batch order, each in (i, j, m) order: reduced-lattice row, point along
+    the row, top-row shift, so window k's rows are bitwise those of a call
+    on it alone.  All box comparisons are closed; callers impose strict
+    shear-window boundaries themselves.  Requires tau_lo > 0 (the chart
+    constraint).
 
     Each block of _lattice_points is cut to the shear windows and to
     primitive rows before Bezout completion.  On one core of a shared 2-core
@@ -533,10 +537,11 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     windows (their scalar set-up), and 0.2 us per lattice point or 0.4 us
     per candidate of a wide window (40k points, 22k candidates in 8 ms).
     """
-    if not isinstance(reps, list):
-        reps = np.asarray(reps, dtype=float).reshape(-1, 2, 2).tolist()
     if not isinstance(bounds, list):
         bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
+    if not isinstance(reps, list):
+        reps = np.asarray(reps, dtype=float)
+        reps = [reps.tolist()] * len(bounds) if reps.ndim == 2 else reps.reshape(-1, 2, 2).tolist()
     if any(b[2] <= 0.0 for b in bounds):
         raise ValueError("tau window must be positive (chart constraint)")
     windows = [
@@ -567,15 +572,12 @@ def _box_candidates_batch(reps, bounds) -> tuple:
             continue
         # top rows (a0, b0) + m*(c, d), m ascending per bottom row
         k, m = _ranges(m_lo.astype(np.int64), n_m)
-        c, d, tau, s = c[k], d[k], tau[k], s[k]
         w = w[k] if many else w
         p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
-        a = a0[k] + m * c
-        b = b0[k] + m * d
-        p1 = a * g01 + b * g11
+        p1 = (a0[k] + m * c[k]) * g01 + (b0[k] + m * d[k]) * g11
         keep = (p1_lo <= p1) & (p1 <= p1_hi)
         w = w[keep] if many else np.full(np.count_nonzero(keep), w)
-        parts.append((a[keep], b[keep], c[keep], d[keep], p1[keep], tau[keep], s[keep], w))
+        parts.append((p1[keep], tau[k][keep], s[k][keep], w))
     if not parts:
         return _NO_CANDIDATES
     if len(parts) == 1:
@@ -583,14 +585,7 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     # column by column, each column's pieces freed once joined
     cols = list(zip(*parts))
     del parts
-    return tuple(np.concatenate(cols.pop(0)) for _ in range(8))
-
-
-def _box_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> tuple:
-    """The seven flat arrays (a, b, c, d, p1, tau, s) of _box_candidates_batch
-    for the one window of g: the n = 1 call."""
-    g = np.asarray(g, dtype=float).tolist()
-    return _box_candidates_batch([g], [(p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi)])[:7]
+    return tuple(np.concatenate(cols.pop(0)) for _ in range(4))
 
 
 def _bezout_row(c: int, d: int) -> tuple:
@@ -604,9 +599,9 @@ def _bezout_row(c: int, d: int) -> tuple:
 
 
 def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
-    """(p1, tau, s) of the candidates of _box_candidates(g, p1_lo, p1_hi,
-    tau_lo, tau_hi, -1/2, 1/2) with |s| < 1/2, for a g whose z = g*i lies in
-    the fundamental domain F widened by 1e-6; None for any other g.
+    """(p1, tau, s) of the candidates of _box_candidates_batch(g, [(p1_lo,
+    p1_hi, tau_lo, tau_hi, -1/2, 1/2)]) with |s| < 1/2, for a g whose z = g*i
+    lies in the fundamental domain F widened by 1e-6; None for any other g.
 
     A hit has |sigma| <= tau/2 (a float |sigma| > tau/2 rounds to |s| >= 1/2),
     so sigma^2 + tau^2 <= 1.25*tau_hi^2.  For the float g itself, of
@@ -683,15 +678,20 @@ def in_target(g, spec: TargetSpec) -> bool:
     )
 
 
+def _target_box(v1: float, v2: float, delta: float) -> tuple:
+    """The (p1_lo, p1_hi, tau_lo, tau_hi) box of the target of size delta around v."""
+    hw = 0.5 * delta
+    return (v1 - hw, v1 + hw, v2 - hw, v2 + hw)
+
+
 def in_quotient_target(point, spec: TargetSpec) -> bool:
     """Does the coset of the point meet the projected box target?"""
     rep = _rep_of(point)
-    hw = 0.5 * spec.delta
-    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
+    box = _target_box(spec.v1, spec.v2, spec.delta)
     hits = _reduced_candidates(rep.tolist(), *box)
     if hits is not None:
         return bool(hits)
-    s = _box_candidates(rep, *box, -0.5, 0.5)[6]
+    _, _, s, _ = _box_candidates_batch(rep, [box + (-0.5, 0.5)])
     return bool((np.abs(s) < 0.5).any())
 
 
@@ -701,6 +701,20 @@ def _bump_x_width(spec: TargetSpec) -> float:
     return spec.delta / max(1.0, spec.v2 + 0.5 * spec.delta)
 
 
+def _bump_box(spec: TargetSpec) -> tuple:
+    """The (p1_lo, p1_hi, tau_lo, tau_hi) box outside which _bump_weight is zero."""
+    dx = _bump_x_width(spec)
+    hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
+    hw = 0.5 * spec.delta
+    return (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw)
+
+
+def _bump_weight(spec: TargetSpec, p1, tau):
+    """The two chart factors of the target bump at second columns (p1, tau);
+    the shear factor bump(s) multiplies their product."""
+    return bump((p1 - spec.v1) / (tau * _bump_x_width(spec))) * bump((tau - spec.v2) / spec.delta)
+
+
 def target_bump(point, spec: TargetSpec) -> float:
     """Smooth bump on the quotient supported inside the projected box.
 
@@ -708,21 +722,17 @@ def target_bump(point, spec: TargetSpec) -> float:
     of three profile factors in the chart coordinates of gamma * rep.
     """
     rep = _rep_of(point)
-    dx = _bump_x_width(spec)
-    hw1 = 0.5 * dx * (spec.v2 + 0.5 * spec.delta)
-    hw = 0.5 * spec.delta
-    box = (spec.v1 - hw1, spec.v1 + hw1, spec.v2 - hw, spec.v2 + hw)
+    box = _bump_box(spec)
     hits = _reduced_candidates(rep.tolist(), *box)
     if hits == []:  # most points: skip three profile evaluations
         return 0.0
     if hits is None or len(hits) > 2:  # a longer sum takes the kernel's order
-        *_, p1, tau, s = _box_candidates(rep, *box, -0.5, 0.5)
+        p1, tau, s, _ = _box_candidates_batch(rep, [box + (-0.5, 0.5)])
         if not s.size:
             return 0.0
     else:  # the kernel's other terms have |s| = 1/2 and add exact zeros
         p1, tau, s = np.array(hits).T
-    w = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)
-    return float(w.sum())
+    return float((_bump_weight(spec, p1, tau) * bump(s)).sum())
 
 
 def bump_mean(spec: TargetSpec) -> float:
@@ -764,23 +774,13 @@ def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:
     uniform ones; one batched search holds them all."""
     rng = np.random.default_rng(seed)
     hw = 0.5 * spec.delta
-    pts = []
-    for q1 in (spec.v1 - hw, spec.v1 + hw):
-        for q2 in (spec.v2 - hw, spec.v2 + hw):
-            for s in (-0.4999, 0.0, 0.4999):
-                pts.append((q1, q2, s))
+    box = _target_box(spec.v1, spec.v2, spec.delta)
+    pts = list(itertools.product(box[:2], box[2:], (-0.4999, 0.0, 0.4999)))
     for _ in range(n_probe):
-        pts.append(
-            (
-                spec.v1 + rng.uniform(-hw, hw),
-                spec.v2 + rng.uniform(-hw, hw),
-                rng.uniform(-0.5, 0.5),
-            )
-        )
+        pts.append((spec.v1 + rng.uniform(-hw, hw), spec.v2 + rng.uniform(-hw, hw), rng.uniform(-0.5, 0.5)))
     reps = []
     for p1v, tauv, sv in pts:  # the chart matrix: second column (p1, tau), shear s
         c = sv * tauv
         reps.append([[(1.0 + p1v * c) / tauv, p1v], [c, tauv]])
-    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw, -0.5, 0.5)
-    s, win = _box_candidates_batch(reps, [box] * len(reps))[6:]
+    _, _, s, win = _box_candidates_batch(reps, [box + (-0.5, 0.5)] * len(reps))
     return not (np.bincount(win[np.abs(s) < 0.5]) > 1).any()

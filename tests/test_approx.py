@@ -163,6 +163,28 @@ def test_trace_witnesses_reproduce_distances(flt):
                 assert rec.dist == pytest.approx(_exact_dist(g, u, v), rel=1e-9, abs=1e-12), (u, v, T, g)
 
 
+# Seeds whose coordinates have a rational ratio tie exactly on distance over
+# many norms.  The search ranks on float keys, whose rounding can put a
+# far-norm witness ahead of the exact least key (dist, norm, a, c, b, d); the
+# least keys below come from an exact scan of the whole ball.
+RATIONAL_RATIO_TIES = [
+    ((1.2, -1.2), (-1.0, 1.4), 12672, (-1, 0, 0, -1)),
+    ((0.2, 0.2), (-1.2, 1.3), 7661, (-5, -1, 6, 1)),
+    ((0.30000000000000004, 0.30000000000000004), (-1.4, 1.8), 6486, (-4, -1, 5, 1)),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ties are ranked on float keys until exact ranking (ROADMAP item 1, step B)")
+@pytest.mark.parametrize("u, v, T, least", RATIONAL_RATIO_TIES)
+def test_rational_ratio_seeds_follow_exact_tie_order(u, v, T, least):
+    def exact_key(a, b, c, d):
+        u1, u2, v1, v2 = (Fraction(x) for x in (*u, *v))
+        e1, e2 = a * u1 + b * u2 - v1, c * u1 + d * u2 - v2
+        return (e1 * e1 + e2 * e2, a * a + b * b + c * c + d * d, a, c, b, d)
+
+    assert exact_key(*best_approx(u, v, T).gamma.entries()) <= exact_key(*least)
+
+
 # Strip-scan cases at and around 2^22, the budget where closest-point queries
 # once switched from a direct (c, d) scan to the box kernel, and deeper.
 SIDES = [2**20, 2**22, 2**24]

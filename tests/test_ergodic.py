@@ -6,6 +6,7 @@ import pytest
 import orbitlab.ergodic as ergodic_mod
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.ergodic import (
+    _CHUNK,
     UniformGridReport,
     _certified_T0,
     _delta_cap,
@@ -13,6 +14,7 @@ from orbitlab.ergodic import (
     _first_hits,
     _grid_points,
     _hit_times,
+    _target_size,
     hit_set,
     matcoef_curve,
     matrix_coefficient,
@@ -28,7 +30,7 @@ from orbitlab.ergodic import (
 from orbitlab.homogeneous import (
     HomPoint,
     TargetSpec,
-    _box_candidates,
+    _box_candidates_batch,
     _haar_reps,
     bump_mean,
     haar_sample,
@@ -230,7 +232,7 @@ def report_one_window(eta, rep, k_max, v) -> dict:
     v1, v2 = v
     levels = _dyadic_levels(eta, k_max, v2)
     hw = 0.5 * max(d for _, d in levels)
-    *_, p1, tau, s = _box_candidates(rep, v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5)
+    p1, tau, s, _ = _box_candidates_batch(rep, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5)])
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
     ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
@@ -255,7 +257,7 @@ def window_counts_one_window(rep, v, eta, k_max) -> list:
     while 2**j <= k_max:
         lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
         hwv = 0.5 * (cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
-        *_, p1, tau, s = _box_candidates(rep, v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5)
+        p1, tau, s, _ = _box_candidates_batch(rep, [(v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5)])
         k, r = _hit_times(s)
         ak = np.abs(k)
         hit = (lo <= ak) & (ak <= hi) & (np.abs(r) < 0.5)
@@ -296,9 +298,8 @@ def test_shell_search_visits_a_quarter_of_the_points(search_spy):
 def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
     """Oracle: the least |k| <= horizon at which each window hits (horizon + 1
     where none does), from one search per window over all |k| <= horizon."""
-    reps = np.broadcast_to(reps, (len(boxes), 2, 2))
     bounds = [b + (-horizon - 0.5, horizon + 0.5) for b in boxes]
-    s, win = homogeneous_mod._box_candidates_batch(reps, bounds)[6:]
+    _, _, s, win = homogeneous_mod._box_candidates_batch(reps, bounds)
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
     first = np.full(len(boxes), horizon + 1, dtype=np.int64)
@@ -308,9 +309,10 @@ def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
 
 def miss_chunk_one_window(args) -> np.ndarray:
     """Oracle: _miss_chunk as one search per sample over all |k| <= max(Ts)."""
-    v1, v2, delta, Ts, reps = args
-    hw = 0.5 * delta
-    return first_hits_one_window(reps, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw)] * len(reps), max(Ts))
+    spec, Ts, reps = args
+    hw = 0.5 * spec.delta
+    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
+    return first_hits_one_window(reps, [box] * len(reps), max(Ts))
 
 
 def grid_one_window(omega, eta, point, k_max) -> UniformGridReport:
@@ -479,9 +481,73 @@ def test_window_ends_imply_the_time_cap():
         assert np.all(np.abs(r) < 0.5) and np.all(np.abs(k) <= Ks)
 
 
+def flag_range(c: float, half: float) -> tuple:
+    """The least and largest floats x with |x - c| <= half in floats (float
+    subtraction is monotone in x, so they bound an interval)."""
+    lo, hi = c - half, c + half
+    while abs(math.nextafter(lo, -math.inf) - c) <= half:
+        lo = math.nextafter(lo, -math.inf)
+    while abs(lo - c) > half:
+        lo = math.nextafter(lo, math.inf)
+    while abs(math.nextafter(hi, math.inf) - c) <= half:
+        hi = math.nextafter(hi, math.inf)
+    while abs(hi - c) > half:
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi
+
+
+def test_window_counts_search_every_counted_float(monkeypatch):
+    # the box each window's shells are searched with holds every p1 and tau
+    # that the count test |p1 - v1| <= dk/2 accepts at the window's first
+    # time, whatever the rounding of v -+ dk/2 (at v = (-0.3, 0.7), eta = 0
+    # the float v1 + dk/2 lies below floats that the test accepts)
+    hits, seen = ergodic_mod._hits, []
+    monkeypatch.setattr(ergodic_mod, "_hits", lambda reps, bounds: seen.append(bounds) or hits(reps, bounds))
+    rep = _haar_reps(1, seed=49)[0]
+    for v in ((-0.3, 0.7), (1.3, 0.8), (-0.45, 1.7), (0.9, 0.4)):
+        for eta in (0.0, 0.25, 0.7):
+            seen.clear()
+            wins = window_hit_counts(rep, v, eta, 100_000)
+            assert len(seen) == 1 and len(seen[0]) == 2 * len(wins)
+            for j, w in enumerate(wins):
+                half = 0.5 * _target_size(w["lo"], eta, _delta_cap(v[1]))
+                (p1_lo, p1_hi), (tau_lo, tau_hi) = flag_range(v[0], half), flag_range(v[1], half)
+                for b in seen[0][2 * j : 2 * j + 2]:
+                    assert b[0] <= p1_lo and p1_hi <= b[1] and b[2] <= tau_lo and tau_hi <= b[3]
+
+
+def test_grid_levels_search_targets_in_slices(monkeypatch):
+    # a level of more than _CHUNK targets is searched a slice at a time, the
+    # first slice with a miss ending it, with the verdict of one call on all
+    first_hits, calls = ergodic_mod._first_hits, []
+
+    def spy(reps, boxes, horizon):
+        first = first_hits(reps, boxes, horizon)
+        calls.append((horizon, len(boxes), bool((first > horizon).any())))
+        return first
+
+    monkeypatch.setattr(ergodic_mod, "_first_hits", spy)
+    pt = haar_sample(1, seed=50)[0]
+    sliced = set()
+    for omega, eta, k_max in (((1.0, 3.5, 1.0, 3.5), 0.25, 8192), ((1.0, 1.4, 1.0, 1.4), 0.5, 4096)):
+        calls.clear()
+        report = uniform_grid_experiment(omega, eta, pt, k_max)
+        assert max(n for _, n, _ in calls) <= _CHUNK
+        for lv in report.levels:
+            level = [(n, miss) for h, n, miss in calls if h == lv["horizon"]]
+            assert [miss for _, miss in level] == [False] * (len(level) - 1) + [not lv["hit"]]
+            assert sum(n for n, _ in level) == lv["nGrid"] or not lv["hit"]
+            h = 0.5 * lv["delta"]
+            boxes = [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in _grid_points(omega, lv["delta"])]
+            assert lv["hit"] == bool((first_hits(pt.rep, boxes, lv["horizon"]) <= lv["horizon"]).all())
+            if lv["nGrid"] > _CHUNK:
+                sliced.add(lv["hit"])
+    assert sliced == {True, False}  # levels of several slices, hit and missed
+
+
 def test_drivers_make_one_kernel_call(monkeypatch):
     # one batched search per shrinking report and per window count, and one
-    # first-hit search per uniform-grid level
+    # first-hit search per uniform-grid level of at most _CHUNK targets
     kernel = ergodic_mod._box_candidates_batch
     calls = []
 

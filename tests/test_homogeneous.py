@@ -256,7 +256,7 @@ def bump_box(spec):
 
 def kernel_terms(reps, box):
     """Per rep, the kernel's (p1, tau, s) in its order, from one batched call."""
-    p1, tau, s, win = (col.tolist() for col in _box_candidates_batch(reps, [box + (-0.5, 0.5)] * len(reps))[4:])
+    p1, tau, s, win = (col.tolist() for col in _box_candidates_batch(reps, [box + (-0.5, 0.5)] * len(reps)))
     out = [[] for _ in reps]
     for w, *t in zip(win, p1, tau, s):
         out[w].append(tuple(t))

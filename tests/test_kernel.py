@@ -11,7 +11,6 @@ from orbitlab.homogeneous import (
     Y_MAX,
     _bezout_row,
     _bezout_rows,
-    _box_candidates,
     _box_candidates_batch,
     _lattice_points,
 )
@@ -63,7 +62,8 @@ def brute_points(g, tau_lo, tau_hi, sig_lo, sig_hi) -> tuple:
 
 
 def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
-    """Every (a, b, c, d, p1, tau, s) in the box, with the kernel's float expressions.
+    """The (p1, tau, s) of every gamma = (a, b, c, d) with gamma*g in the box,
+    with the kernel's float expressions.
 
     Every (c, d) of the brute_points box is tested, and each primitive row
     scans its top-row shifts with a margin of two on both sides.
@@ -85,15 +85,16 @@ def brute_candidates(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> list:
             a, b = a0 + m * cc, b0 + m * dd
             p1 = a * g01 + b * g11
             if p1_lo <= p1 <= p1_hi:
-                out.append((a, b, cc, dd, p1, t, sv))
+                out.append((p1, t, sv))
     return sorted(out)
 
 
 def kernel_rows(g, *window) -> list:
-    cols = _box_candidates(g, *window)
-    assert [col.dtype for col in cols] == [np.int64] * 4 + [np.float64] * 3
-    assert len({col.size for col in cols}) == 1
-    return list(zip(*(col.tolist() for col in cols)))
+    """The (p1, tau, s) rows of a one-window kernel call, in its order."""
+    cols = _box_candidates_batch(g, [window])
+    assert [col.dtype for col in cols] == [np.float64] * 3 + [np.int64]
+    assert len({col.size for col in cols}) == 1 and not cols[3].any()
+    return list(zip(*(col.tolist() for col in cols[:3])))
 
 
 def log_uniform(lo, hi):
@@ -126,7 +127,6 @@ def test_box_candidates_match_brute_force(g, window):
     rows = kernel_rows(g, *window)
     assert len(set(rows)) == len(rows)
     assert sorted(rows) == brute_candidates(g, *window)
-    assert all(a * d - b * c == 1 for a, b, c, d, *_ in rows)
 
 
 @settings(suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -151,14 +151,17 @@ def test_box_candidates_empty_windows(g, window, side):
 
 def test_box_candidates_order_and_chart_constraint():
     g = chart_rep(0.1, 2.0, 0.7)
-    rows = kernel_rows(g, 1.0, 1.6, 0.6, 1.0, -300.0, 300.0)
+    rows = kernel_rows(g, -1.0, 3.0, 0.6, 1.0, -300.0, 300.0)
     assert len(rows) > 10
-    # one bottom row's top-row shifts are adjacent, with p1 increasing
-    for (a, b, c, d, p1, *_), (a2, b2, c2, d2, p1b, *_) in zip(rows, rows[1:]):
-        if (c, d) == (c2, d2):
-            assert (a2 - a, b2 - b) == (c, d) and p1b > p1
+    # one bottom row's top-row shifts are adjacent, with p1 increasing: a
+    # fixed (tau, s) is one bottom row, and p1 steps by tau (a p1 window
+    # wider than tau holds several shifts per row)
+    assert len({(tau, s) for _, tau, s in rows}) < len(rows) / 2
+    for (p1, tau, s), (p1b, tau2, s2) in zip(rows, rows[1:]):
+        if (tau, s) == (tau2, s2):
+            assert p1b > p1 and p1b - p1 == pytest.approx(tau, rel=1e-9)
     with pytest.raises(ValueError):
-        _box_candidates(g, 1.0, 1.6, 0.0, 1.0, -1.0, 1.0)
+        kernel_rows(g, 1.0, 1.6, 0.0, 1.0, -1.0, 1.0)
 
 
 @st.composite
@@ -199,10 +202,20 @@ def bits(cols) -> list:
 def test_batch_matches_lone_windows(batch):
     # the batch is the lone windows' results laid end to end, bitwise, plus
     # the window index
-    lone = [_box_candidates(g, *box) for g, box in batch]
+    lone = [_box_candidates_batch(g, [box])[:3] for g, box in batch]
     win = np.concatenate([np.full(cols[0].size, k, dtype=np.int64) for k, cols in enumerate(lone)])
     together = _box_candidates_batch(np.array([g for g, _ in batch]), np.array([box for _, box in batch]))
     assert bits(together) == bits([np.concatenate(col) for col in zip(*lone)] + [win])
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(batch_windows(), min_size=1, max_size=6))
+def test_one_matrix_matches_repeated_matrix(batch):
+    # one matrix for every window is that matrix repeated per window, bitwise
+    g = batch[0][0]
+    boxes = [box for _, box in batch]
+    repeated = _box_candidates_batch(np.array([g] * len(boxes)), boxes)
+    assert bits(_box_candidates_batch(g, boxes)) == bits(repeated)
 
 
 def plane_matrix(u1, u2):
