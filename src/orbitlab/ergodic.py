@@ -8,12 +8,13 @@ the single k = round(-s) (boundary shifts contribute nothing: the window is
 open and the bump vanishes there).  All experiments below exploit this: one
 batched candidate search covers every orbit time at once, and one hit step,
 _hits, keeps the candidates that hit.  The variance chunks search one
-window per sample point, and a shrinking-target run one window per dyadic
-shell of orbit times, each searched with the largest target its times still
-use.  Miss rates and grid levels ask only for the first hit of each sample or
-grid target: _first_hits searches shells of orbit times outward and drops a
-window once it has hit.  The correlation chunks alone keep every candidate,
-to place it at several shear offsets.
+window per sample point, and the window counts one window per dyadic shell
+of orbit times, each with the largest target its times still use.  Miss
+rates, grid levels and shrinking-target reports ask only for the first hit
+of each sample, grid target or dyadic level: _first_hits searches shells of
+orbit times outward and drops a window once it has hit or reached its own
+horizon.  The correlation chunks alone keep every candidate, to place it at
+several shear offsets.
 
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
@@ -81,6 +82,13 @@ def _chunk_map(chunk_fn: Callable, args: tuple, n_samples: int, seed: int, worke
         return list(pool.map(chunk_fn, chunks))
 
 
+def _nonempty(values: list, what: str) -> list:
+    """values, or a ValueError naming what a curve needs at least one of."""
+    if not values:
+        raise ValueError(f"need at least one {what}")
+    return values
+
+
 def _moments(parts: list, n_samples: int) -> tuple:
     """Mean and standard error from per-chunk (sum, sum of squares) arrays."""
     s1 = np.zeros_like(parts[0][0])
@@ -145,37 +153,40 @@ _FIRST_SHELL_POINTS = 100
 _SHELL_GROWTH = 4
 
 
-def _first_hits(reps, boxes: list, horizon: int) -> np.ndarray:
+def _first_hits(reps, boxes: list, horizon) -> np.ndarray:
     """The least |k| <= horizon at which each window hits, horizon + 1 where
     none does.
 
     reps is one representative per window or one matrix for all, boxes the
-    (p1_lo, p1_hi, tau_lo, tau_hi) of each window.  Each shell of orbit
-    times is one _hits call on the windows not yet hit: |k| <= k0, then the
-    mirror pairs of _shells(lo, hi), each reaching _SHELL_GROWTH times as far
-    as the last, up to the horizon.  Over |k| <= k a window holds about
-    (tau_hi - tau_lo)*(2k + 1)*tau_hi lattice points, and a random orbit
-    expects 2k + 1 times the box measure 2*(p1_hi - p1_lo)*(tau_hi -
-    tau_lo)/COVOLUME hits.  A hit has s strictly inside (-k - 1/2, -k + 1/2),
-    so it lies in exactly one shell, with the floats of a one-window search.
+    (p1_lo, p1_hi, tau_lo, tau_hi) of each window, and horizon one int for
+    all windows or one per window.  Each shell of orbit times is one _hits
+    call on the windows still pending: |k| <= k0 (one k0 for all windows),
+    then the mirror pairs of _shells(lo, hi), each reaching _SHELL_GROWTH
+    times as far as the last; each window's shells stop at its horizon, and
+    it leaves the search once it has hit or reached that horizon.  Over
+    |k| <= k a window holds about (tau_hi - tau_lo)*(2k + 1)*tau_hi lattice
+    points, and a random orbit expects 2k + 1 times the box measure
+    2*(p1_hi - p1_lo)*(tau_hi - tau_lo)/COVOLUME hits.  A hit has s strictly
+    inside (-k - 1/2, -k + 1/2), so it lies in exactly one shell, with the
+    floats of a one-window search.
     """
-    n = len(boxes)
     reps = np.asarray(reps, dtype=float)
+    horizons = [horizon] * len(boxes) if np.isscalar(horizon) else list(horizon)
     area = max((b[3] - b[2]) * b[3] for b in boxes)
     measure = min(2.0 * (b[1] - b[0]) * (b[3] - b[2]) / COVOLUME for b in boxes)
-    hi = min(horizon, math.ceil((max(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0))
-    shells = [(-hi - 0.5, hi + 0.5)]
-    first = np.full(n, horizon + 1, dtype=np.int64)
-    pending = list(range(n))
+    lo, hi = 0, math.ceil((max(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0)
+    first = np.array(horizons, dtype=np.int64) + 1
+    pending = list(range(len(boxes)))
     while True:
-        pick = reps if reps.ndim == 2 else reps[np.repeat(pending, len(shells))]
-        win, k, *_ = _hits(pick, [boxes[i] + w for i in pending for w in shells])
-        np.minimum.at(first, np.array(pending)[win // len(shells)], np.abs(k))
-        pending = [i for i in pending if first[i] > horizon]
-        if hi == horizon or not pending:
+        ends = [min(hi, horizons[i]) for i in pending]
+        shells = [_shells(lo, e) if lo else ((-e - 0.5, e + 0.5),) for e in ends]
+        pick = reps if reps.ndim == 2 else reps[np.repeat(pending, len(shells[0]))]
+        win, k, *_ = _hits(pick, [boxes[i] + w for i, ws in zip(pending, shells) for w in ws])
+        np.minimum.at(first, np.array(pending)[win // len(shells[0])], np.abs(k))
+        pending = [i for i, f in zip(pending, first[pending].tolist()) if f > horizons[i] > hi]
+        if not pending:
             return first
-        lo, hi = hi + 1, min(horizon, _SHELL_GROWTH * hi)
-        shells = _shells(lo, hi)
+        lo, hi = hi + 1, _SHELL_GROWTH * hi
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,7 @@ def variance_curve(
     The same sample set serves every grid value (common random numbers), which
     sharpens slope estimates by an order of magnitude.
     """
-    Ts = [int(T) for T in Ts]
+    Ts = _nonempty([int(T) for T in Ts], "orbit half-width")
     if any(T < 0 for T in Ts):
         raise ValueError("orbit half-widths must be >= 0")
     parts = _chunk_map(_variance_chunk, (spec, Ts), n_samples, seed, workers)
@@ -315,8 +326,10 @@ def matcoef_curve(
     averages the product over W+1 consecutive orbit offsets, an unbiased
     variance reduction that leaves the estimand unchanged by invariance.
     """
-    ts = [float(t) for t in ts]
+    ts = _nonempty([float(t) for t in ts], "shear time")
     W = int(orbit_window)
+    if W < 0:
+        raise ValueError("orbit window must be >= 0")
     parts = _chunk_map(_matcoef_chunk, (spec, ts, W), n_samples, seed, workers)
     values, stderrs = _moments(parts, n_samples)
     return values.tolist(), stderrs.tolist()
@@ -377,9 +390,7 @@ def miss_rate_curve(
     (orbits only grow), which is also the statistical content being measured.
     """
     spec = TargetSpec(float(v[0]), float(v[1]), float(delta))  # validates v and delta
-    Ts = sorted(int(T) for T in Ts)
-    if not Ts:
-        raise ValueError("need at least one orbit half-width")
+    Ts = _nonempty(sorted(int(T) for T in Ts), "orbit half-width")
     if Ts[0] < 0:
         raise ValueError("orbit half-widths must be >= 0")
     if n_samples < 1:
@@ -452,13 +463,28 @@ def _shells(lo: int, hi: int) -> tuple:
     return (-hi - 0.5, -lo + 0.5), (lo - 0.5, hi + 0.5)
 
 
-def _padded_box(v1: float, v2: float, hw: float) -> tuple:
-    """The (p1, tau) box of half-size hw around v, widened by a few ulps of its
-    far edges: it holds every candidate with |p1 - v1| <= hw and
-    |tau - v2| <= hw in floats, whatever the rounding of its own edges."""
-    e1 = hw + 2.0**-50 * (abs(v1) + hw)
-    e2 = hw + 2.0**-50 * (abs(v2) + hw)
-    return (v1 - e1, v1 + e1, v2 - e2, v2 + e2)
+def _closed_range(v: float, hw: float) -> tuple:
+    """The least and largest floats x with abs(x - v) <= hw in floats.
+
+    Float subtraction is monotone in x, so these x form a closed interval,
+    and the kernel's closed comparisons on a box of such ranges keep exactly
+    the candidates that the test abs(p1 - v1) <= hw and abs(tau - v2) <= hw
+    keeps.  An exact |x - v| up to hw + g rounds to at most hw, g half the
+    gap above hw, so each end lies a float or two from v -+ (hw + g), and
+    the test steps it into place (from v -+ hw, where an end lies near 0 as
+    for v1 = hw, that could take 2^52 steps: the floats there are finer).
+    """
+    g = 0.5 * (math.nextafter(hw, math.inf) - hw)
+    lo, hi = v - hw - g, v + hw + g
+    while abs(lo - v) > hw:
+        lo = math.nextafter(lo, math.inf)
+    while abs(math.nextafter(lo, -math.inf) - v) <= hw:
+        lo = math.nextafter(lo, -math.inf)
+    while abs(hi - v) > hw:
+        hi = math.nextafter(hi, -math.inf)
+    while abs(math.nextafter(hi, math.inf) - v) <= hw:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
@@ -467,14 +493,13 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     Returns per-level hit flags and the certified threshold T0 (least dyadic
     horizon from which every level hits), or None when no T0 <= k_max/2 exists.
 
-    One hit step (_hits) with one shell of orbit times per level of
-    _dyadic_levels: shell 0 holds |k| <= 1 and shell j the times
-    2^(j-1) < |k| <= 2^j of horizon 2^j that no lower level holds.  Target
-    sizes do not grow with j, so a hit of level j in shell i <= j lies in the
-    box of level i, and each shell is searched with its own box, padded by a
-    few ulps so that the flag test below, not the search, decides every
-    level.  The search thus shrinks with the targets and stops at the last
-    horizon, not at k_max.
+    Level j of _dyadic_levels hits when some |k| <= 2^j puts the translate
+    in the target of size delta_j: abs(p1 - v1) <= delta_j/2 and
+    abs(tau - v2) <= delta_j/2.  One _first_hits search answers every level:
+    one window per level, with the _closed_range box of that test (so no
+    test follows the search) and the level's own horizon, each window
+    stopping at its first hit.  Early levels hit within a few shells, and a
+    level that misses searches |k| <= 2^j and no further.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
@@ -482,25 +507,11 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
         raise ValueError("k_max must be >= 2")
     v1, v2 = _target_v(v)
     levels = _dyadic_levels(eta, k_max, v2)
-    bounds = [_padded_box(v1, v2, 0.5 * levels[0][1]) + (-1.5, 1.5)]
-    for horizon, delta in levels[1:]:
-        box = _padded_box(v1, v2, 0.5 * delta)
-        bounds += [box + sw for sw in _shells(horizon // 2 + 1, horizon)]
-    _, k, p1, tau, _ = _hits(_rep_of(point), bounds)
-    ak = np.abs(k)
-    # one row per level: its horizon and half target size against every hit
-    horizon = np.array([lv[0] for lv in levels])[:, None]
-    half = 0.5 * np.array([lv[1] for lv in levels])[:, None]
-    flags = np.any((ak <= horizon) & (np.abs(p1 - v1) <= half) & (np.abs(tau - v2) <= half), axis=1)
-    T0 = _certified_T0(flags, k_max)
-    return {
-        "eta": eta,
-        "kMax": k_max,
-        "T0": T0,
-        "levels": [
-            {"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)
-        ],
-    }
+    boxes = [_closed_range(v1, 0.5 * d) + _closed_range(v2, 0.5 * d) for _, d in levels]
+    horizons = [h for h, _ in levels]
+    flags = _first_hits(_rep_of(point), boxes, horizons) <= horizons
+    rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
+    return {"eta": eta, "kMax": k_max, "T0": _certified_T0(flags, k_max), "levels": rows}
 
 
 def shrinking_hit_experiment(eta: float, point, k_max: int, v) -> Optional[int]:
@@ -515,8 +526,8 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     translate lies in the box of size min(cap, |k|**-eta).  Returns a list of
     dicts {lo, hi, count}.  The windows start at the horizons of
     _dyadic_levels, and one hit step (_hits) searches each window's two
-    shells with the window's largest box, padded as in shrinking_hit_report
-    so that the count test, not the search, decides every time.
+    shells with the _closed_range box of the window's largest target, which
+    holds every float the count test accepts, so that test decides each time.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
@@ -525,7 +536,8 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in _dyadic_levels(eta, k_max, v2)]
     bounds = []
     for lo, hi in windows:
-        box = _padded_box(v1, v2, 0.5 * _target_size(lo, eta, cap))  # the window's largest, at its first time
+        hw = 0.5 * _target_size(lo, eta, cap)  # the window's largest, at its first time
+        box = _closed_range(v1, hw) + _closed_range(v2, hw)
         bounds += [box + sw for sw in _shells(lo, hi)]
     # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
     # a shell lies at a time of the shell

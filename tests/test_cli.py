@@ -66,6 +66,13 @@ def test_non_finite_grids_rejected(capsys, argv, grid):
     assert rc == 2 and "bad geometric grid" in err
 
 
+@pytest.mark.parametrize("window", ["-1", "-3"])
+def test_matcoef_rejects_negative_orbit_window(capsys, window):
+    # once a ZeroDivisionError traceback (exit 1) or a numpy shape error
+    rc, _, err = run(capsys, "matcoef", "--delta", "0.15", "--ts", "1:16:4", "--samples", "64", "--orbit-window", window)
+    assert rc == 2 and "orbit window must be >= 0" in err
+
+
 def test_approx_csv_format(tmp_path, capsys):
     path = str(tmp_path / "trace.csv")
     rc, _, _ = run(capsys, "approx", "--u", "1.41,1.73", "--v", "1.2,1.5", "--budgets", "16:4096:2", "--out", path)

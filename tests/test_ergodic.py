@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import orbitlab.ergodic as ergodic_mod
 import orbitlab.homogeneous as homogeneous_mod
@@ -9,6 +11,7 @@ from orbitlab.ergodic import (
     _CHUNK,
     UniformGridReport,
     _certified_T0,
+    _closed_range,
     _delta_cap,
     _dyadic_levels,
     _first_hits,
@@ -295,6 +298,63 @@ def test_shell_search_visits_a_quarter_of_the_points(search_spy):
     assert shells < one / 4
 
 
+@pytest.mark.parametrize("eta, k_max, ratio", [(0.25, 30_000, 20), (0.7, 100_000, 100)], ids=["hit", "miss"])
+def test_report_levels_stop_at_first_hits(eta, k_max, ratio, search_spy):
+    # a level that hits stops at its first hit, and one that misses searches
+    # |k| <= 2^j with its own target, against one search of |k| <= k_max with
+    # the largest target (measured 1/82 of its points at eta = 0.25, where
+    # every level hits early, and 1/700 at eta = 0.7, where late levels miss)
+    first = one = 0
+    for rep in _haar_reps(8, seed=25):
+        search_spy.points = 0
+        report = shrinking_hit_report(eta, rep, k_max, V0)
+        first += search_spy.points
+        search_spy.points = 0
+        assert report == report_one_window(eta, rep, k_max, V0)
+        one += search_spy.points
+    assert first * ratio < one
+
+
+def test_report_flags_on_the_target_boundary():
+    # hits planted on the flag boundary of a level: v moved off a known hit
+    # (p1, tau) so that abs(p1 - v1) == delta/2 (or abs(tau - v2)) holds
+    # exactly, then one ulp further, where the hit leaves the level.  At eta
+    # = 1/2 the levels whose 2^(j+1) is a power of 4 have delta a power of
+    # two, so the exact case exists; v1 takes either sign.
+    eta, k_max = 0.5, 4096
+    flips = 0
+    for rep in _haar_reps(2, seed=51):
+        for box in ((1.0, 1.6, 0.6, 1.0), (-1.6, -1.0, 0.6, 1.0)):
+            p1, tau, s, _ = _box_candidates_batch(rep, [box + (-1024.5, 1024.5)])
+            k, r = _hit_times(s)
+            hit = np.abs(r) < 0.5
+            for x1, x2, ak in list(zip(p1[hit].tolist(), tau[hit].tolist(), np.abs(k[hit]).tolist()))[:6]:
+                levels = _dyadic_levels(eta, k_max, x2)
+                delta = next(d for h, d in levels if h >= ak and math.frexp(d)[0] == 0.5)
+                for axis, x in enumerate((x1, x2)):
+                    for sign in (-1.0, 1.0):
+                        on = x + sign * 0.5 * delta
+                        off = math.nextafter(on, sign * math.inf)
+                        assert abs(x - on) == 0.5 * delta < abs(x - off)
+                        reports = []
+                        for w in (on, off):
+                            v = (w, x2) if axis == 0 else (x1, w)
+                            reports.append(shrinking_hit_report(eta, rep, k_max, v))
+                            assert reports[-1] == report_one_window(eta, rep, k_max, v)
+                        flips += reports[0] != reports[1]
+    assert flips >= 10  # the boundary decides some levels
+
+
+def test_report_targets_touching_the_p1_axis():
+    # v1 = -+ delta/2 of a level puts an end of its box at 0
+    eta, k_max = 0.25, 30_000
+    levels = _dyadic_levels(eta, k_max, V0[1])
+    for rep in _haar_reps(2, seed=52):
+        for _, delta in levels[2::3]:
+            for v in ((0.5 * delta, V0[1]), (-0.5 * delta, V0[1])):
+                assert shrinking_hit_report(eta, rep, k_max, v) == report_one_window(eta, rep, k_max, v)
+
+
 def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
     """Oracle: the least |k| <= horizon at which each window hits (horizon + 1
     where none does), from one search per window over all |k| <= horizon."""
@@ -394,6 +454,20 @@ def test_first_hits_on_shell_edges(monkeypatch):
     # hits at its edge are first hits (later edges meet earlier chance hits)
     planted = np.repeat(times, 8)
     assert set(planted[first == planted].tolist()) >= set(times[:2])
+
+
+def test_first_hits_stop_at_each_windows_horizon():
+    # one horizon per window: each window's answer is that of a search on
+    # its own horizon, horizon + 1 where it misses, for one rep per window
+    # and for one rep shared by all
+    boxes = [(V0[0] - h, V0[0] + h, V0[1] - h, V0[1] + h) for h in (0.1, 0.02, 0.005, 0.001)] * 6
+    horizons = [1, 37, 600, 9000] * 6
+    reps = _haar_reps(len(boxes), seed=53)
+    for shared in (False, True):
+        rep = [reps[0]] * len(boxes) if shared else reps
+        want = [first_hits_one_window(g, [b], h)[0] for g, b, h in zip(rep, boxes, horizons)]
+        assert _first_hits(reps[0] if shared else reps, boxes, horizons).tolist() == want
+        assert 0 < sum(f > h for f, h in zip(want, horizons)) < len(want)  # some miss, some hit
 
 
 @pytest.mark.parametrize("eta", [0.4, 0.5])
@@ -516,6 +590,22 @@ def test_window_counts_search_every_counted_float(monkeypatch):
                     assert b[0] <= p1_lo and p1_hi <= b[1] and b[2] <= tau_lo and tau_hi <= b[3]
 
 
+@given(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-6, 1e-6), st.floats(-1e6, 1e6)),
+    st.floats(0.0, 0.25, exclude_min=True),
+    st.sampled_from([None, 1.0, -1.0, 0.5, -2.0]),
+)
+def test_closed_range_is_the_flag_test(v, hw, scale):
+    # the ends pass abs(x - v) <= hw and the floats just outside them fail
+    # it; with v = scale*hw an end lies at or near 0, where the floats are
+    # far finer than the steps of x - v
+    v = v if scale is None else scale * hw
+    lo, hi = _closed_range(v, hw)
+    assert abs(lo - v) <= hw and abs(hi - v) <= hw
+    assert abs(math.nextafter(lo, -math.inf) - v) > hw
+    assert abs(math.nextafter(hi, math.inf) - v) > hw
+
+
 def test_grid_levels_search_targets_in_slices(monkeypatch):
     # a level of more than _CHUNK targets is searched a slice at a time, the
     # first slice with a miss ending it, with the verdict of one call on all
@@ -546,31 +636,32 @@ def test_grid_levels_search_targets_in_slices(monkeypatch):
 
 
 def test_drivers_make_one_kernel_call(monkeypatch):
-    # one batched search per shrinking report and per window count, and one
+    # one first-hit search per shrinking report, with one box and one horizon
+    # per dyadic level; one batched search per window count; and one
     # first-hit search per uniform-grid level of at most _CHUNK targets
-    kernel = ergodic_mod._box_candidates_batch
-    calls = []
+    kernel, first_hits = ergodic_mod._box_candidates_batch, ergodic_mod._first_hits
+    calls, searches = [], []
 
     def spy(reps, bounds):
         calls.append(len(bounds))
         return kernel(reps, bounds)
 
-    monkeypatch.setattr(ergodic_mod, "_box_candidates_batch", spy)
-    rep = _haar_reps(1, seed=31)[0]
-    shrinking_hit_report(0.25, rep, 30_000, V0)
-    assert len(calls) == 1 and calls[0] > 1
-    window_hit_counts(rep, V0, 0.7, 30_000)
-    assert len(calls) == 2 and calls[1] == 2 * 15  # two shells per dyadic window
-    first_hits = ergodic_mod._first_hits
-    searches = []
-
     def first_hits_spy(reps, boxes, horizon):
-        searches.append(len(boxes))
+        searches.append((len(boxes), horizon))
         return first_hits(reps, boxes, horizon)
 
+    monkeypatch.setattr(ergodic_mod, "_box_candidates_batch", spy)
     monkeypatch.setattr(ergodic_mod, "_first_hits", first_hits_spy)
+    rep = _haar_reps(1, seed=31)[0]
+    report = shrinking_hit_report(0.25, rep, 30_000, V0)
+    horizons = [lv["horizon"] for lv in report["levels"]]
+    assert searches == [(len(horizons), horizons)]
+    calls.clear()
+    window_hit_counts(rep, V0, 0.7, 30_000)
+    assert calls == [2 * 15]  # two shells per dyadic window
+    searches.clear()
     report = uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.1, rep, 512)
-    assert searches == [lv["nGrid"] for lv in report.levels]
+    assert searches == [(lv["nGrid"], lv["horizon"]) for lv in report.levels]
 
 
 @pytest.mark.parametrize("Ts", [[], [-4], [16, -1]])
@@ -578,3 +669,19 @@ def test_miss_rate_rejects_bad_half_widths(Ts):
     match = "at least one" if not Ts else "must be >= 0"
     with pytest.raises(ValueError, match=match):
         miss_rate_curve(Ts, 0.2, V0, 50, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: variance_curve(SPEC, [], 50, seed=1), "at least one orbit half-width"),
+        (lambda: variance_curve(SPEC, [16, -1], 50, seed=1), "must be >= 0"),
+        (lambda: matcoef_curve(SPEC, [], 50, seed=1), "at least one shear time"),
+        (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=-1), "orbit window must be >= 0"),
+        (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=-3), "orbit window must be >= 0"),
+    ],
+    ids=["Ts-empty", "Ts-negative", "ts-empty", "window-1", "window-3"],
+)
+def test_curves_reject_inputs_they_cannot_run(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
