@@ -363,6 +363,8 @@ def approx_trace(
         raise ValueError("budgets must be strictly increasing")
     if budgets[0] < 2:
         raise ValueError("first budget must be at least 2")
+    if not all(math.isfinite(float(x)) for x in (*u, *v)):
+        raise ValueError("u and v must be finite")
     if float(u[0]) == 0.0 and float(u[1]) == 0.0:
         raise ValueError("orbit seed u must be nonzero")
     ints = [_budget_int(T) for T in budgets]
@@ -373,7 +375,7 @@ def approx_trace(
     while len(keys) < len(ints):
         i = j = len(keys)
         eps = math.sqrt(best[0]) * (1.0 + 1e-12)
-        if not eps > 0.0:  # an exact hit (or a NaN input) stays
+        if not eps > 0.0:  # an exact hit stays
             keys.append(best)
             continue
         while j + 1 < len(ints) and _predicted_points(u, w, ints[j + 1], eps) <= _SCAN_POINTS:

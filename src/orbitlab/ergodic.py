@@ -208,7 +208,7 @@ def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
     if K < 1:
         raise ValueError("horizon K must be >= 1")
-    _, ks, *_ = _hits(_rep_of(point), [_target_box(spec.v1, spec.v2, spec.delta) + (-K - 0.5, K + 0.5)])
+    _, ks, *_ = _hits(_rep_of(point), [spec.box + (-K - 0.5, K + 0.5)])
     return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
 
@@ -373,7 +373,7 @@ def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
 
 def _miss_chunk(args):
     spec, Ts, reps = args
-    return _first_hits(reps, [_target_box(spec.v1, spec.v2, spec.delta)] * len(reps), max(Ts))
+    return _first_hits(reps, [spec.box] * len(reps), max(Ts))
 
 
 def miss_rate_curve(
@@ -450,10 +450,12 @@ def _certified_T0(flags: Sequence[bool], k_max: int) -> Optional[int]:
     return T0 if T0 <= k_max / 2 else None
 
 
-def _target_v(v) -> tuple:
-    """(v1, v2) validated through TargetSpec at the largest size a level uses."""
+def _target_v(v, eta: float, k_max: int) -> tuple:
+    """(v1, v2) validated through TargetSpec at the smallest size a dyadic
+    level uses, the size at time k_max, so that every level's box is valid
+    and holds more than one float per coordinate."""
     v1, v2 = float(v[0]), float(v[1])
-    TargetSpec(v1, v2, _delta_cap(v2))  # validate
+    TargetSpec(v1, v2, _target_size(max(k_max, 1), eta, _delta_cap(v2)))
     return v1, v2
 
 
@@ -461,30 +463,6 @@ def _shells(lo: int, hi: int) -> tuple:
     """The two shear windows of the orbit times lo <= |k| <= hi (lo >= 1):
     s in [-hi - 1/2, -lo + 1/2] for k > 0 and its mirror for k < 0."""
     return (-hi - 0.5, -lo + 0.5), (lo - 0.5, hi + 0.5)
-
-
-def _closed_range(v: float, hw: float) -> tuple:
-    """The least and largest floats x with abs(x - v) <= hw in floats.
-
-    Float subtraction is monotone in x, so these x form a closed interval,
-    and the kernel's closed comparisons on a box of such ranges keep exactly
-    the candidates that the test abs(p1 - v1) <= hw and abs(tau - v2) <= hw
-    keeps.  An exact |x - v| up to hw + g rounds to at most hw, g half the
-    gap above hw, so each end lies a float or two from v -+ (hw + g), and
-    the test steps it into place (from v -+ hw, where an end lies near 0 as
-    for v1 = hw, that could take 2^52 steps: the floats there are finer).
-    """
-    g = 0.5 * (math.nextafter(hw, math.inf) - hw)
-    lo, hi = v - hw - g, v + hw + g
-    while abs(lo - v) > hw:
-        lo = math.nextafter(lo, math.inf)
-    while abs(math.nextafter(lo, -math.inf) - v) <= hw:
-        lo = math.nextafter(lo, -math.inf)
-    while abs(hi - v) > hw:
-        hi = math.nextafter(hi, -math.inf)
-    while abs(math.nextafter(hi, math.inf) - v) <= hw:
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
 
 
 def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
@@ -496,8 +474,8 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     Level j of _dyadic_levels hits when some |k| <= 2^j puts the translate
     in the target of size delta_j: abs(p1 - v1) <= delta_j/2 and
     abs(tau - v2) <= delta_j/2.  One _first_hits search answers every level:
-    one window per level, with the _closed_range box of that test (so no
-    test follows the search) and the level's own horizon, each window
+    one window per level, with the _target_box of that test (so no test
+    follows the search) and the level's own horizon, each window
     stopping at its first hit.  Early levels hit within a few shells, and a
     level that misses searches |k| <= 2^j and no further.
     """
@@ -505,9 +483,9 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
         raise ValueError("shrink exponent must lie in [0, 1)")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    v1, v2 = _target_v(v)
+    v1, v2 = _target_v(v, eta, k_max)
     levels = _dyadic_levels(eta, k_max, v2)
-    boxes = [_closed_range(v1, 0.5 * d) + _closed_range(v2, 0.5 * d) for _, d in levels]
+    boxes = [_target_box(v1, v2, d) for _, d in levels]
     horizons = [h for h, _ in levels]
     flags = _first_hits(_rep_of(point), boxes, horizons) <= horizons
     rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
@@ -526,18 +504,17 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     translate lies in the box of size min(cap, |k|**-eta).  Returns a list of
     dicts {lo, hi, count}.  The windows start at the horizons of
     _dyadic_levels, and one hit step (_hits) searches each window's two
-    shells with the _closed_range box of the window's largest target, which
-    holds every float the count test accepts, so that test decides each time.
+    shells with the _target_box of the window's largest target, which holds
+    every float the count test accepts, so that test decides each time.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
-    v1, v2 = _target_v(v)
+    v1, v2 = _target_v(v, eta, k_max)
     cap = _delta_cap(v2)
     windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in _dyadic_levels(eta, k_max, v2)]
     bounds = []
     for lo, hi in windows:
-        hw = 0.5 * _target_size(lo, eta, cap)  # the window's largest, at its first time
-        box = _closed_range(v1, hw) + _closed_range(v2, hw)
+        box = _target_box(v1, v2, _target_size(lo, eta, cap))  # the window's largest, at its first time
         bounds += [box + sw for sw in _shells(lo, hi)]
     # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
     # a shell lies at a time of the shell
@@ -581,12 +558,17 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     T0, or None.
     """
     x0, x1, y0, y1 = (float(t) for t in omega)
+    if not all(math.isfinite(t) for t in (x0, x1, y0, y1)):
+        raise ValueError("omega bounds must be finite")
     if x0 > x1 or y0 > y1:
         raise ValueError("omega bounds must be ordered")
     if y0 <= 0.0 or x0 * x1 <= 0.0 or (x0 == 0.0 and x1 == 0.0):
         raise ValueError("omega must be compact and off the axes with positive v2")
     if not 0.0 <= eta < 1.0:
         raise ValueError("shrink exponent must lie in [0, 1)")
+    # the coarsest floats lie at the corner farthest from the axes, so the
+    # smallest level's box there holds more than one float if any target's does
+    TargetSpec(max(x0, x1, key=abs), y1, _target_size(max(k_max, 1), eta, _delta_cap(y0)))
     rep = _rep_of(point)
     levels = []
     for horizon, delta in _dyadic_levels(eta, k_max, y0):

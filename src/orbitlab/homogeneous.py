@@ -4,7 +4,11 @@ A point of the quotient is a coset of a determinant-one real matrix g.  The
 box target of half-size delta around an off-axes plane point v is the set of
 chart matrices whose second column lies within delta/2 of v per coordinate and
 whose lower-shear coordinate is inside (-1/2, 1/2); its projection to the
-quotient is the shrinking target used by the orbit experiments.
+quotient is the shrinking target used by the orbit experiments.  "Within
+delta/2" is the float test abs(p1 - v1) <= delta/2 and abs(tau - v2) <=
+delta/2: _target_box gives the closed float ranges that pass it (a
+TargetSpec holds its own), and every membership test and every search
+decides a target by that one box.
 
 Candidate search.  Membership of a coset in a projected box asks for integer
 gamma with gamma*g in the box.  Writing gamma = [[a, b], [c, d]], the bottom
@@ -32,10 +36,11 @@ Other representatives, and bump sums of more than two terms, go to the kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,17 +83,24 @@ _Y_FLOOR = math.sqrt(3.0) / 2.0
 class TargetSpec:
     """An off-axes plane target v = (v1, v2) with box half-size delta.
 
-    Requires v2 > 0: the chart second column has positive lower entry, and the
-    central element identifies the target with its negative, so a target below
-    the horizontal axis should be passed as -v.  delta must satisfy
-    0 < delta < 1/2 and delta < v2 so the box is well defined.
+    Requires finite v1, v2 and delta, and v2 > 0: the chart second column has
+    positive lower entry, and the central element identifies the target with
+    its negative, so a target below the horizontal axis should be passed as
+    -v.  delta must satisfy 0 < delta < 1/2 and delta < v2 so the box is well
+    defined.  box is the target box _target_box(v1, v2, delta), built once;
+    a target whose box holds a single float in a coordinate (where the floats
+    around v1 or v2 are spaced wider than delta/2: |v1| or v2 above 2^49 at
+    delta = 0.2) is refused, since no search can tell its points apart.
     """
 
     v1: float
     v2: float
     delta: float
+    box: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.v1, self.v2, self.delta)):
+            raise ValueError("target v and delta must be finite")
         if self.v1 == 0.0 or self.v2 == 0.0:
             raise ValueError("target must be off the coordinate axes")
         if self.v2 < 0.0:
@@ -97,6 +109,10 @@ class TargetSpec:
             raise ValueError("delta must lie in (0, 1/2)")
         if self.delta >= self.v2:
             raise ValueError("delta must be smaller than v2 for a valid box")
+        box = _target_box(self.v1, self.v2, self.delta)
+        if box[0] == box[1] or box[2] == box[3]:
+            raise ValueError("target box holds a single float in a coordinate: v is too large for delta")
+        object.__setattr__(self, "box", box)
 
     @property
     def v(self) -> np.ndarray:
@@ -661,8 +677,9 @@ def in_target(g, spec: TargetSpec) -> bool:
 
     The second column of a chart matrix is exactly (x/sqrt(y), 1/sqrt(y)), so
     the box conditions reduce to closed entrywise bounds |g[0,1] - v1| <= d/2,
-    |g[1,1] - v2| <= d/2 together with the strict shear window |g[1,0]/g[1,1]|
-    < 1/2.  Matrices with negative lower-right entry are outside the chart.
+    |g[1,1] - v2| <= d/2 in floats, that is g[0,1] and g[1,1] in the ranges
+    of spec.box, together with the strict shear window |g[1,0]/g[1,1]| < 1/2.
+    Matrices with negative lower-right entry are outside the chart.
     """
     g = np.asarray(g, dtype=float)
     d = g[1, 1]
@@ -670,28 +687,52 @@ def in_target(g, spec: TargetSpec) -> bool:
         raise DegenerateCoordinate("lower-right entry too small for the chart")
     if d < 0.0:
         return False
-    hw = 0.5 * spec.delta
-    return (
-        abs(g[0, 1] - spec.v1) <= hw
-        and abs(d - spec.v2) <= hw
-        and abs(g[1, 0] / d) < 0.5
-    )
+    p1_lo, p1_hi, tau_lo, tau_hi = spec.box
+    return p1_lo <= g[0, 1] <= p1_hi and tau_lo <= d <= tau_hi and abs(g[1, 0] / d) < 0.5
+
+
+# Memoized: the targets of a grid share their coordinates, and every sample
+# of a run reuses the boxes of its levels and grids.
+@functools.lru_cache(maxsize=1 << 12)
+def _closed_range(v: float, hw: float) -> tuple:
+    """The least and largest floats x with abs(x - v) <= hw in floats.
+
+    Float subtraction is monotone in x, so these x form a closed interval,
+    and the kernel's closed comparisons on a box of such ranges keep exactly
+    the candidates that the test abs(p1 - v1) <= hw and abs(tau - v2) <= hw
+    keeps.  An exact |x - v| up to hw + g rounds to at most hw, g half the
+    gap above hw, so each end lies a float or two from v -+ (hw + g), and
+    the test steps it into place (from v -+ hw, where an end lies near 0 as
+    for v1 = hw, that could take 2^52 steps: the floats there are finer).
+    """
+    g = 0.5 * (math.nextafter(hw, math.inf) - hw)
+    lo, hi = v - hw - g, v + hw + g
+    while abs(lo - v) > hw:
+        lo = math.nextafter(lo, math.inf)
+    while abs(math.nextafter(lo, -math.inf) - v) <= hw:
+        lo = math.nextafter(lo, -math.inf)
+    while abs(hi - v) > hw:
+        hi = math.nextafter(hi, -math.inf)
+    while abs(math.nextafter(hi, math.inf) - v) <= hw:
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _target_box(v1: float, v2: float, delta: float) -> tuple:
-    """The (p1_lo, p1_hi, tau_lo, tau_hi) box of the target of size delta around v."""
+    """The (p1_lo, p1_hi, tau_lo, tau_hi) box of the target of size delta
+    around v: the floats p1 and tau with abs(p1 - v1) <= delta/2 and
+    abs(tau - v2) <= delta/2, the one target test of every search."""
     hw = 0.5 * delta
-    return (v1 - hw, v1 + hw, v2 - hw, v2 + hw)
+    return _closed_range(v1, hw) + _closed_range(v2, hw)
 
 
 def in_quotient_target(point, spec: TargetSpec) -> bool:
     """Does the coset of the point meet the projected box target?"""
     rep = _rep_of(point)
-    box = _target_box(spec.v1, spec.v2, spec.delta)
-    hits = _reduced_candidates(rep.tolist(), *box)
+    hits = _reduced_candidates(rep.tolist(), *spec.box)
     if hits is not None:
         return bool(hits)
-    _, _, s, _ = _box_candidates_batch(rep, [box + (-0.5, 0.5)])
+    _, _, s, _ = _box_candidates_batch(rep, [spec.box + (-0.5, 0.5)])
     return bool((np.abs(s) < 0.5).any())
 
 
@@ -774,13 +815,12 @@ def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:
     uniform ones; one batched search holds them all."""
     rng = np.random.default_rng(seed)
     hw = 0.5 * spec.delta
-    box = _target_box(spec.v1, spec.v2, spec.delta)
-    pts = list(itertools.product(box[:2], box[2:], (-0.4999, 0.0, 0.4999)))
+    pts = list(itertools.product(spec.box[:2], spec.box[2:], (-0.4999, 0.0, 0.4999)))
     for _ in range(n_probe):
         pts.append((spec.v1 + rng.uniform(-hw, hw), spec.v2 + rng.uniform(-hw, hw), rng.uniform(-0.5, 0.5)))
     reps = []
     for p1v, tauv, sv in pts:  # the chart matrix: second column (p1, tau), shear s
         c = sv * tauv
         reps.append([[(1.0 + p1v * c) / tauv, p1v], [c, tauv]])
-    _, _, s, win = _box_candidates_batch(reps, [box + (-0.5, 0.5)] * len(reps))
+    _, _, s, win = _box_candidates_batch(reps, [spec.box + (-0.5, 0.5)] * len(reps))
     return not (np.bincount(win[np.abs(s) < 0.5]) > 1).any()

@@ -522,6 +522,19 @@ def test_trace_validation():
         approx_trace((0, 0), (1, 2), [4, 8])
 
 
+@pytest.mark.parametrize(
+    "u, v",
+    [((math.nan, 1.0), (0.3, 0.2)), ((math.inf, 1.0), (0.3, 0.2)), ((1.4, 1.7), (0.3, -math.inf)), ((1.4, 1.7), (math.nan, 0.2))],
+    ids=["u-nan", "u-inf", "v-inf", "v-nan"],
+)
+def test_trace_rejects_non_finite_points(u, v):
+    # a NaN or infinite coordinate gave rows with dist nan or inf
+    with pytest.raises(ValueError, match="finite"):
+        approx_trace(u, v, [4, 16, 64])
+    with pytest.raises(ValueError, match="finite"):
+        best_approx(u, v, 64)
+
+
 def test_trace_rejects_nan_budgets():
     for budgets in ([16, math.nan], [math.nan], [math.nan, 16]):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,31 @@ def test_non_finite_grids_rejected(capsys, argv, grid):
     # an infinite end once grew the grid without bound, a NaN ratio gave one point
     rc, _, err = run(capsys, *argv, grid)
     assert rc == 2 and "bad geometric grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["miss-rate", "--v", "1e18,0.8", "--delta", "0.2", "--Ts", "16:64:2", "--samples", "10"],
+        ["miss-rate", "--v", "1e15,0.8", "--delta", "0.2", "--Ts", "16:64:2", "--samples", "10"],
+        ["miss-rate", "--v", "inf,0.8", "--Ts", "16:64:2", "--samples", "10"],
+        ["hit-times", "--v", "3e13,0.8", "--eta", "0.5", "--kmax", "100000", "--samples", "1"],
+        ["ergodic-variance", "--v", "1e308,0.8", "--Ts", "16:64:2", "--samples", "10"],
+        ["approx", "--u", "nan,1", "--v", "0.3,0.2", "--budgets", "4:64:2"],
+        ["approx", "--u", "inf,1", "--v", "0.3,0.2", "--budgets", "4:64:2"],
+        ["approx", "--u", "1.41,1.73", "--v", "0.3,-inf", "--budgets", "4:64:2"],
+        ["survey", "--mode", "uniform", "--omega", "1,inf,1,2", "--samples", "1", "--kmax", "64"],
+        ["survey", "--mode", "uniform", "--omega", "1,1e308,1,2", "--samples", "1", "--kmax", "64"],
+    ],
+    ids=lambda argv: " ".join(argv[:5]),
+)
+def test_targets_no_search_can_represent_are_config_errors(capsys, argv):
+    # each crashed, warned or printed nan rows before
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "config error" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("window", ["-1", "-3"])

@@ -11,7 +11,6 @@ from orbitlab.ergodic import (
     _CHUNK,
     UniformGridReport,
     _certified_T0,
-    _closed_range,
     _delta_cap,
     _dyadic_levels,
     _first_hits,
@@ -34,7 +33,9 @@ from orbitlab.homogeneous import (
     HomPoint,
     TargetSpec,
     _box_candidates_batch,
+    _closed_range,
     _haar_reps,
+    _target_box,
     bump_mean,
     haar_sample,
     in_quotient_target,
@@ -370,9 +371,7 @@ def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
 def miss_chunk_one_window(args) -> np.ndarray:
     """Oracle: _miss_chunk as one search per sample over all |k| <= max(Ts)."""
     spec, Ts, reps = args
-    hw = 0.5 * spec.delta
-    box = (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
-    return first_hits_one_window(reps, [box] * len(reps), max(Ts))
+    return first_hits_one_window(reps, [spec.box] * len(reps), max(Ts))
 
 
 def grid_one_window(omega, eta, point, k_max) -> UniformGridReport:
@@ -381,8 +380,7 @@ def grid_one_window(omega, eta, point, k_max) -> UniformGridReport:
     levels = []
     for horizon, delta in _dyadic_levels(eta, k_max, omega[2]):
         grid = _grid_points(omega, delta)
-        h = 0.5 * delta
-        first = first_hits_one_window(point.rep, [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in grid], horizon)
+        first = first_hits_one_window(point.rep, [_target_box(w1, w2, delta) for w1, w2 in grid], horizon)
         levels.append({"horizon": horizon, "delta": delta, "nGrid": len(grid), "hit": bool((first <= horizon).all())})
     return UniformGridReport(T0=_certified_T0([lv["hit"] for lv in levels], k_max), levels=levels)
 
@@ -662,6 +660,29 @@ def test_drivers_make_one_kernel_call(monkeypatch):
     searches.clear()
     report = uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.1, rep, 512)
     assert searches == [(lv["nGrid"], lv["horizon"]) for lv in report.levels]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep: shrinking_hit_report(0.5, rep, 100_000, (3e13, 0.8)),
+        lambda rep: shrinking_hit_report(0.25, rep, 64, (1.3, math.nan)),
+        lambda rep: window_hit_counts(rep, (3e13, 0.8), 0.5, 100_000),
+        lambda rep: window_hit_counts(rep, (math.inf, 0.8), 0.5, 64),
+        lambda rep: uniform_grid_experiment((1.0, 1e308, 1.0, 2.0), 0.15, rep, 64),
+        lambda rep: uniform_grid_experiment((1.0, math.inf, 1.0, 2.0), 0.15, rep, 64),
+        lambda rep: uniform_grid_experiment((1.0, 2.0, 1.0, math.nan), 0.15, rep, 64),
+        lambda rep: uniform_grid_experiment((3e13, 3e13, 1.0, 1.0), 0.5, rep, 100_000),
+    ],
+    ids=["report-huge", "report-nan", "counts-huge", "counts-inf", "grid-huge", "grid-inf", "grid-nan", "grid-late"],
+)
+def test_dyadic_drivers_reject_targets_no_search_can_represent(call, search_spy):
+    # the smallest level's box is checked before any level is searched: at
+    # v1 = 3e13 the early boxes hold many floats, the level at k_max one
+    rep = _haar_reps(1, seed=53)[0]
+    with pytest.raises(ValueError, match="finite|single float"):
+        call(rep)
+    assert search_spy.points == search_spy.windows == 0
 
 
 @pytest.mark.parametrize("Ts", [[], [-4], [16, -1]])

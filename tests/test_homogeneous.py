@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import orbitlab.homogeneous as homogeneous_mod
@@ -18,6 +20,7 @@ from orbitlab.homogeneous import (
     _haar_coords,
     _haar_reps,
     _reduced_candidates,
+    _target_box,
     box_haar_mass,
     bump,
     bump_mean,
@@ -47,6 +50,37 @@ def center_matrix(spec, s=0.0):
     C = s * D
     A = (1.0 + B * C) / D
     return np.array([[A, B], [C, D]])
+
+
+@pytest.mark.parametrize(
+    "v, delta, match",
+    [
+        ((math.nan, 0.8), 0.2, "finite"),
+        ((1.3, math.inf), 0.2, "finite"),
+        ((-math.inf, 0.8), 0.2, "finite"),
+        ((1.3, 0.8), math.nan, "finite"),
+        ((1e15, 0.8), 0.2, "single float"),
+        ((-1e18, 0.8), 0.2, "single float"),
+        ((1e308, 0.8), 0.2, "single float"),
+        ((1.3, 1e18), 0.2, "single float"),
+        ((1.3, 0.8), 1e-300, "single float"),
+    ],
+)
+def test_target_spec_rejects_targets_no_search_can_represent(v, delta, match):
+    with pytest.raises(ValueError, match=match):
+        TargetSpec(*v, delta)
+
+
+def test_target_spec_box_is_the_flag_test():
+    # the spec holds _target_box once, and its ends are the floats of the
+    # test abs(x - v) <= delta/2; 1e14 (ulp 1/64) still has a box of floats
+    for spec in (TargetSpec(*V0, 0.2), TargetSpec(1e14, 0.8, 0.2), TargetSpec(-0.3, 0.7, 0.499)):
+        assert spec.box == _target_box(spec.v1, spec.v2, spec.delta)
+        assert spec.box[0] < spec.box[1] and spec.box[2] < spec.box[3]
+        for v, lo, hi in ((spec.v1, *spec.box[:2]), (spec.v2, *spec.box[2:])):
+            assert abs(lo - v) <= 0.5 * spec.delta < abs(math.nextafter(lo, -math.inf) - v)
+            assert abs(hi - v) <= 0.5 * spec.delta < abs(math.nextafter(hi, math.inf) - v)
+    assert TargetSpec(*V0, 0.2) == TargetSpec(*V0, 0.2) and "box" not in repr(TargetSpec(*V0, 0.2))
 
 
 def test_target_spec_validation():
@@ -243,11 +277,6 @@ def spec_id(spec):
     return f"{spec.v1},{spec.v2},{spec.delta:.4g}"
 
 
-def membership_box(spec):
-    hw = 0.5 * spec.delta
-    return (spec.v1 - hw, spec.v1 + hw, spec.v2 - hw, spec.v2 + hw)
-
-
 def bump_box(spec):
     hw1 = 0.5 * _bump_x_width(spec) * (spec.v2 + 0.5 * spec.delta)
     hw = 0.5 * spec.delta
@@ -269,7 +298,7 @@ def check_path_against_kernel(reps, spec, n_bump):
     equals the kernel's sum bitwise on the first n_bump reps.  Returns how
     many reps took the path."""
     reps = np.asarray(reps, dtype=float).tolist()
-    box = membership_box(spec)
+    box = spec.box
     taken = 0
     for g, terms in zip(reps, kernel_terms(reps, box)):
         fast = _reduced_candidates(g, *box)
@@ -338,6 +367,48 @@ def test_reduced_path_adversarial_reps(spec):
     # all but the two reps per round beyond the margin take the path
     assert taken == len(reps) - 2 * 300
     assert any(in_quotient_target(np.array(g), spec) for g in reps)
+
+
+@st.composite
+def planted_targets(draw):
+    """(v1, v2, delta, kernel): a target whose chart matrices [[1/tau, p1],
+    [0, tau]] near its box are reduced (|p1| < tau/2 and tau < 1, so z = g*i
+    lies in the fundamental domain and the row path decides them), or with
+    kernel set lie below the unit circle (tau > 1.1, so the kernel does).
+    The p1 range reaches across 0 for |v1| < delta: there the floats at its
+    ends are finer than those of delta/2, and v -+ delta/2 can round inward."""
+    kernel = draw(st.booleans())
+    f = draw(st.floats(1e-6, 1.0, exclude_max=True))
+    t = draw(st.floats(-1.0, 1.0).filter(lambda x: x != 0.0))
+    if kernel:
+        delta = 0.5 * f
+        return 0.99 * t * delta, draw(st.floats(1.35, 2.5)), delta, True
+    v2 = draw(st.floats(0.2, 0.75))
+    delta = f * 0.5 * v2
+    return 0.99 * t * (0.5 * v2 - 0.75 * delta), v2, delta, False
+
+
+@given(planted_targets())
+@example((0.12121881172106551, 0.81989636041194, 0.357311198985153, False))
+def test_in_target_implies_in_quotient_target(target):
+    # chart matrices planted at each end of the spec's box and one float
+    # outside it, in p1 and in tau (corners included): a matrix in the box
+    # lies in its own coset, so in_target must imply in_quotient_target, on
+    # the row path and on the kernel alike.  The example is a target whose
+    # corner matrix in_target accepted while the coset search, on a box with
+    # the rounded ends v -+ delta/2, missed it.
+    v1, v2, delta, kernel = target
+    spec = TargetSpec(v1, v2, delta)
+    p1_lo, p1_hi, tau_lo, tau_hi = spec.box
+    p1s = (p1_lo, p1_hi, v1, math.nextafter(p1_lo, -math.inf), math.nextafter(p1_hi, math.inf))
+    taus = (tau_lo, tau_hi, v2, math.nextafter(tau_lo, -math.inf), math.nextafter(tau_hi, math.inf))
+    for i, p1 in enumerate(p1s):
+        for j, tau in enumerate(taus):
+            g = np.array([[1.0 / tau, p1], [0.0, tau]])
+            assert (_reduced_candidates(g.tolist(), *spec.box) is None) == kernel
+            inside = in_target(g, spec)
+            assert inside == (i < 3 and j < 3)
+            assert in_quotient_target(g, spec) or not inside
 
 
 def test_reduced_points_skip_the_kernel(monkeypatch):
