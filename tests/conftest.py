@@ -27,10 +27,11 @@ for _module in pkgutil.walk_packages(orbitlab.__path__, "orbitlab."):
 
 @pytest.fixture
 def search_spy(monkeypatch):
-    """Counts the lattice points homogeneous._lattice_points yields (.points)
-    and the windows _box_candidates_batch receives (.windows) on the quotient
-    side, from the experiments and from test oracles alike; a test resets them."""
-    spy = SimpleNamespace(points=0, windows=0)
+    """Counts the lattice points homogeneous._lattice_points yields (.points),
+    the calls of _box_candidates_batch (.calls) and the windows they receive
+    (.windows) on the quotient side, from the experiments and from test
+    oracles alike; a test resets them."""
+    spy = SimpleNamespace(points=0, windows=0, calls=0)
     search, batch = homogeneous._lattice_points, homogeneous._box_candidates_batch
 
     def lattice_points(gs, windows):
@@ -39,6 +40,7 @@ def search_spy(monkeypatch):
             yield block
 
     def box_candidates_batch(reps, bounds):
+        spy.calls += 1
         spy.windows += len(bounds)
         return batch(reps, bounds)
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -179,6 +180,28 @@ def test_survey_uniform_mode(tmp_path, capsys):
     doc = json.loads(open(path).read())
     assert doc["summary"]["n"] == 2
     assert len(doc["perSample"]) == 2
+
+
+def test_survey_uniform_streams_huge_grids(tmp_path, capsys):
+    # 6*10^7 targets per level: each level is built a slice of 512 targets
+    # at a time and ends at its first slice with a miss, so memory is that
+    # of a slice.  (At --kmax 64 the level at horizon 64 hits every target
+    # and searches all 117,423 slices, minutes of work.)
+    path = str(tmp_path / "huge.json")
+    tracemalloc.start()
+    try:
+        rc, _, err = run(
+            capsys, "survey", "--mode", "uniform", "--omega", "1,1e7,1,2",
+            "--samples", "1", "--kmax", "16", "--out", path,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, err
+    levels = json.loads(open(path).read())["perSample"][0]["levels"]
+    nx, ny = math.ceil((1e7 - 1.0) / 0.499), math.ceil(1.0 / 0.499)
+    assert [lv["nGrid"] for lv in levels] == [nx * ny] * 5 and not any(lv["hit"] for lv in levels)
+    assert peak < 50 * 2**20
 
 
 def test_hit_times_report(tmp_path, capsys):

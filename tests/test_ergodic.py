@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitlab.ergodic as ergodic_mod
@@ -232,11 +232,13 @@ def test_shrinking_fast_targets_taper():
 
 def report_one_window(eta, rep, k_max, v) -> dict:
     """Oracle: shrinking_hit_report as one search with the largest target
-    over all |k| <= k_max, the levels then picked out by the flag test."""
+    over all |k| <= k_max, the levels then picked out by the flag test.  The
+    search box is the _target_box of the largest target, which holds every
+    float the flag test accepts (v -+ delta/2 can lie a float inside)."""
     v1, v2 = v
     levels = _dyadic_levels(eta, k_max, v2)
-    hw = 0.5 * max(d for _, d in levels)
-    p1, tau, s, _ = _box_candidates_batch(rep, [(v1 - hw, v1 + hw, v2 - hw, v2 + hw, -k_max - 0.5, k_max + 0.5)])
+    box = _target_box(v1, v2, max(d for _, d in levels))
+    p1, tau, s, _ = _box_candidates_batch(rep, [box + (-k_max - 0.5, k_max + 0.5)])
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
     ak, p1, tau = np.abs(k[hit]), p1[hit], tau[hit]
@@ -253,15 +255,16 @@ def report_one_window(eta, rep, k_max, v) -> dict:
 
 def window_counts_one_window(rep, v, eta, k_max) -> list:
     """Oracle: window_hit_counts with one search per window over all
-    |k| <= hi, the times below the window dropped after the search."""
+    |k| <= hi, the times below the window dropped after the search, each
+    window searched with the _target_box of its largest target."""
     v1, v2 = v
     cap = _delta_cap(v2)
     out = []
     j = 0
     while 2**j <= k_max:
         lo, hi = 2**j, min(2 ** (j + 1) - 1, k_max)
-        hwv = 0.5 * (cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
-        p1, tau, s, _ = _box_candidates_batch(rep, [(v1 - hwv, v1 + hwv, v2 - hwv, v2 + hwv, -hi - 0.5, hi + 0.5)])
+        box = _target_box(v1, v2, cap if eta == 0.0 else min(cap, float(lo) ** (-eta)))
+        p1, tau, s, _ = _box_candidates_batch(rep, [box + (-hi - 0.5, hi + 0.5)])
         k, r = _hit_times(s)
         ak = np.abs(k)
         hit = (lo <= ak) & (ak <= hi) & (np.abs(r) < 0.5)
@@ -358,12 +361,14 @@ def test_report_targets_touching_the_p1_axis():
 
 def first_hits_one_window(reps, boxes, horizon) -> np.ndarray:
     """Oracle: the least |k| <= horizon at which each window hits (horizon + 1
-    where none does), from one search per window over all |k| <= horizon."""
-    bounds = [b + (-horizon - 0.5, horizon + 0.5) for b in boxes]
+    where none does), from one search per window over all |k| <= horizon
+    (one horizon for all windows or one per window)."""
+    horizons = np.broadcast_to(np.asarray(horizon, dtype=np.int64), (len(boxes),))
+    bounds = [b + (-h - 0.5, h + 0.5) for b, h in zip(boxes, horizons.tolist())]
     _, _, s, win = homogeneous_mod._box_candidates_batch(reps, bounds)
     k, r = _hit_times(s)
     hit = np.abs(r) < 0.5
-    first = np.full(len(boxes), horizon + 1, dtype=np.int64)
+    first = horizons + 1
     np.minimum.at(first, win[hit], np.abs(k[hit]))
     return first
 
@@ -466,6 +471,113 @@ def test_first_hits_stop_at_each_windows_horizon():
         want = [first_hits_one_window(g, [b], h)[0] for g, b, h in zip(rep, boxes, horizons)]
         assert _first_hits(reps[0] if shared else reps, boxes, horizons).tolist() == want
         assert 0 < sum(f > h for f, h in zip(want, horizons)) < len(want)  # some miss, some hit
+
+
+@st.composite
+def shared_matrix_targets(draw):
+    """Boxes and horizons of windows that share one matrix: the nested boxes
+    of dyadic levels, grid slices whose boxes overlap their neighbours,
+    disjoint boxes (some far apart in p1 at the same tau), or all of them
+    shuffled together."""
+    kind = draw(st.sampled_from(["nested", "grid", "disjoint", "mixed"]))
+    v1 = draw(st.floats(0.3, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    v2 = draw(st.floats(0.4, 2.0))
+    delta = draw(st.floats(0.01, 0.25))
+    n = draw(st.integers(1, 10))
+    nested = [_target_box(v1, v2, delta * draw(st.floats(0.7, 1.0)) ** j) for j in range(n)]
+    step = delta * draw(st.floats(0.3, 1.2))
+    grid = [_target_box(v1 + i * step, v2 + j * step, delta) for i in range(n) for j in range(3)]
+    far = draw(st.sampled_from([3.0, 50.0]))
+    disjoint = [_target_box(v1 + far * delta * i, v2 + delta * (i % 2), delta) for i in range(n)]
+    boxes = {"nested": nested, "grid": grid, "disjoint": disjoint}.get(kind) or draw(
+        st.permutations(nested + grid[:n] + disjoint)
+    )
+    horizon = st.sampled_from([0, 1, 2, 5, 64, 300, 1500, 6000, 20000])
+    horizons = draw(st.lists(horizon, min_size=len(boxes), max_size=len(boxes)))
+    return boxes, horizons
+
+
+@settings(max_examples=120)
+@given(shared_matrix_targets(), st.integers(0, 2**16), st.sampled_from([None, 0.01, 0.002]), st.floats(0.1, 0.9))
+def test_cover_windows_match_one_window_per_target(targets, seed, cusp, x):
+    # windows of one matrix searched in shared covers, each hit given to the
+    # windows whose closed box holds it, against one search per window.
+    # A matrix [[1/a, x], [0, a]] lies high in the cusp: no primitive row
+    # reaches the boxes before |k| of about 1/a, so windows stay pending
+    # into later shells.
+    boxes, horizons = targets
+    rep = _haar_reps(1, seed=seed)[0] if cusp is None else np.array([[1.0 / cusp, x], [0.0, cusp]])
+    first = _first_hits(rep, boxes, horizons)
+    assert first.tolist() == first_hits_one_window(rep, boxes, horizons).tolist()
+
+
+def planted_hits(rep, K: int, count: int) -> tuple:
+    """The (p1, tau, |k|) of the first count hits of a wide box around V0
+    at 0 < |k| <= K, and that box."""
+    box = (V0[0] - 0.3, V0[0] + 0.3, V0[1] - 0.3, V0[1] + 0.3)
+    p1, tau, s, _ = _box_candidates_batch(rep, [box + (-K - 0.5, K + 0.5)])
+    k, r = _hit_times(s)
+    hit = (np.abs(r) < 0.5) & (k != 0)
+    return list(zip(p1[hit].tolist(), tau[hit].tolist(), np.abs(k[hit]).tolist()))[:count], box
+
+
+def test_cover_members_decide_hits_on_their_box_ends(search_spy):
+    # a hit planted on an end of a small box, and one float outside it; the
+    # small boxes share the one cover window of a wide box that holds every
+    # hit, so the closed box test after the search decides them
+    K = 400
+    rep = _haar_reps(1, seed=54)[0]
+    hits, wide = planted_hits(rep, K, 6)
+    boxes, outside = [wide], []
+    for x1, x2, _ in hits:
+        for end in range(4):
+            for out in (False, True):
+                box = [x1 - 1e-3, x1 + 1e-3, x2 - 1e-3, x2 + 1e-3]
+                box[end] = (x1, x1, x2, x2)[end]
+                if out:
+                    box[end] = math.nextafter(box[end], math.inf if end % 2 == 0 else -math.inf)
+                boxes.append(tuple(box))
+                outside.append(out)
+    search_spy.calls = search_spy.windows = 0
+    first = _first_hits(rep, boxes, K)
+    assert search_spy.calls == search_spy.windows == 1  # one shell, one cover
+    assert first.tolist() == first_hits_one_window(rep, boxes, K).tolist()
+    outside = np.array(outside)
+    assert len(hits) == 6 and (first[1:][~outside] <= K).all() and (first[1:][outside] > K).all()
+
+
+def test_cover_members_decide_hits_beyond_their_horizon(search_spy):
+    # a hit planted inside a small box whose horizon is its time |k| or one
+    # less: the cover (a wide box to horizon K) finds it, and only the
+    # window whose horizon holds |k| takes it
+    K = 400
+    rep = _haar_reps(1, seed=55)[0]
+    hits, wide = planted_hits(rep, K, 8)
+    boxes, horizons = [wide], [K]
+    for x1, x2, ak in hits:
+        boxes += [(x1 - 1e-3, x1 + 1e-3, x2 - 1e-3, x2 + 1e-3)] * 2
+        horizons += [ak, ak - 1]
+    search_spy.calls = search_spy.windows = 0
+    first = _first_hits(rep, boxes, horizons)
+    assert search_spy.calls == search_spy.windows == 1
+    assert first.tolist() == first_hits_one_window(rep, boxes, horizons).tolist()
+    times = [ak for _, _, ak in hits]
+    assert len(times) == 8 and first[1::2].tolist() == times and first[2::2].tolist() == times
+
+
+@pytest.mark.parametrize(
+    "eta, k_max, calls, windows, points",
+    [(0.25, 30_000, 13, 160 // 3, 5266), (0.5, 100_000, 8, 136, 8218), (0.7, 100_000, 8, 136, 1187)],
+)
+def test_report_covers_cut_windows_and_points(eta, k_max, calls, windows, points, search_spy):
+    # 8 reports on _haar_reps(8, seed=2024): one window per pending level
+    # and shell took 160 / 136 / 136 windows and 5,266 / 8,218 / 1,187
+    # lattice points; shared covers measured 26 / 64 / 72 windows and
+    # 1,944 / 6,553 / 1,073 points in the same kernel calls, one per shell
+    for rep in _haar_reps(8, seed=2024):
+        shrinking_hit_report(eta, rep, k_max, V0)
+    assert search_spy.calls == calls
+    assert search_spy.windows <= windows and search_spy.points <= points
 
 
 @pytest.mark.parametrize("eta", [0.4, 0.5])
@@ -625,8 +737,7 @@ def test_grid_levels_search_targets_in_slices(monkeypatch):
             level = [(n, miss) for h, n, miss in calls if h == lv["horizon"]]
             assert [miss for _, miss in level] == [False] * (len(level) - 1) + [not lv["hit"]]
             assert sum(n for n, _ in level) == lv["nGrid"] or not lv["hit"]
-            h = 0.5 * lv["delta"]
-            boxes = [(w1 - h, w1 + h, w2 - h, w2 + h) for w1, w2 in _grid_points(omega, lv["delta"])]
+            boxes = [_target_box(w1, w2, lv["delta"]) for w1, w2 in _grid_points(omega, lv["delta"])]
             assert lv["hit"] == bool((first_hits(pt.rep, boxes, lv["horizon"]) <= lv["horizon"]).all())
             if lv["nGrid"] > _CHUNK:
                 sliced.add(lv["hit"])
