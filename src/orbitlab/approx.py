@@ -365,12 +365,15 @@ def approx_trace(
         raise ValueError("first budget must be at least 2")
     if not all(math.isfinite(float(x)) for x in (*u, *v)):
         raise ValueError("u and v must be finite")
-    if float(u[0]) == 0.0 and float(u[1]) == 0.0:
-        raise ValueError("orbit seed u must be nonzero")
+    u1, u2 = float(u[0]), float(u[1])
+    e1, e2 = u1 - float(v[0]), u2 - float(v[1])
+    best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
+    # |u|^2 scales every strip window and the identity's dist^2 bounds every
+    # search; an underflow to 0 or an overflow to inf leaves nothing to search
+    if not (0.0 < u1 * u1 + u2 * u2 < math.inf and best[0] < math.inf):
+        raise ValueError("|u|^2 must be positive and finite, and |u - v|^2 finite, in floats")
     ints = [_budget_int(T) for T in budgets]
     w = _scan_target(v)[1]
-    e1, e2 = float(u[0]) - float(v[0]), float(u[1]) - float(v[1])
-    best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
     keys, last = [], 0
     while len(keys) < len(ints):
         i = j = len(keys)
@@ -389,7 +392,7 @@ def approx_trace(
         keys += _strip_improve(u, v, ints[i : j + 1], eps, subgroup, best)
         best, last = keys[-1], ints[j]
     return ApproxTrace(
-        u=(float(u[0]), float(u[1])),
+        u=(u1, u2),
         v=(float(v[0]), float(v[1])),
         budgets=budgets,
         records=[_record_from_key(key) for key in keys],

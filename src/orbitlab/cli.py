@@ -2,8 +2,8 @@
 
 Every output file embeds {seed, config hash, artifact version}; no timestamps
 are written, so a rerun with identical configuration and --workers 1 produces
-byte-identical files.  Exit codes: 0 on success, 2 for configuration errors,
-3 for numerical/domain errors.
+byte-identical files.  Exit codes: 0 on success, 2 for configuration errors
+(files that cannot be read or written included), 3 for numerical/domain errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .approx import ApproxTrace, approx_trace, estimate_exponents, survey_exponents
+from .approx import TRACE_CSV_HEADER, ApproxTrace, approx_trace, estimate_exponents, survey_exponents
 from .enumeration import SubgroupFilter, count, dump_elements
 from .ergodic import (
     matcoef_curve,
@@ -34,36 +34,26 @@ from .homogeneous import TargetSpec, haar_sample
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_pair(text: str) -> tuple:
+def _parse_floats(text: str, form: str = "x,y") -> tuple:
+    """Comma-separated floats shaped like form: a point 'x,y' or a rectangle 'x0,x1,y0,y1'."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_rect(text: str) -> tuple:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"expected 'x0,x1,y0,y1', got {text!r}")
-    return tuple(parts)
+    if len(parts) != len(form.split(",")):
+        raise ValueError(f"expected {form!r}, got {text!r}")
+    return tuple(float(p) for p in parts)
 
 
 def _parse_grid(text: str) -> list:
     """Geometric grid spec 'lo:hi:ratio' (inclusive of hi up to rounding)."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"expected 'lo:hi:ratio', got {text!r}")
+        raise ValueError(f"expected 'lo:hi:ratio', got {text!r}")
     lo, hi, ratio = (float(p) for p in parts)
     if not all(math.isfinite(x) for x in (lo, hi, ratio)) or lo <= 0 or hi < lo or ratio <= 1.0:
-        raise ConfigError(f"bad geometric grid {text!r}")
+        raise ValueError(f"bad geometric grid {text!r}")
     out = []
     t = lo
     while t <= hi * (1.0 + 1e-12):
@@ -73,12 +63,16 @@ def _parse_grid(text: str) -> list:
 
 
 def _parse_tau(text: str) -> float:
-    if "/" in text:
-        tau = float(Fraction(text))
-    else:
-        tau = float(text)
+    """argparse type of --tau: a float or a fraction such as 7/64, in [0, 1/2)."""
+    try:
+        if "/" in text:
+            tau = float(Fraction(text))
+        else:
+            tau = float(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad spectral-gap parameter {text!r}") from None
     if not 0.0 <= tau < 0.5:
-        raise ConfigError(f"spectral-gap parameter must lie in [0, 1/2), got {tau}")
+        raise argparse.ArgumentTypeError(f"spectral-gap parameter must lie in [0, 1/2), got {tau}")
     return tau
 
 
@@ -89,7 +83,7 @@ def _config_hash(cfg: dict) -> str:
 
 def _meta(cfg: dict) -> dict:
     return {
-        "seed": cfg.get("seed"),
+        "seed": cfg["seed"],
         "configHash": _config_hash(cfg),
         "version": __version__,
     }
@@ -101,12 +95,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_csv(path, header_cols, rows, cfg: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(_meta(cfg).items())]
-    lines.append(",".join(header_cols))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
+def _write(path, text: str) -> None:
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -114,15 +103,18 @@ def _emit_csv(path, header_cols, rows, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
+def _emit_csv(path, header_cols, rows, cfg: dict) -> None:
+    lines = [f"# {k}={v}" for k, v in sorted(_meta(cfg).items())]
+    lines.append(",".join(header_cols))
+    for row in rows:
+        lines.append(",".join(_fmt(x) for x in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _emit_json(path, payload: dict, cfg: dict) -> None:
     doc = dict(payload)
     doc["meta"] = _meta(cfg)
-    text = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(path, json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def _theory_windows(tau: float) -> dict:
@@ -137,63 +129,48 @@ def _theory_windows(tau: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed options and their provenance config
 # ---------------------------------------------------------------------------
 
-def _cmd_enumerate(args) -> int:
-    flt = SubgroupFilter.parse(args.filter)
-    n = count(args.T, flt, workers=args.workers)
-    cfg = {"cmd": "enumerate", "T": args.T, "filter": str(flt), "seed": args.seed}
+_TRACE_COLS = TRACE_CSV_HEADER.split(",")
+
+
+def _found_summary(per_sample: list) -> dict:
+    found = [p["T0"] for p in per_sample if p["T0"] is not None]
+    return {"nFound": len(found), "n": len(per_sample), "maxT0": max(found) if found else None}
+
+
+def _cmd_enumerate(args, cfg: dict) -> int:
+    n = count(args.T, args.filter, workers=args.workers)
     print(n)
     if args.dump:
         os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
-        dump_elements(args.dump, args.T, flt)
+        dump_elements(args.dump, args.T, args.filter)
     if args.out:
-        _emit_json(args.out, {"count": n, "T": args.T, "filter": str(flt)}, cfg)
+        _emit_json(args.out, {"count": n, "T": args.T, "filter": str(args.filter)}, cfg)
     return 0
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args, cfg: dict) -> int:
     budgets = _parse_grid(args.budgets)
-    flt = SubgroupFilter.parse(args.filter)
-    cfg = {
-        "cmd": "approx",
-        "u": args.u,
-        "v": args.v,
-        "budgets": args.budgets,
-        "filter": str(flt),
-        "seed": args.seed,
-    }
-    tr = approx_trace(_parse_pair(args.u), _parse_pair(args.v), budgets, subgroup=flt)
+    tr = approx_trace(_parse_floats(args.u), _parse_floats(args.v), budgets, subgroup=args.filter)
     if args.format == "json":
-        rows = [
-            {"T": T, "dist": d, "norm": n, "a": a, "b": b, "c": c, "d": dd}
-            for (T, d, n, a, b, c, dd) in tr.rows()
-        ]
+        rows = [dict(zip(_TRACE_COLS, row)) for row in tr.rows()]
         _emit_json(args.out, {"u": tr.u, "v": tr.v, "trace": rows}, cfg)
     else:
-        _emit_csv(args.out, ["T", "dist", "norm", "a", "b", "c", "d"], tr.rows(), cfg)
+        _emit_csv(args.out, _TRACE_COLS, tr.rows(), cfg)
     return 0
 
 
-def _cmd_exponent(args) -> int:
-    cfg = {
-        "cmd": "exponent",
-        "u": args.u,
-        "v": args.v,
-        "budgets": args.budgets,
-        "tailFraction": args.tail_fraction,
-        "replay": args.replay,
-        "seed": args.seed,
-    }
+def _cmd_exponent(args, cfg: dict) -> int:
     if args.replay:
         with open(args.replay) as fh:
             tr = ApproxTrace.from_csv(fh.read())
     else:
         if args.u is None or args.v is None:
-            raise ConfigError("exponent needs --u and --v (or --replay)")
+            raise ValueError("exponent needs --u and --v (or --replay)")
         budgets = _parse_grid(args.budgets)
-        tr = approx_trace(_parse_pair(args.u), _parse_pair(args.v), budgets)
+        tr = approx_trace(_parse_floats(args.u), _parse_floats(args.v), budgets)
     try:
         est = estimate_exponents(tr, tail_fraction=args.tail_fraction)
         payload = est.as_dict()
@@ -210,25 +187,10 @@ def _cmd_exponent(args) -> int:
     return 0
 
 
-def _cmd_survey(args) -> int:
-    tau = _parse_tau(args.tau)
-    cfg = {
-        "cmd": "survey",
-        "mode": args.mode,
-        "pairs": args.pairs,
-        "budgets": args.budgets,
-        "v": args.v,
-        "omega": args.omega,
-        "eta": args.eta,
-        "kmax": args.kmax,
-        "samples": args.samples,
-        "tau": tau,
-        "tailFraction": args.tail_fraction,
-        "seed": args.seed,
-    }
+def _cmd_survey(args, cfg: dict) -> int:
     if args.mode == "exponents":
         budgets = _parse_grid(args.budgets)
-        fixed_v = _parse_pair(args.v) if args.v else None
+        fixed_v = _parse_floats(args.v) if args.v else None
         rows = survey_exponents(
             args.pairs,
             budgets,
@@ -245,7 +207,7 @@ def _cmd_survey(args) -> int:
         ]
         finite = [r["muHat"] for r in rows if not r["exactHit"]]
         summary = {
-            "theory": _theory_windows(tau),
+            "theory": _theory_windows(args.tau),
             "muHatQuantiles": {
                 q: float(np.quantile(finite, float(q))) for q in ("0.05", "0.25", "0.5", "0.75", "0.95")
             }
@@ -253,87 +215,53 @@ def _cmd_survey(args) -> int:
             else {},
             "nExactHits": sum(1 for r in rows if r["exactHit"]),
         }
-        if args.out:
-            _emit_csv(args.out, cols, csv_rows, cfg)
-            _emit_json(args.out + ".summary.json", summary, cfg)
-        else:
-            _emit_csv(None, cols, csv_rows, cfg)
-            _emit_json(None, summary, cfg)
+        _emit_csv(args.out, cols, csv_rows, cfg)
+        _emit_json(args.out and args.out + ".summary.json", summary, cfg)
         return 0
     # uniform mode: grid targets over a compact rectangle
     if not args.omega:
-        raise ConfigError("survey --mode uniform needs --omega")
-    omega = _parse_rect(args.omega)
+        raise ValueError("survey --mode uniform needs --omega")
+    omega = _parse_floats(args.omega, "x0,x1,y0,y1")
     points = haar_sample(args.samples, args.seed)
     per_sample = []
     for pt in points:
         rep = uniform_grid_experiment(omega, args.eta, pt, args.kmax)
         per_sample.append({"T0": rep.T0, "levels": rep.levels})
-    found = [p["T0"] for p in per_sample if p["T0"] is not None]
     payload = {
         "config": {"omega": list(omega), "eta": args.eta, "kmax": args.kmax},
-        "theory": _theory_windows(tau),
+        "theory": _theory_windows(args.tau),
         "perSample": per_sample,
-        "summary": {
-            "nFound": len(found),
-            "n": len(per_sample),
-            "maxT0": max(found) if found else None,
-        },
+        "summary": _found_summary(per_sample),
     }
     _emit_json(args.out, payload, cfg)
     return 0
 
 
-def _cmd_hit_times(args) -> int:
-    v = _parse_pair(args.v)
-    cfg = {
-        "cmd": "hit-times",
-        "v": args.v,
-        "eta": args.eta,
-        "kmax": args.kmax,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+def _cmd_hit_times(args, cfg: dict) -> int:
+    v = _parse_floats(args.v)
     points = haar_sample(args.samples, args.seed)
     per_sample = [shrinking_hit_report(args.eta, pt, args.kmax, v) for pt in points]
-    found = [p["T0"] for p in per_sample if p["T0"] is not None]
     payload = {
         "config": {"v": list(v), "eta": args.eta, "kmax": args.kmax},
         "perSample": per_sample,
-        "summary": {"nFound": len(found), "n": len(per_sample), "maxT0": max(found) if found else None},
+        "summary": _found_summary(per_sample),
     }
     _emit_json(args.out, payload, cfg)
     return 0
 
 
-def _cmd_ergodic_variance(args) -> int:
-    v = _parse_pair(args.v)
+def _cmd_ergodic_variance(args, cfg: dict) -> int:
+    v = _parse_floats(args.v)
     spec = TargetSpec(v[0], v[1], args.delta)
     Ts = [int(t) for t in _parse_grid(args.Ts)]
-    cfg = {
-        "cmd": "ergodic-variance",
-        "v": args.v,
-        "delta": args.delta,
-        "Ts": args.Ts,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     curve = variance_curve(spec, Ts, args.samples, args.seed, workers=args.workers)
     _emit_csv(args.out, ["T", "value", "stderr"], curve.rows(), cfg)
     return 0
 
 
-def _cmd_miss_rate(args) -> int:
-    v = _parse_pair(args.v)
+def _cmd_miss_rate(args, cfg: dict) -> int:
+    v = _parse_floats(args.v)
     Ts = [int(t) for t in _parse_grid(args.Ts)]
-    cfg = {
-        "cmd": "miss-rate",
-        "v": args.v,
-        "delta": args.delta,
-        "Ts": args.Ts,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     rates = miss_rate_curve(Ts, args.delta, v, args.samples, args.seed, workers=args.workers)
     rows = [(m.T, m.fraction, m.stderr) for m in rates]
     if args.format == "json":
@@ -349,19 +277,10 @@ def _cmd_miss_rate(args) -> int:
     return 0
 
 
-def _cmd_matcoef(args) -> int:
-    v = _parse_pair(args.v)
+def _cmd_matcoef(args, cfg: dict) -> int:
+    v = _parse_floats(args.v)
     spec = TargetSpec(v[0], v[1], args.delta)
     ts = _parse_grid(args.ts)
-    cfg = {
-        "cmd": "matcoef",
-        "v": args.v,
-        "delta": args.delta,
-        "ts": args.ts,
-        "samples": args.samples,
-        "orbitWindow": args.orbit_window,
-        "seed": args.seed,
-    }
     values, stderrs = matcoef_curve(
         spec, ts, args.samples, args.seed, orbit_window=args.orbit_window, workers=args.workers
     )
@@ -380,27 +299,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, fn, formats=False):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--out", default=None, help="output file (stdout when omitted)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--tau", default="0", help="spectral-gap parameter (float or fraction like 7/64)")
+        if formats:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("enumerate", help="count / dump a norm ball")
     sp.add_argument("--T", type=float, required=True)
-    sp.add_argument("--filter", default="full")
+    sp.add_argument("--filter", type=SubgroupFilter.parse, default="full")
     sp.add_argument("--dump", default=None, help="path for a binary dump")
-    common(sp)
-    sp.set_defaults(fn=_cmd_enumerate)
+    common(sp, _cmd_enumerate)
 
     sp = sub.add_parser("approx", help="best-approximation trace over a budget grid")
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--budgets", required=True, help="geometric grid lo:hi:ratio")
-    sp.add_argument("--filter", default="full")
-    common(sp)
-    sp.set_defaults(fn=_cmd_approx)
+    sp.add_argument("--filter", type=SubgroupFilter.parse, default="full")
+    common(sp, _cmd_approx, formats=True)
 
     sp = sub.add_parser("exponent", help="exponent estimates for one pair (or a replayed trace)")
     sp.add_argument("--u")
@@ -408,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budgets", default="256:134217728:2")
     sp.add_argument("--tail-fraction", type=float, default=0.5)
     sp.add_argument("--replay", default=None, help="read a trace CSV instead of computing one")
-    common(sp)
-    sp.set_defaults(fn=_cmd_exponent)
+    common(sp, _cmd_exponent)
 
     sp = sub.add_parser("survey", help="exponent survey / uniform-grid target survey")
     sp.add_argument("--mode", choices=("exponents", "uniform"), default="exponents")
@@ -421,32 +338,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, default=0.15)
     sp.add_argument("--kmax", type=int, default=10**5)
     sp.add_argument("--samples", type=int, default=20)
-    common(sp)
-    sp.set_defaults(fn=_cmd_survey)
+    sp.add_argument("--tau", type=_parse_tau, default="0", help="spectral-gap parameter (float or fraction like 7/64)")
+    common(sp, _cmd_survey)
 
     sp = sub.add_parser("hit-times", help="shrinking-target certification over random points")
     sp.add_argument("--v", default="1.3,0.8")
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--kmax", type=int, default=10**5)
     sp.add_argument("--samples", type=int, default=50)
-    common(sp)
-    sp.set_defaults(fn=_cmd_hit_times)
+    common(sp, _cmd_hit_times)
 
     sp = sub.add_parser("ergodic-variance", help="orbit-average variance decay curve")
     sp.add_argument("--v", default="1.3,0.8")
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--Ts", default="64:16384:2", help="geometric grid of orbit half-widths")
     sp.add_argument("--samples", type=int, default=10**4)
-    common(sp)
-    sp.set_defaults(fn=_cmd_ergodic_variance)
+    common(sp, _cmd_ergodic_variance)
 
     sp = sub.add_parser("miss-rate", help="missing-orbit fraction curve")
     sp.add_argument("--v", default="1.3,0.8")
     sp.add_argument("--delta", type=float, default=0.2)
     sp.add_argument("--Ts", default="16:4096:2")
     sp.add_argument("--samples", type=int, default=10**4)
-    common(sp)
-    sp.set_defaults(fn=_cmd_miss_rate)
+    common(sp, _cmd_miss_rate, formats=True)
 
     sp = sub.add_parser("matcoef", help="correlation decay of the centered target bump")
     sp.add_argument("--v", default="1.3,0.8")
@@ -454,10 +368,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ts", default="16:4096:2")
     sp.add_argument("--samples", type=int, default=10**4)
     sp.add_argument("--orbit-window", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=_cmd_matcoef)
+    common(sp, _cmd_matcoef)
 
     return p
+
+
+# Parsed options that say where and how a run writes, or how many processes
+# it uses, do not change its results and stay out of its provenance config.
+_UNRECORDED = ("command", "fn", "workers", "out", "format", "dump")
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(w.capitalize() for w in rest)
 
 
 def main(argv=None) -> int:
@@ -466,12 +389,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    cfg = {"cmd": args.command, **{_camel(k): v for k, v in vars(args).items() if k not in _UNRECORDED}}
     try:
         if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        _parse_tau(args.tau)
-        return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+            raise ValueError("--workers must be >= 1")
+        return args.fn(args, cfg)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OrbitLabError as exc:

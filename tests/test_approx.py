@@ -174,7 +174,7 @@ RATIONAL_RATIO_TIES = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ties are ranked on float keys until exact ranking (ROADMAP item 1, step B)")
+@pytest.mark.xfail(strict=True, reason="ties are ranked on float keys until exact ranking (ROADMAP item 2, step B)")
 @pytest.mark.parametrize("u, v, T, least", RATIONAL_RATIO_TIES)
 def test_rational_ratio_seeds_follow_exact_tie_order(u, v, T, least):
     def exact_key(a, b, c, d):

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import orbitlab
-from orbitlab.cli import main
+from orbitlab.cli import _build_parser, main
 from orbitlab.enumeration import load_elements
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -49,7 +53,7 @@ def test_exit_codes(tmp_path, capsys):
     rc, _, err = run(capsys, "exponent")  # missing --u/--v
     assert rc == 2 and "config error" in err
     rc, _, err = run(capsys, "survey", "--tau", "0.73", "--pairs", "1")
-    assert rc == 2
+    assert rc == 2 and "must lie in [0, 1/2)" in err
     rc, _, err = run(capsys, "approx", "--u", "1.1,1.2", "--v", "1.3,1.4", "--budgets", "1e19:2e19:2")
     assert rc == 3 and "BudgetOverflow" in err
     rc, _, _ = run(capsys, "enumerate", "--T", "3", "--workers", "0")
@@ -279,3 +283,98 @@ print(sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modu
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, timeout=300)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, config_hash",
+    [
+        ("enumerate --T 500 --filter ' gamma:2'", "1b9551d39a80"),
+        ("approx --u 1.41,1.73 --v 1.2,1.5 --budgets 256:65536:2 --filter gamma0:3 --format json", "2161d43e6a8b"),
+        ("exponent --u 1.5,1.25 --v 1.5,1.25 --budgets 16:65536:2 --tail-fraction 0.6", "56b0a779c4d4"),
+        ("survey --pairs 2 --budgets 256:65536:2 --seed 1 --tau 7/64", "c3bf6b363272"),
+        ("survey --mode uniform --omega 1,2,1,2 --eta 0.2 --kmax 500 --samples 2 --tau 1/8", "6a70c0f98eb9"),
+        ("hit-times --v 1.1,0.9 --eta 0.3 --kmax 1000 --samples 2 --seed 7", "3786e5bfd0f8"),
+        ("ergodic-variance --delta 0.15 --Ts 16:256:4 --samples 400 --seed 2", "b5eab5bcd491"),
+        ("miss-rate --delta 0.2 --Ts 16:256:2 --samples 300 --format json --seed 3", "26a892e1dfef"),
+        ("matcoef --delta 0.15 --ts 1:64:4 --samples 300 --orbit-window 2 --seed 2", "ea1a65fb331f"),
+    ],
+    ids=lambda a: a.split()[0] if " " in a else None,
+)
+def test_config_hash_pinned(tmp_path, capsys, argv, config_hash):
+    # the hashes the hand-written configs gave before the parsed options
+    # replaced them; where and how a run writes does not enter them
+    path = tmp_path / "out"
+    rc, _, err = run(capsys, *shlex.split(argv), "--workers", "1", "--out", str(path))
+    assert rc == 0, err
+    assert re.findall(r'configHash(?:=|": ")([0-9a-f]{12})', path.read_text()) == [config_hash]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(f"{cmd} --tau 0.1" for cmd in (
+            "enumerate --T 3", "approx --u 1.41,1.73 --v 1.2,1.5 --budgets 16:64:2", "exponent --replay x.csv",
+            "hit-times --eta 0.3", "ergodic-variance", "miss-rate", "matcoef",
+        )),
+        *(f"{cmd} --format json" for cmd in (
+            "enumerate --T 3", "exponent --replay x.csv", "survey --pairs 1", "hit-times --eta 0.3",
+            "ergodic-variance", "matcoef",
+        )),
+    ],
+)
+def test_options_no_command_reads_are_refused(capsys, argv):
+    # accepted and ignored before: survey --format json wrote CSV
+    rc, _, err = run(capsys, *shlex.split(argv))
+    assert rc == 2 and "unrecognized arguments" in err
+
+
+def test_readme_commands_parse():
+    # the README's command block and the parser cannot drift apart
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "orbitlab" for argv in commands)
+    assert {argv[1] for argv in commands} == {
+        "enumerate", "approx", "exponent", "survey", "hit-times", "ergodic-variance", "miss-rate", "matcoef",
+    }
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--T", "100", "--out", "TMP/file/x.json"],
+        ["enumerate", "--T", "100", "--dump", "TMP/file/sub/x.i64"],
+        ["exponent", "--replay", "TMP/missing.csv"],
+    ],
+    ids=["out", "dump", "replay"],
+)
+def test_file_errors_are_config_errors(tmp_path, capsys, argv):
+    # each ended with an OSError traceback and exit 1; TMP/file is a file, not a directory
+    (tmp_path / "file").write_text("")
+    rc, _, err = run(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+    assert rc == 2 and "config error" in err
+
+
+@pytest.mark.parametrize(
+    "u, v, rc",
+    [
+        ("1e-170,1e-170", "1,2", 2),  # |u|^2 underflows to 0 (a ZeroDivisionError before)
+        ("1e-160,1e-160", "1,2", 0),  # subnormal |u|^2 is still positive
+        ("1e160,1e160", "1,2", 2),  # |u|^2 overflows (rows with dist inf before)
+        ("1e150,1e150", "1,2", 0),
+        ("1.41,1.73", "1e160,1", 2),  # the identity's dist^2 overflows
+        ("1.41,1.73", "1e150,1", 0),
+    ],
+)
+def test_approx_refuses_points_whose_squares_leave_the_floats(capsys, u, v, rc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "approx", "--u", u, "--v", v, "--budgets", "16:1e6:16")
+    assert got == rc, err
+    if rc:
+        assert "config error" in err
+    else:
+        dists = [float(l.split(",")[1]) for l in out.splitlines()[4:]]
+        assert len(dists) == 4 and all(math.isfinite(d) and d > 0 for d in dists)
