@@ -9,7 +9,8 @@ two rows cuts the strip's length to about min(|v1|, |v2|)/|v| of the norm
 disk's diameter.  The strip's area predicts the lattice points a scan
 visits, so one scan answers every next budget whose strip stays under a
 fixed point count, and a deep budget is reached through seed scans that
-first shrink eps.  The first scan starts from the identity, which has norm
+first shrink eps, each at the budget halved until its strip stays under
+that count.  The first scan starts from the identity, which has norm
 2 and lies in every filter.  The rows of the strip come from the quotient
 side's lattice-point search, whose cost follows the rows rather than
 sqrt(budget), and one selection computes every distance and breaks ties by
@@ -190,18 +191,8 @@ def _scan_target(v) -> tuple:
     return swap, ((v2, -v1) if swap else (v1, v2))
 
 
-def _cut_terms(u, w, Tint: int, eps: float) -> tuple:
-    """(n, A, B, err) of the sigma cut of _strip_window: n = |u|^2, A = |w1| - eps
-    and B = |w2| + eps, each widened by err, a bound on the float error of an
-    image coordinate x*u1 + y*u2 with |x|, |y| <= sqrt(Tint), or of its
-    distance to a coordinate of w."""
-    u1, u2 = float(u[0]), float(u[1])
-    err = 2.0**-50 * (math.sqrt(Tint) * (abs(u1) + abs(u2)) + abs(w[0]) + abs(w[1]))
-    return u1 * u1 + u2 * u2, abs(w[0]) - eps - err, abs(w[1]) + eps + err, err
-
-
 def _strip_window(u, w, Tint: int, eps: float) -> tuple:
-    """(g, window) of the strip of the bottom rows (c, d) of the elements
+    """(g, window, err) of the strip of the bottom rows (c, d) of the elements
     within eps of the target w in the budget-Tint ball.
 
     In the coordinates (sigma, tau) = (c, d) @ g, g = [[u2/n, u1], [-u1/n, u2]],
@@ -212,12 +203,17 @@ def _strip_window(u, w, Tint: int, eps: float) -> tuple:
     R = sqrt(Tint/n) >= |(sigma_P, sigma_Q)|, the identity gives
     |sigma_P| <= (1 + B*|sigma_Q|)/A, hence |sigma_P| <= B*R/sqrt(A^2 + B^2) + 1/A
     on the norm disk; the window takes the lesser of this and
-    sqrt((Tint - 1)/n).  A and B are widened by the float error of the image
-    coordinates (_cut_terms), the radii by a relative 1e-9, far beyond their
-    rounding.  det g = 1, so the window's area predicts its lattice points.
+    sqrt((Tint - 1)/n).  An image coordinate x*u1 + y*u2 with |x|, |y| <=
+    sqrt(Tint), and its distance to a coordinate of w, is at most
+    M = sqrt(Tint)*(|u1| + |u2|) + |w1| + |w2| and has a float error below
+    err = 2^-50*M; A and B are widened by err, the radii by a relative 1e-9,
+    far beyond their rounding.  det g = 1, so the window's area predicts its
+    lattice points.
     """
     u1, u2 = float(u[0]), float(u[1])
-    n, A, B, _ = _cut_terms(u, w, Tint, eps)
+    n = u1 * u1 + u2 * u2
+    err = 2.0**-50 * (math.sqrt(Tint) * (abs(u1) + abs(u2)) + abs(w[0]) + abs(w[1]))
+    A, B = abs(w[0]) - eps - err, abs(w[1]) + eps + err
     g = ((u2 / n, u1), (-u1 / n, u2))
     rad = math.sqrt(Tint - 1) * (1.0 + 1e-9)
     tau_max, sig_max = rad * math.sqrt(n), rad / math.sqrt(n)
@@ -225,26 +221,13 @@ def _strip_window(u, w, Tint: int, eps: float) -> tuple:
         R = math.sqrt(Tint / n) * (1.0 + 1e-9)
         sig_max = min(sig_max, (B * R / math.hypot(A, B) + 1.0 / A) * (1.0 + 1e-9))
     w2 = w[1]
-    return g, (max(w2 - eps, -tau_max), min(w2 + eps, tau_max), -sig_max, sig_max)
+    return g, (max(w2 - eps, -tau_max), min(w2 + eps, tau_max), -sig_max, sig_max), err
 
 
 def _predicted_points(u, w, Tint: int, eps: float) -> float:
     """Expected lattice points of the strip window: its area (det g = 1)."""
     tau_lo, tau_hi, sig_lo, sig_hi = _strip_window(u, w, Tint, eps)[1]
     return max(tau_hi - tau_lo, 0.0) * (sig_hi - sig_lo)
-
-
-def _seed_budget(u, w, Tint: int, eps: float) -> int:
-    """A budget, at most Tint, whose strip at eps predicts at most, and
-    about, _SCAN_POINTS points: the half-length in sigma of its window is at most
-    min(R, (k*R + 1/A)*(1 + 1e-9)), R = sqrt(T/n)*(1 + 1e-9), k = B/sqrt(A^2 + B^2),
-    which is inverted here with the terms of the larger budget Tint."""
-    n, A, B, _ = _cut_terms(u, w, Tint, eps)
-    sig = _SCAN_POINTS / (4.0 * eps)
-    R = sig
-    if A > 0.0:
-        R = max(R, (sig / (1.0 + 1e-9) - 1.0 / A) * math.hypot(A, B) / B)
-    return int(min(n * (R / (1.0 + 1e-9)) ** 2 * (1.0 - 1e-9), float(Tint)))
 
 
 def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple) -> list:
@@ -264,9 +247,9 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     u1, u2 = float(u[0]), float(u[1])
     swap, (w1, w2) = _scan_target(v)
     Tint = budgets[-1]
-    g, window = _strip_window(u, (w1, w2), Tint, eps)
+    g, window, err = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
-    reach = eps + 3.0 * _cut_terms(u, (w1, w2), Tint, eps)[3]  # see the shift window below
+    reach = eps + 3.0 * err  # see the shift window below
     keys = [best] * len(budgets)
     for _, c, d, tau, _ in _lattice_points([g], [window]):
         keep = (np.abs(c) <= r) & (np.abs(d) <= r)
@@ -296,7 +279,7 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
         # differ by the errors of p1 and of m*tau (|m*c|, |m*d| <=
         # 2*sqrt(Tint) for a shift that fits), and the float coordinate of
         # _least_key differs from the exact one by a third error.  Each is
-        # below the err of _cut_terms, so the window reaches 3*err beyond eps:
+        # below the err of _strip_window, so the window reaches 3*err beyond eps:
         # a row whose float tau is a rounding residue spans every shift that fits.
         # A subnormal tau (deeply subnormal seeds) overflows the bounds to +-inf,
         # which is harmless: the clip below cuts them to the shifts that fit
@@ -345,10 +328,14 @@ def approx_trace(
     at eps predict at most _SCAN_POINTS points: the strip of the run's
     largest budget contains those of the others, and each budget takes the
     least key whose norm fits it.  When the next budget alone predicts more
-    than twice _SCAN_POINTS, a seed scan at the budget whose prediction meets
-    _SCAN_POINTS shrinks eps first, and its row is dropped; a seed is made
-    only when it is at least twice the last budget scanned, else the budget
-    is scanned as it is.  A one-budget query is one scan whenever
+    than twice _SCAN_POINTS, a seed scan shrinks eps first, and its row is
+    dropped: the seed budget is the largest ints[i] // 2^k (k >= 1) whose
+    strip at eps predicts at most _SCAN_POINTS points, and it is taken only
+    when it is at least twice the last budget scanned (and at least 2), else
+    the budget is scanned as it is.  Whatever eps >= the best distance a scan
+    is seeded with, it keeps every element whose float key is at or below
+    the best so far, so the rows do not depend on the plan.  A one-budget
+    query is one scan whenever
     4*|u - v|*sqrt(T)/|u| <= _SCAN_POINTS (for example below T = 62500 when
     |v| <= 2|u|), and a generic pair over 4^8 .. 4^22 makes about 5 scans
     (at most 8 over 93 pairs drawn from [1, 2]^4).  A scan costs a fixed
@@ -366,14 +353,17 @@ def approx_trace(
     if not all(math.isfinite(float(x)) for x in (*u, *v)):
         raise ValueError("u and v must be finite")
     u1, u2 = float(u[0]), float(u[1])
-    e1, e2 = u1 - float(v[0]), u2 - float(v[1])
-    best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
-    # |u|^2 scales every strip window and the identity's dist^2 bounds every
-    # search; an underflow to 0 or an overflow to inf leaves nothing to search
-    if not (0.0 < u1 * u1 + u2 * u2 < math.inf and best[0] < math.inf):
-        raise ValueError("|u|^2 must be positive and finite, and |u - v|^2 finite, in floats")
+    if not u1 * u1 + u2 * u2 > 0.0:  # |u|^2 scales every strip window
+        raise ValueError("|u|^2 must be positive in floats")
     ints = [_budget_int(T) for T in budgets]
     w = _scan_target(v)[1]
+    # every coordinate a search computes is at most M = 2^50 * err of the
+    # largest budget's window, so every dist^2 is at most 2*M^2
+    M = _strip_window(u, w, ints[-1], 0.0)[2] * 2.0**50
+    if not 2.0 * M * M < math.inf:
+        raise ValueError(f"2*M^2 must be finite in floats, M = sqrt(T)*(|u1| + |u2|) + |v1| + |v2| = {M:g}")
+    e1, e2 = u1 - float(v[0]), u2 - float(v[1])
+    best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
     keys, last = [], 0
     while len(keys) < len(ints):
         i = j = len(keys)
@@ -384,8 +374,10 @@ def approx_trace(
         while j + 1 < len(ints) and _predicted_points(u, w, ints[j + 1], eps) <= _SCAN_POINTS:
             j += 1
         if j == i and _predicted_points(u, w, ints[i], eps) > 2 * _SCAN_POINTS:
-            seed = _seed_budget(u, w, ints[i], eps)
-            if max(2, 2 * last) <= seed < ints[i]:
+            seed = ints[i] // 2
+            while seed >= max(2, 2 * last) and _predicted_points(u, w, seed, eps) > _SCAN_POINTS:
+                seed //= 2
+            if seed >= max(2, 2 * last):
                 best = _strip_improve(u, v, [seed], eps, subgroup, best)[0]
                 last = seed
                 continue
@@ -475,24 +467,22 @@ def survey_exponents(
     n_pairs: int,
     budgets: Sequence[float],
     seed: int,
-    u_box=((1.0, 2.0), (1.0, 2.0)),
-    v_box=((1.0, 2.0), (1.0, 2.0)),
     fixed_v=None,
     tail_fraction: float = 0.5,
-    subgroup: SubgroupFilter = SubgroupFilter.full(),
 ) -> list:
-    """Exponent estimates for seeded random (u, v) pairs; one dict per pair."""
+    """Exponent estimates for seeded random (u, v) pairs, u and v uniform on
+    [1, 2]^2 (or v = fixed_v); one dict per pair."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n_pairs):
-        u = (rng.uniform(*u_box[0]), rng.uniform(*u_box[1]))
+        u = (rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0))
         if fixed_v is not None:
             v = (float(fixed_v[0]), float(fixed_v[1]))
             rng.uniform(0, 1, size=2)  # keep the stream aligned with the random-v mode
         else:
-            v = (rng.uniform(*v_box[0]), rng.uniform(*v_box[1]))
+            v = (rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0))
         row = {"index": i, "u1": u[0], "u2": u[1], "v1": v[0], "v2": v[1]}
-        trace = approx_trace(u, v, budgets, subgroup=subgroup)
+        trace = approx_trace(u, v, budgets)
         try:
             est = estimate_exponents(trace, tail_fraction)
             row.update(est.as_dict())

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .approx import TRACE_CSV_HEADER, ApproxTrace, approx_trace, estimate_exponents, survey_exponents
-from .enumeration import SubgroupFilter, count, dump_elements
+from .enumeration import SubgroupFilter, _budget_int, count, dump_elements
 from .ergodic import (
     matcoef_curve,
     miss_rate_curve,
@@ -141,11 +141,16 @@ def _found_summary(per_sample: list) -> dict:
 
 
 def _cmd_enumerate(args, cfg: dict) -> int:
-    n = count(args.T, args.filter, workers=args.workers)
-    print(n)
+    _budget_int(args.T)  # a budget out of range touches no file
     if args.dump:
         os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
-        dump_elements(args.dump, args.T, args.filter)
+    for path in filter(None, (args.dump, args.out)):  # fail before the ball is counted
+        open(path, "a").close()
+    if args.dump:  # the dump counts what it writes
+        n = dump_elements(args.dump, args.T, args.filter)
+    else:
+        n = count(args.T, args.filter, workers=args.workers)
+    print(n)
     if args.out:
         _emit_json(args.out, {"count": n, "T": args.T, "filter": str(args.filter)}, cfg)
     return 0

@@ -399,6 +399,25 @@ def test_scan_plan_merges_and_seeds(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("flt", ["full", "gamma0:3", "gamma:2"])
+def test_trace_rows_do_not_depend_on_the_plan(flt):
+    # a trace merges budgets and seeds where a one-budget query seeds by
+    # halving its own budget; every scan keeps each element whose float key
+    # is at or below the best so far, so each budget gets the same row: a far
+    # target (seed scans), two axis targets and a horizontal seed
+    budgets = [2.0**k for k in range(20, 41, 4)]
+    flt = SubgroupFilter.parse(flt)
+    for u, v in [
+        ((1.37, 1.52), (-1.9, 1.2)),
+        ((-1.83, 1.14), (0.0, 0.7)),
+        ((0.91, -1.62), (1.05, 0.0)),
+        ((1.3, 0.0), (1.303, 7.796)),
+    ]:
+        rows = [(r.gamma, r.gamma_norm, r.dist) for r in approx_trace(u, v, budgets, flt).records]
+        one = [best_approx(u, v, T, flt) for T in budgets]
+        assert rows == [(r.gamma, r.gamma_norm, r.dist) for r in one], (u, v)
+
+
 def test_strip_scans_cost_what_the_docstring_says(monkeypatch):
     # approx_trace: a generic pair over 4^8 .. 4^22 makes at most 8 scans,
     # and a scan visits at most 2 * (predicted points + reduced-lattice rows)

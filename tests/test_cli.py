@@ -357,6 +357,37 @@ def test_file_errors_are_config_errors(tmp_path, capsys, argv):
     assert rc == 2 and "config error" in err
 
 
+def test_enumerate_checks_paths_first_and_counts_once(tmp_path, capsys, monkeypatch):
+    # a path that cannot be written fails before any window of the ball is
+    # generated (580 was printed first), and --dump counts what it writes
+    # instead of counting the ball a second time
+    import orbitlab.enumeration as enum_mod
+
+    made = []
+    real = enum_mod._windows
+
+    def windows(Tint):
+        for rows in real(Tint):
+            made.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(enum_mod, "_windows", windows)
+    (tmp_path / "file").write_text("")
+    for opt, name in ("--out", "file/x.json"), ("--dump", "file/sub/x.i64"):
+        rc, out, err = run(capsys, "enumerate", "--T", "100", opt, str(tmp_path / name))
+        assert (rc, out, made) == (2, "", []) and "config error" in err
+    # a budget out of range is refused before any path is created
+    rc, _, err = run(capsys, "enumerate", "--T", "1e19", "--out", str(tmp_path / "big.json"))
+    assert rc == 3 and "BudgetOverflow" in err and not (tmp_path / "big.json").exists()
+    rc, out, _ = run(capsys, "enumerate", "--T", "100")
+    once = list(made)
+    made.clear()
+    dump = str(tmp_path / "ball.i64")
+    rc2, out2, _ = run(capsys, "enumerate", "--T", "100", "--dump", dump, "--out", str(tmp_path / "c.json"))
+    assert rc == rc2 == 0 and out == out2 == "580\n" and made == once
+    assert load_elements(dump)[1]["count"] == 580
+
+
 @pytest.mark.parametrize(
     "u, v, rc",
     [
@@ -366,6 +397,9 @@ def test_file_errors_are_config_errors(tmp_path, capsys, argv):
         ("1e150,1e150", "1,2", 0),
         ("1.41,1.73", "1e160,1", 2),  # the identity's dist^2 overflows
         ("1.41,1.73", "1e150,1", 0),
+        # at T_max = 65536 a search's coordinates reach M = 256*(|u1| + |u2|) + |v1| + |v2|
+        ("1.3e154,1", "1,2", 2),  # 2*M^2 overflows (warned at dist2 in the search before)
+        ("3.7e151,1", "1,2", 0),  # 2*M^2 = 1.794e308, just inside
     ],
 )
 def test_approx_refuses_points_whose_squares_leave_the_floats(capsys, u, v, rc):
