@@ -15,6 +15,10 @@ that count.  The first scan starts from the identity, which has norm
 side's lattice-point search, whose cost follows the rows rather than
 sqrt(budget), and one selection computes every distance and breaks ties by
 (dist, norm, a, c, b, d).  No ball is ever materialized.
+
+Exponents come from one estimate: _exponent_row turns a trace into the
+fields that `orbitlab exponent` and every survey row report, the fit of
+estimate_exponents, or infinite exponents and the witness of an exact hit.
 """
 
 from __future__ import annotations
@@ -76,12 +80,6 @@ class ApproxTrace:
             g = r.gamma
             out.append((float(T), r.dist, int(r.gamma_norm), g.a, g.b, g.c, g.d))
         return out
-
-    def to_csv(self) -> str:
-        lines = [TRACE_CSV_HEADER]
-        for T, dist, norm, a, b, c, d in self.rows():
-            lines.append(f"{T:.17g},{dist:.17g},{norm},{a},{b},{c},{d}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, u=(0.0, 0.0), v=(0.0, 0.0)) -> "ApproxTrace":
@@ -463,6 +461,16 @@ def estimate_exponents(trace: ApproxTrace, tail_fraction: float = 0.5) -> Expone
     )
 
 
+def _exponent_row(trace: ApproxTrace, tail_fraction: float) -> dict:
+    """The exponent fields of a trace: those of estimate_exponents with
+    exactHit False, or for an exact hit infinite exponents, exactHit True
+    and the hit's gamma as its entries (a, b, c, d)."""
+    try:
+        return {**estimate_exponents(trace, tail_fraction).as_dict(), "exactHit": False}
+    except ExactHit as exc:
+        return {"muHat": math.inf, "mu": math.inf, "exactHit": True, "gamma": list(exc.record.gamma.entries())}
+
+
 def survey_exponents(
     n_pairs: int,
     budgets: Sequence[float],
@@ -471,7 +479,8 @@ def survey_exponents(
     tail_fraction: float = 0.5,
 ) -> list:
     """Exponent estimates for seeded random (u, v) pairs, u and v uniform on
-    [1, 2]^2 (or v = fixed_v); one dict per pair."""
+    [1, 2]^2 (or v = fixed_v); one dict per pair, its coordinates followed
+    by the fields of _exponent_row."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n_pairs):
@@ -482,12 +491,6 @@ def survey_exponents(
         else:
             v = (rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0))
         row = {"index": i, "u1": u[0], "u2": u[1], "v1": v[0], "v2": v[1]}
-        trace = approx_trace(u, v, budgets)
-        try:
-            est = estimate_exponents(trace, tail_fraction)
-            row.update(est.as_dict())
-            row["exactHit"] = False
-        except ExactHit:
-            row.update({"muHat": math.inf, "mu": math.inf, "exactHit": True})
+        row.update(_exponent_row(approx_trace(u, v, budgets), tail_fraction))
         rows.append(row)
     return rows

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .approx import TRACE_CSV_HEADER, ApproxTrace, approx_trace, estimate_exponents, survey_exponents
+from .approx import TRACE_CSV_HEADER, ApproxTrace, _exponent_row, approx_trace, survey_exponents
 from .enumeration import SubgroupFilter, _budget_int, count, dump_elements
 from .ergodic import (
     matcoef_curve,
@@ -28,7 +28,7 @@ from .ergodic import (
     uniform_grid_experiment,
     variance_curve,
 )
-from .errors import ExactHit, OrbitLabError
+from .errors import OrbitLabError
 from .homogeneous import TargetSpec, haar_sample
 
 __all__ = ["main"]
@@ -176,19 +176,7 @@ def _cmd_exponent(args, cfg: dict) -> int:
             raise ValueError("exponent needs --u and --v (or --replay)")
         budgets = _parse_grid(args.budgets)
         tr = approx_trace(_parse_floats(args.u), _parse_floats(args.v), budgets)
-    try:
-        est = estimate_exponents(tr, tail_fraction=args.tail_fraction)
-        payload = est.as_dict()
-        payload["exactHit"] = False
-    except ExactHit as exc:
-        rec = exc.record
-        payload = {
-            "exactHit": True,
-            "muHat": math.inf,
-            "mu": math.inf,
-            "gamma": list(rec.gamma.entries()) if rec is not None else None,
-        }
-    _emit_json(args.out, payload, cfg)
+    _emit_json(args.out, _exponent_row(tr, args.tail_fraction), cfg)
     return 0
 
 
@@ -203,13 +191,9 @@ def _cmd_survey(args, cfg: dict) -> int:
             fixed_v=fixed_v,
             tail_fraction=args.tail_fraction,
         )
-        cols = ["index", "u1", "u2", "v1", "v2", "muHat", "mu", "muHatFrobenius", "muFrobenius", "exactHit"]
-        csv_rows = [
-            [r["index"], r["u1"], r["u2"], r["v1"], r["v2"], r.get("muHat"),
-             r.get("mu"), r.get("muHatFrobenius", math.inf), r.get("muFrobenius", math.inf),
-             int(r["exactHit"])]
-            for r in rows
-        ]
+        # an exact hit's row has no Frobenius exponents: they are infinite too
+        cols = ["index", "u1", "u2", "v1", "v2", "muHat", "mu", "muHatFrobenius", "muFrobenius"]
+        csv_rows = [[r.get(c, math.inf) for c in cols] + [int(r["exactHit"])] for r in rows]
         finite = [r["muHat"] for r in rows if not r["exactHit"]]
         summary = {
             "theory": _theory_windows(args.tau),
@@ -220,7 +204,7 @@ def _cmd_survey(args, cfg: dict) -> int:
             else {},
             "nExactHits": sum(1 for r in rows if r["exactHit"]),
         }
-        _emit_csv(args.out, cols, csv_rows, cfg)
+        _emit_csv(args.out, cols + ["exactHit"], csv_rows, cfg)
         _emit_json(args.out and args.out + ".summary.json", summary, cfg)
         return 0
     # uniform mode: grid targets over a compact rectangle

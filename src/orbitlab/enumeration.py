@@ -28,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import __version__
 from .errors import BudgetOverflow
 from .homogeneous import _ranges
 from .matrices import LatticeElement
@@ -225,7 +226,7 @@ def dump_elements(path: str, T: float, subgroup: SubgroupFilter = SubgroupFilter
         "T": float(T),
         "filter": str(subgroup),
         "count": int(arr.shape[0]),
-        "version": _version(),
+        "version": __version__,
         "format": DUMP_FORMAT,
     }
     with open(path + ".json", "w") as fh:
@@ -244,9 +245,3 @@ def load_elements(path: str) -> tuple:
     if arr.shape[0] != sidecar["count"]:
         raise ValueError(f"dump {path} holds {arr.shape[0]} elements, sidecar says {sidecar['count']}")
     return arr, sidecar
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__

@@ -6,8 +6,9 @@ gamma with gamma*rep in the (tau, p1)-box hits the target exactly at the
 integer shifts k that move its shear coordinate s into (-1/2, 1/2), i.e. at
 the single k = round(-s) (boundary shifts contribute nothing: the window is
 open and the bump vanishes there).  All experiments below exploit this: one
-batched candidate search covers every orbit time at once, and one hit step,
-_hits, keeps the candidates that hit.  The variance chunks search one
+batched candidate search covers every orbit time at once, and the one hit
+step of ``homogeneous``, _hits, keeps the candidates that hit (membership
+decides time 0 by the same test).  The variance chunks search one
 window per sample point, and the window counts one window per dyadic shell
 of orbit times, each with the largest target its times still use.  Miss
 rates, grid levels and shrinking-target reports ask only for the first hit
@@ -41,6 +42,8 @@ from .homogeneous import (
     _bump_box,
     _bump_weight,
     _haar_reps,
+    _hit_times,
+    _hits,
     _ranges,
     _rep_of,
     _target_box,
@@ -126,30 +129,6 @@ def orbit_average(fn: Callable, point: HomPoint, half_width: int) -> float:
 # ---------------------------------------------------------------------------
 # Candidate arrays per sample
 # ---------------------------------------------------------------------------
-
-def _hit_times(s: np.ndarray, offset: float = 0.0) -> tuple:
-    """The one shift k = round(-(s + offset)) per candidate, and where it lands.
-
-    Returns (k, r) with r = s + k + offset the shear coordinate after the
-    shift; the candidate hits at k exactly when |r| < 1/2.
-    """
-    k = np.rint(-s - offset)
-    return k.astype(np.int64), s + k + offset
-
-
-def _hits(reps, bounds: list) -> tuple:
-    """The one hit step: arrays (win, k, p1, tau, r) of the candidates of one
-    _box_candidates_batch call that hit at their orbit time k (|r| < 1/2).
-
-    reps and bounds are as _box_candidates_batch takes them.  A closed s
-    window [-K - 1/2, K + 1/2] needs no time cap of its own: an s inside it
-    rounds to |k| <= K, and one at an end gives |r| = 1/2, no hit.
-    """
-    p1, tau, s, win = _box_candidates_batch(reps, bounds)
-    k, r = _hit_times(s)
-    hit = np.abs(r) < 0.5
-    return win[hit], k[hit], p1[hit], tau[hit], r[hit]
-
 
 # The first shell of a first-hit search predicts _FIRST_SHELL_POINTS lattice
 # points per window, to amortise a window's set-up (about 15 us), or one hit of
@@ -423,8 +402,6 @@ class MissRate:
 
 
 def _wilson(x: int, n: int, z: float = 1.96) -> tuple:
-    if n == 0:
-        return 0.0, 1.0
     p = x / n
     den = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / den
@@ -454,8 +431,6 @@ def miss_rate_curve(
     Ts = _nonempty(sorted(int(T) for T in Ts), "orbit half-width")
     if Ts[0] < 0:
         raise ValueError("orbit half-widths must be >= 0")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
     parts = _chunk_map(_miss_chunk, (spec, Ts), n_samples, seed, workers)
     first = np.concatenate(parts)
     out = []
@@ -493,7 +468,9 @@ def _dyadic_levels(eta: float, k_max: int, v2: float) -> list:
     """Levels (horizon, delta): horizon 2^j <= k_max with the target size
     taken at the covering interval's far end min(2^(j+1), k_max), so a level
     hit certifies every time in [2^j, min(2^(j+1), k_max)] by monotonicity of
-    orbits and targets."""
+    orbits and targets.  Refuses a shrink exponent eta outside [0, 1)."""
+    if not 0.0 <= eta < 1.0:
+        raise ValueError("shrink exponent must lie in [0, 1)")
     cap = _delta_cap(v2)
     levels = []
     horizon = 1
@@ -512,12 +489,14 @@ def _certified_T0(flags: Sequence[bool], k_max: int) -> Optional[int]:
 
 
 def _target_v(v, eta: float, k_max: int) -> tuple:
-    """(v1, v2) validated through TargetSpec at the smallest size a dyadic
+    """(v1, v2, levels): the levels of _dyadic_levels, which first refuses
+    eta, and (v1, v2) validated through TargetSpec at the smallest size a
     level uses, the size at time k_max, so that every level's box is valid
     and holds more than one float per coordinate."""
     v1, v2 = float(v[0]), float(v[1])
+    levels = _dyadic_levels(eta, k_max, v2)
     TargetSpec(v1, v2, _target_size(max(k_max, 1), eta, _delta_cap(v2)))
-    return v1, v2
+    return v1, v2, levels
 
 
 def _shells(lo: int, hi: int) -> tuple:
@@ -542,12 +521,9 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     where one window per level and shell took 160 and 5,266.  A level that
     misses searches |k| <= 2^j and no further.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("shrink exponent must lie in [0, 1)")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    v1, v2 = _target_v(v, eta, k_max)
-    levels = _dyadic_levels(eta, k_max, v2)
+    v1, v2, levels = _target_v(v, eta, k_max)
     boxes = [_target_box(v1, v2, d) for _, d in levels]
     horizons = [h for h, _ in levels]
     flags = _first_hits(_rep_of(point), boxes, horizons) <= horizons
@@ -570,11 +546,9 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     shells with the _target_box of the window's largest target, which holds
     every float the count test accepts, so that test decides each time.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("shrink exponent must lie in [0, 1)")
-    v1, v2 = _target_v(v, eta, k_max)
+    v1, v2, levels = _target_v(v, eta, k_max)
     cap = _delta_cap(v2)
-    windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in _dyadic_levels(eta, k_max, v2)]
+    windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in levels]
     bounds = []
     for lo, hi in windows:
         box = _target_box(v1, v2, _target_size(lo, eta, cap))  # the window's largest, at its first time
@@ -639,14 +613,13 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
         raise ValueError("omega bounds must be ordered")
     if y0 <= 0.0 or x0 * x1 <= 0.0 or (x0 == 0.0 and x1 == 0.0):
         raise ValueError("omega must be compact and off the axes with positive v2")
-    if not 0.0 <= eta < 1.0:
-        raise ValueError("shrink exponent must lie in [0, 1)")
+    dyadic = _dyadic_levels(eta, k_max, y0)
     # the coarsest floats lie at the corner farthest from the axes, so the
     # smallest level's box there holds more than one float if any target's does
     TargetSpec(max(x0, x1, key=abs), y1, _target_size(max(k_max, 1), eta, _delta_cap(y0)))
     rep = _rep_of(point)
     levels = []
-    for horizon, delta in _dyadic_levels(eta, k_max, y0):
+    for horizon, delta in dyadic:
         nx, ny = _grid_shape(omega, delta)
         slices = (
             [_target_box(*w, delta) for w in _grid_points(omega, delta, i, i + _CHUNK)]

@@ -22,16 +22,27 @@ floats, and then the (window, row) and (window, row, point) pairs of all of
 them are laid end to end and worked through in a fixed number of array
 passes.  ``_box_candidates_batch`` completes each primitive bottom row by a
 Bezout top row and expands the short integer interval of top-row shifts left
-by the first-column condition, and returns the flat arrays (p1, tau, s, win)
-that the drivers in ``ergodic`` reduce: the second column and shear coordinate
-of each candidate, and its window's index.  The strip scan of ``approx`` is
+by the first-column condition, and returns the flat arrays (p1, tau, s, win):
+the second column and shear coordinate of each candidate, and its window's
+index.  The strip scan of ``approx`` is
 the other consumer of the same search.
 
-Membership of a reduced point.  ``in_quotient_target`` and ``target_bump``
-decide a point whose z = g*i lies in the fundamental domain from the few
-bottom rows with |cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``), by
-the kernel's own float expressions, so with the kernel's answer bitwise.
-Other representatives, and bump sums of more than two terms, go to the kernel.
+One hit step.  A candidate of the kernel with shear coordinate s lies in
+the target at the single orbit time k = round(-s), exactly when r = s + k
+has |r| < 1/2 (``_hit_times``); ``_hits`` keeps the candidates of one
+kernel call that hit, and every orbit experiment of ``ergodic`` reads the
+kernel through it.
+
+Membership.  ``in_quotient_target`` and ``target_bump`` ask for the
+translates of a coset in a box at time 0 through one path, ``_box_hits``:
+a point whose z = g*i lies in the fundamental domain is decided from the
+few bottom rows with |cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``),
+by the kernel's own float expressions, so with the kernel's answer bitwise,
+when those rows give at most two translates; other representatives, and
+longer bump sums, take the hit step, as the injectivity probe's batch does.
+Every query refuses a matrix outside the determinant-one group (a non-finite
+entry, or |det - 1| > 1e-6) with ValueError, as ``reduce_point`` does
+(``_check_group``).
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
-from .matrices import LatticeElement, act_upper_half, det2, frobenius_norm, lower_shear
+from .matrices import LatticeElement, act_upper_half, frobenius_norm
 
 __all__ = [
     "COVOLUME",
@@ -114,10 +125,6 @@ class TargetSpec:
             raise ValueError("target box holds a single float in a coordinate: v is too large for delta")
         object.__setattr__(self, "box", box)
 
-    @property
-    def v(self) -> np.ndarray:
-        return np.array([self.v1, self.v2])
-
     def as_dict(self) -> dict:
         return {"v1": self.v1, "v2": self.v2, "delta": self.delta}
 
@@ -157,10 +164,6 @@ class HomPoint:
     def __post_init__(self):
         self.rep = np.asarray(self.rep, dtype=float)
 
-    def translate(self, k: float) -> np.ndarray:
-        """Representative of the shear translate (not re-reduced)."""
-        return self.rep @ lower_shear(k)
-
     def to_text(self) -> str:
         """Row-major representative as four 17-significant-digit decimals."""
         r = self.rep
@@ -174,6 +177,14 @@ class HomPoint:
         return cls(np.array(vals).reshape(2, 2))
 
 
+def _check_group(det_err: float) -> None:
+    """Refuse a matrix outside the determinant-one group: det_err = |det - 1|
+    (the largest of a batch) above 1e-6, or NaN or infinite, as a non-finite
+    entry makes it."""
+    if not det_err <= 1e-6:
+        raise ValueError(f"matrix is not a finite determinant-one matrix: |det - 1| = {det_err!r}")
+
+
 def reduce_point(g, max_steps: int = 10000):
     """Reduce g to the standard fundamental domain; returns (HomPoint, word).
 
@@ -184,10 +195,8 @@ def reduce_point(g, max_steps: int = 10000):
     trivially on the quotient.
     """
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("matrix entries must be finite")
-    if abs(det2(g) - 1.0) > 1e-6:
-        raise ValueError(f"matrix is not in the determinant-one group: det={det2(g)!r}")
+    (g00, g01), (g10, g11) = g.tolist()
+    _check_group(abs(g00 * g11 - g01 * g10 - 1.0))
     z = act_upper_half(g, 1j)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.imag <= 0.0:
         raise DegenerateCoordinate("matrix does not map i into the upper half plane")
@@ -534,10 +543,10 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     """Integer gamma with gamma*g in a coordinate box, for a batch of windows.
 
     bounds holds the box (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) of each
-    window (shape (n, 6)), and reps one matrix g for every window (shape
-    (2, 2)) or one per window (shape (n, 2, 2)); each is an array or a list
-    of rows of Python floats, which is used as it is (a list of reps is one
-    per window).  Returns four flat arrays (p1, tau, s, win), float, float,
+    window (shape (n, 6)), as an array or a list of rows of Python floats,
+    which is used as it is, and reps one matrix g for every window (shape
+    (2, 2)) or one per window (shape (n, 2, 2)), each of determinant one
+    (_check_group).  Returns four flat arrays (p1, tau, s, win), float, float,
     float, int64: (p1, tau) is the second column of gamma*g, s its
     lower-shear coordinate and win the index of the window.  Windows come in
     batch order, each in (i, j, m) order: reduced-lattice row, point along
@@ -555,9 +564,17 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     """
     if not isinstance(bounds, list):
         bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
-    if not isinstance(reps, list):
-        reps = np.asarray(reps, dtype=float)
-        reps = [reps.tolist()] * len(bounds) if reps.ndim == 2 else reps.reshape(-1, 2, 2).tolist()
+    reps = np.asarray(reps, dtype=float)
+    if reps.ndim == 2:  # one matrix: checked in Python floats, a few times cheaper than in 0-d arrays
+        (g00, g01), (g10, g11) = g = reps.tolist()
+        det_err = abs(g00 * g11 - g01 * g10 - 1.0)
+        reps = [g] * len(bounds)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge entry: a NaN or infinite det
+            det = reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0]
+        det_err = float(abs(det - 1.0).max(initial=0.0))
+        reps = reps.tolist()
+    _check_group(det_err)
     if any(b[2] <= 0.0 for b in bounds):
         raise ValueError("tau window must be positive (chart constraint)")
     windows = [
@@ -604,6 +621,30 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     return tuple(np.concatenate(cols.pop(0)) for _ in range(4))
 
 
+def _hit_times(s: np.ndarray, offset: float = 0.0) -> tuple:
+    """The one shift k = round(-(s + offset)) per candidate, and where it lands.
+
+    Returns (k, r) with r = s + k + offset the shear coordinate after the
+    shift; the candidate hits at k exactly when |r| < 1/2.
+    """
+    k = np.rint(-s - offset)
+    return k.astype(np.int64), s + k + offset
+
+
+def _hits(reps, bounds: list) -> tuple:
+    """The one hit step: arrays (win, k, p1, tau, r) of the candidates of one
+    _box_candidates_batch call that hit at their orbit time k (|r| < 1/2).
+
+    reps and bounds are as _box_candidates_batch takes them.  A closed s
+    window [-K - 1/2, K + 1/2] needs no time cap of its own: an s inside it
+    rounds to |k| <= K, and one at an end gives |r| = 1/2, no hit.
+    """
+    p1, tau, s, win = _box_candidates_batch(reps, bounds)
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    return win[hit], k[hit], p1[hit], tau[hit], r[hit]
+
+
 def _bezout_row(c: int, d: int) -> tuple:
     """The top row (a0, b0) that _bezout_rows gives the primitive row (c, d)."""
     old_r, r, old_x, x = d, c, 1, 0
@@ -632,14 +673,15 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     the kernel's own float expressions and Bezout top row, so the result is
     the kernel's bitwise.  Of each pair +-(c, d) the row with tau > 0 is
     tried.  The rows number about 30 at most while k <= 16*y (tau_hi up to
-    about 3.5); a larger box gets None too.
+    about 3.5); a larger box gets None too.  A g outside the determinant-one
+    group is refused (_check_group).
     """
     (g00, g01), (g10, g11) = g
+    det = g00 * g11 - g01 * g10
+    _check_group(abs(det - 1.0))
     n = g10 * g10 + g11 * g11
-    if not n > 0.0:
-        return None
     x = (g00 * g10 + g01 * g11) / n
-    y = (g00 * g11 - g01 * g10) / n
+    y = det / n
     k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
     if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6 and y > 0.0 and k <= 16.0 * y):
         return None
@@ -662,6 +704,20 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
                     if p1_lo <= p1 <= p1_hi:
                         out.append((p1, tau, s))
     return out
+
+
+def _box_hits(rep: np.ndarray, box: tuple) -> list:
+    """The (p1, tau, s) of the translates gamma*rep in the box
+    (p1_lo, p1_hi, tau_lo, tau_hi) with |s| < 1/2, in the kernel's order:
+    from the row path of _reduced_candidates when it finds at most two, else
+    from the hit step (_hits) on the box with shear window (-1/2, 1/2),
+    where k = 0 and r = s.  The row path refuses a rep outside the
+    determinant-one group."""
+    hits = _reduced_candidates(rep.tolist(), *box)
+    if hits is None or len(hits) > 2:
+        _, _, p1, tau, s = _hits(rep, [box + (-0.5, 0.5)])
+        hits = list(zip(p1.tolist(), tau.tolist(), s.tolist()))
+    return hits
 
 
 def _rep_of(point) -> np.ndarray:
@@ -728,12 +784,7 @@ def _target_box(v1: float, v2: float, delta: float) -> tuple:
 
 def in_quotient_target(point, spec: TargetSpec) -> bool:
     """Does the coset of the point meet the projected box target?"""
-    rep = _rep_of(point)
-    hits = _reduced_candidates(rep.tolist(), *spec.box)
-    if hits is not None:
-        return bool(hits)
-    _, _, s, _ = _box_candidates_batch(rep, [spec.box + (-0.5, 0.5)])
-    return bool((np.abs(s) < 0.5).any())
+    return bool(_box_hits(_rep_of(point), spec.box))
 
 
 def _bump_x_width(spec: TargetSpec) -> float:
@@ -762,17 +813,10 @@ def target_bump(point, spec: TargetSpec) -> float:
     Summed over the group: each candidate translate contributes the product
     of three profile factors in the chart coordinates of gamma * rep.
     """
-    rep = _rep_of(point)
-    box = _bump_box(spec)
-    hits = _reduced_candidates(rep.tolist(), *box)
-    if hits == []:  # most points: skip three profile evaluations
+    hits = _box_hits(_rep_of(point), _bump_box(spec))
+    if not hits:  # most points: skip three profile evaluations
         return 0.0
-    if hits is None or len(hits) > 2:  # a longer sum takes the kernel's order
-        p1, tau, s, _ = _box_candidates_batch(rep, [box + (-0.5, 0.5)])
-        if not s.size:
-            return 0.0
-    else:  # the kernel's other terms have |s| = 1/2 and add exact zeros
-        p1, tau, s = np.array(hits).T
+    p1, tau, s = np.array(hits).T
     return float((_bump_weight(spec, p1, tau) * bump(s)).sum())
 
 
@@ -822,5 +866,5 @@ def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:
     for p1v, tauv, sv in pts:  # the chart matrix: second column (p1, tau), shear s
         c = sv * tauv
         reps.append([[(1.0 + p1v * c) / tauv, p1v], [c, tauv]])
-    _, _, s, win = _box_candidates_batch(reps, [spec.box + (-0.5, 0.5)] * len(reps))
-    return not (np.bincount(win[np.abs(s) < 0.5]) > 1).any()
+    win, *_ = _hits(reps, [spec.box + (-0.5, 0.5)] * len(reps))
+    return not (np.bincount(win) > 1).any()

@@ -94,3 +94,39 @@ def brute_best(arr: np.ndarray, u, v, T) -> tuple:
     e2 = rows[:, 2] * u[0] + rows[:, 3] * u[1] - v[1]
     i = np.lexsort((rows[:, 3], rows[:, 1], rows[:, 2], rows[:, 0], norms, e1 * e1 + e2 * e2))[0]
     return tuple(int(x) for x in rows[i])
+
+
+def orbit_hits_brute(rep, K: int, box) -> list:
+    """Oracle: the sorted (k, p1, tau, r) of every orbit time |k| <= K and
+    integer gamma whose translate gamma*rep*lower_shear(k) lies in the target
+    box (p1_lo, p1_hi, tau_lo, tau_hi) with shear coordinate r, |r| < 1/2.
+
+    Shares nothing with the quotient search: every integer bottom row (c, d)
+    of a bounding box is scanned with a numpy grid, each primitive row whose
+    tau = c*g01 + d*g11 lies in the box (of each pair +-(c, d) the one with
+    tau > 0) gets the top row a0 = d^-1 mod |c|, every top-row shift whose
+    p1 = a*g01 + b*g11 can reach the box is tried, and each time k is tested
+    on its own: the translate at time k has r = s + k, s = sigma/tau with
+    sigma = c*g00 + d*g10.  The floats are those of the target test.
+    """
+    (g00, g01), (g10, g11) = np.asarray(rep, dtype=float).tolist()
+    p1_lo, p1_hi, tau_lo, tau_hi = box
+    # a hit has |sigma| <= (K + 1/2)*tau_hi, and (c, d) = (sigma, tau) @ g^-1
+    # with g^-1 = [[g11, -g01], [-g10, g00]]; one more row covers rounding
+    sig = (K + 0.5) * tau_hi
+    c_max = math.ceil(sig * abs(g11) + tau_hi * abs(g10)) + 1
+    d_max = math.ceil(sig * abs(g01) + tau_hi * abs(g00)) + 1
+    c, d = (m.ravel() for m in np.meshgrid(np.arange(-c_max, c_max + 1), np.arange(-d_max, d_max + 1), indexing="ij"))
+    tau = c * g01 + d * g11
+    keep = (tau_lo <= tau) & (tau <= tau_hi) & (np.gcd(c, d) == 1)
+    hits = []
+    for cc, dd, t in zip(c[keep].tolist(), d[keep].tolist(), tau[keep].tolist()):
+        s = (cc * g00 + dd * g10) / t
+        a0 = pow(dd, -1, abs(cc)) if cc else dd  # a0*dd - b0*cc = 1
+        b0 = (a0 * dd - 1) // cc if cc else 0
+        w1 = a0 * g01 + b0 * g11
+        for m in range(math.floor((p1_lo - w1) / t) - 2, math.ceil((p1_hi - w1) / t) + 3):
+            p1 = (a0 + m * cc) * g01 + (b0 + m * dd) * g11
+            if p1_lo <= p1 <= p1_hi:
+                hits += [(k, p1, t, s + k) for k in range(-K, K + 1) if abs(s + k) < 0.5]
+    return sorted(hits)

@@ -18,6 +18,7 @@ from orbitlab.approx import (
     orbit_point,
     survey_exponents,
 )
+from orbitlab.cli import main
 from orbitlab.enumeration import SubgroupFilter
 from orbitlab.errors import BudgetOverflow, EmptyBudget, ExactHit, InsufficientData
 from orbitlab.matrices import IDENTITY, LatticeElement
@@ -539,6 +540,27 @@ def test_trace_validation():
         approx_trace((1, 1), (1, 2), [1.5, 4])
     with pytest.raises(ValueError):
         approx_trace((0, 0), (1, 2), [4, 8])
+    with pytest.raises(ValueError, match="nonzero"):
+        best_approx((0, 0), (1, 2), 8)
+
+
+def test_scan_blocks_without_candidates_keep_the_keys(monkeypatch):
+    # a near-horizontal seed at a deep budget: a block of the strip's rows
+    # has no top-row shift in the first-coordinate window, and _least_key
+    # hands its keys on unchanged; the witness still gives the distance
+    real, unchanged = approx_mod._least_key, []
+
+    def least_key(a, b, c, d, u, v, budgets, subgroup, keys):
+        out = real(a, b, c, d, u, v, budgets, subgroup, keys)
+        unchanged.append(out is keys)
+        return out
+
+    monkeypatch.setattr(approx_mod, "_least_key", least_key)
+    u, v = (1.0, 1e-12), (0.3, 0.2)
+    rec = best_approx(u, v, 2**26)
+    assert any(unchanged) and not all(unchanged)
+    assert rec.gamma_norm <= 2**26
+    assert rec.dist == pytest.approx(float(np.hypot(*(orbit_point(rec.gamma, u) - np.array(v)))), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -567,13 +589,17 @@ def test_trace_rejects_nan_budgets():
             best_approx((1.4, 1.7), (1.2, 1.9), T)
 
 
-def test_trace_csv_roundtrip():
+def test_trace_csv_roundtrip(tmp_path):
+    # the trace CSV that `orbitlab approx --out` writes reads back as the trace
     tr = approx_trace((1.4, 1.7), (1.2, 1.9), [16, 64, 256])
-    text = tr.to_csv()
-    back = ApproxTrace.from_csv(text, u=tr.u, v=tr.v)
+    path = tmp_path / "trace.csv"
+    assert main(["approx", "--u", "1.4,1.7", "--v", "1.2,1.9", "--budgets", "16:256:4", "--out", str(path)]) == 0
+    back = ApproxTrace.from_csv(path.read_text(), u=tr.u, v=tr.v)
     assert back.budgets == tr.budgets
     assert [r.dist for r in back.records] == [r.dist for r in tr.records]
     assert [r.gamma for r in back.records] == [r.gamma for r in tr.records]
+    with pytest.raises(ValueError, match="bad trace header"):
+        ApproxTrace.from_csv("T,dist\n16,0.5\n")
 
 
 def synthetic_trace(s, c=1.0, n=16):
@@ -598,6 +624,12 @@ def test_estimator_insufficient_data():
         estimate_exponents(synthetic_trace(0.5, n=16), tail_fraction=0.1)
 
 
+@pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, math.nan])
+def test_estimator_rejects_tail_fractions_outside_the_unit_interval(tail_fraction):
+    with pytest.raises(ValueError, match="tail_fraction"):
+        estimate_exponents(synthetic_trace(0.5), tail_fraction)
+
+
 def test_estimator_exact_hit():
     u = (1.3625, 1.7125)
     gam = LatticeElement(2, 1, 1, 1)
@@ -606,6 +638,23 @@ def test_estimator_exact_hit():
     with pytest.raises(ExactHit) as err:
         estimate_exponents(tr)
     assert err.value.record.dist == 0.0
+    # the exponent row of the trace reports the hit and its witness
+    assert approx_mod._exponent_row(tr, 0.5) == {"muHat": math.inf, "mu": math.inf, "exactHit": True, "gamma": [2, 1, 1, 1]}
+
+
+def test_survey_rows_of_exact_hits_carry_the_witness(monkeypatch):
+    # pair 1's trace is replaced by an exact hit; the other rows keep their estimates
+    real, calls = approx_mod.approx_trace, []
+
+    def trace(u, v, budgets):
+        calls.append(u)
+        return real((1.3625, 1.7125), (4.4375, 3.075), budgets) if len(calls) == 2 else real(u, v, budgets)
+
+    monkeypatch.setattr(approx_mod, "approx_trace", trace)
+    rows = survey_exponents(3, [2.0**k for k in range(4, 27)], seed=0)
+    assert [r["exactHit"] for r in rows] == [False, True, False]
+    assert rows[1]["gamma"] == [2, 1, 1, 1] and rows[1]["muHat"] == rows[1]["mu"] == math.inf
+    assert "gamma" not in rows[0] and math.isfinite(rows[0]["muHat"])
 
 
 def test_group_translate_invariance_of_slope():

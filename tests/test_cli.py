@@ -97,6 +97,35 @@ def test_targets_no_search_can_represent_are_config_errors(capsys, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("exponent --replay TMP/bad.csv", "bad trace header"),
+        ("exponent --u 1.41,1.73 --v 1.2,1.5 --budgets 256:65536:2 --tail-fraction 2", "tail_fraction"),
+        ("approx --u 1.41,1.73,2 --v 1.2,1.5 --budgets 16:64:2", "expected 'x,y'"),
+        ("approx --u 1.41,1.73 --v 1.2,1.5 --budgets 16:64", "expected 'lo:hi:ratio'"),
+        ("survey --pairs 1 --tau abc", "bad spectral-gap parameter"),
+        ("survey --pairs 1 --tau 1/0", "bad spectral-gap parameter"),
+        ("survey --mode uniform --samples 1", "needs --omega"),
+        ("survey --mode uniform --omega 2,1,1,2 --samples 1 --kmax 64", "ordered"),
+        ("survey --mode uniform --omega 1,2,1,2 --eta 1.5 --samples 1 --kmax 64", "shrink exponent"),
+        ("hit-times --eta 1.5 --kmax 64 --samples 1", "shrink exponent"),
+        ("hit-times --eta -1000 --kmax 64 --samples 1", "shrink exponent"),
+        ("hit-times --eta 0.25 --kmax 1 --samples 1", "k_max"),
+        ("hit-times --eta 0.25 --kmax 64 --samples 0", "n >= 1 samples"),
+        ("hit-times --eta 0.25 --kmax 64 --samples 1 --seed -1", "seed must be"),
+    ],
+    ids=[
+        "replay-header", "tail-fraction", "point", "grid", "tau-text", "tau-zero-division", "no-omega",
+        "omega-order", "grid-eta", "report-eta", "report-eta-overflow", "report-kmax", "samples", "seed",
+    ],
+)
+def test_refused_inputs_exit_2(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.csv").write_text("T,dist\n16,0.5\n")
+    rc, _, err = run(capsys, *shlex.split(argv.replace("TMP", str(tmp_path))))
+    assert rc == 2 and message in err
+
+
 @pytest.mark.parametrize("window", ["-1", "-3"])
 def test_matcoef_rejects_negative_orbit_window(capsys, window):
     # once a ZeroDivisionError traceback (exit 1) or a numpy shape error

@@ -162,6 +162,10 @@ def test_filter_parsing_and_validation():
         SubgroupFilter.parse("gamma1:3")
     with pytest.raises(ValueError):
         SubgroupFilter("gamma0", 0)
+    with pytest.raises(ValueError, match="unknown filter kind"):
+        SubgroupFilter("gamma1", 3)
+    with pytest.raises(ValueError, match="takes no level"):
+        SubgroupFilter("full", 3)
 
 
 def test_filter_mask_agrees_with_passes():
@@ -195,4 +199,10 @@ def test_dump_load_roundtrip(tmp_path):
     with open(path + ".json", "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(ValueError):
+        load_elements(path)
+    # and so is a sidecar of another format
+    doc["format"] = "orbitlab-ball-v0"
+    with open(path + ".json", "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="unrecognized dump format"):
         load_elements(path)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitlab.ergodic as ergodic_mod
@@ -33,9 +33,12 @@ from orbitlab.homogeneous import (
     HomPoint,
     TargetSpec,
     _box_candidates_batch,
+    _bump_box,
+    _bump_weight,
     _closed_range,
     _haar_reps,
     _target_box,
+    bump,
     bump_mean,
     haar_sample,
     in_quotient_target,
@@ -43,6 +46,8 @@ from orbitlab.homogeneous import (
     target_bump,
 )
 from orbitlab.matrices import lower_shear
+from conftest import orbit_hits_brute
+from test_kernel import chart_rep
 
 V0 = (1.3, 0.8)
 SPEC = TargetSpec(*V0, 0.2)
@@ -748,7 +753,7 @@ def test_drivers_make_one_kernel_call(monkeypatch):
     # one first-hit search per shrinking report, with one box and one horizon
     # per dyadic level; one batched search per window count; and one
     # first-hit search per uniform-grid level of at most _CHUNK targets
-    kernel, first_hits = ergodic_mod._box_candidates_batch, ergodic_mod._first_hits
+    kernel, first_hits = homogeneous_mod._box_candidates_batch, ergodic_mod._first_hits
     calls, searches = [], []
 
     def spy(reps, bounds):
@@ -759,7 +764,7 @@ def test_drivers_make_one_kernel_call(monkeypatch):
         searches.append((len(boxes), horizon))
         return first_hits(reps, boxes, horizon)
 
-    monkeypatch.setattr(ergodic_mod, "_box_candidates_batch", spy)
+    monkeypatch.setattr(homogeneous_mod, "_box_candidates_batch", spy)
     monkeypatch.setattr(ergodic_mod, "_first_hits", first_hits_spy)
     rep = _haar_reps(1, seed=31)[0]
     report = shrinking_hit_report(0.25, rep, 30_000, V0)
@@ -817,3 +822,116 @@ def test_miss_rate_rejects_bad_half_widths(Ts):
 def test_curves_reject_inputs_they_cannot_run(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda rep: orbit_average(lambda q: 1.0, rep, -1), "half_width"),
+        (lambda rep: hit_set(rep, SPEC, 0), "horizon K"),
+        (lambda rep: shrinking_hit_report(1.0, rep, 64, V0), "shrink exponent"),
+        (lambda rep: shrinking_hit_report(math.nan, rep, 64, V0), "shrink exponent"),
+        (lambda rep: shrinking_hit_report(0.25, rep, 1, V0), "k_max"),
+        (lambda rep: window_hit_counts(rep, V0, 1.5, 64), "shrink exponent"),
+        (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), -0.1, rep, 64), "shrink exponent"),
+        # k_max^-eta overflows a float: the exponent is refused before any size is taken
+        (lambda rep: shrinking_hit_report(-1000.0, rep, 64, V0), "shrink exponent"),
+        (lambda rep: window_hit_counts(rep, V0, -1000.0, 64), "shrink exponent"),
+        (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), -1000.0, rep, 64), "shrink exponent"),
+        (lambda rep: uniform_grid_experiment((1.4, 1.2, 0.7, 0.9), 0.2, rep, 64), "ordered"),
+    ],
+    ids=[
+        "average-width", "hit-set-K", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
+        "report-eta-overflow", "counts-eta-overflow", "grid-eta-overflow", "grid-order",
+    ],
+)
+def test_drivers_reject_inputs_they_cannot_run(call, match, search_spy):
+    with pytest.raises(ValueError, match=match):
+        call(_haar_reps(1, seed=53)[0])
+    assert search_spy.points == 0
+
+
+# Integer words with entries in {-1, 0, 1}: a reduced representative times
+# one of them is a representative of the same point that is not reduced.
+WORDS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, 0], [1, 1]], [[1, -1], [1, 0]])
+
+
+@st.composite
+def oracle_cases(draw):
+    """A representative, reduced or not, and a target whose box keeps
+    tau <= 1.5, so that the oracle's grid stays below a million rows; half
+    the targets lie near a translate that the oracle finds at time 0."""
+    g = chart_rep(draw(st.floats(-0.5, 0.5)), draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+    rep = np.array(draw(st.sampled_from(WORDS)), dtype=float) @ g
+    v1 = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    v2 = draw(st.floats(0.3, 1.3))
+    near = [h for h in orbit_hits_brute(rep, 0, (-2.0, 2.0, 0.35, 1.25)) if abs(h[1]) >= 0.1]
+    if near and draw(st.booleans()):
+        _, p1, tau, _ = draw(st.sampled_from(near))
+        v1, v2 = p1 + draw(st.floats(-0.05, 0.05)), tau + draw(st.floats(-0.05, 0.05))
+    return rep, TargetSpec(v1, v2, min(draw(st.floats(0.02, 0.4)), 0.9 * v2))
+
+
+@settings(max_examples=80)
+@given(oracle_cases(), st.integers(1, 64))
+# reduced reps (z = 1.25i) whose identity translate has s = +-1/2 exactly:
+# it hits at no time
+@example(case=(np.array([[1.0, -0.5], [0.4, 0.8]]), TargetSpec(-0.5, 0.8, 0.2)), K=4)
+@example(case=(np.array([[1.0, 0.5], [-0.4, 0.8]]), TargetSpec(0.5, 0.8, 0.2)), K=4)
+def test_quotient_queries_match_the_brute_orbit_oracle(case, K):
+    rep, spec = case
+    hits = orbit_hits_brute(rep, K, spec.box)
+    assert hit_set(rep, spec, K).ks == tuple(sorted({k for k, *_ in hits}))
+    assert _first_hits(rep, [spec.box], K).tolist() == [min((abs(k) for k, *_ in hits), default=K + 1)]
+    assert in_quotient_target(rep, spec) == bool(orbit_hits_brute(rep, 0, spec.box))
+    _, p1, tau, r = np.array(orbit_hits_brute(rep, 0, _bump_box(spec))).reshape(-1, 4).T
+    # the same terms, summed in an order of their own
+    assert target_bump(rep, spec) == pytest.approx(float((_bump_weight(spec, p1, tau) * bump(r)).sum()), rel=1e-12, abs=0.0)
+
+
+def spec_with_end(point: tuple, end: int, value: float, delta: float):
+    """A target of size delta whose box has value as its end number end
+    (p1_lo, p1_hi, tau_lo, tau_hi), centred on point in the other
+    coordinate, found by stepping the centre a float at a time from
+    value -+ delta/2; None where no such centre is near."""
+    v = list(point)
+    v[end // 2] = value + (0.5 if end % 2 == 0 else -0.5) * delta
+    for _ in range(16):
+        got = _target_box(*v, delta)[end]
+        if got == value:
+            return TargetSpec(*v, delta)
+        v[end // 2] = math.nextafter(v[end // 2], math.inf if got < value else -math.inf)
+    return None
+
+
+def test_quotient_queries_match_the_brute_oracle_on_planted_box_ends():
+    # hits planted on each end of a target box, and one float outside it, for
+    # reduced and non-reduced reps: at their time k by hit_set and _first_hits
+    # (the boxes of one rep in one call, so they share cover windows), and by
+    # in_quotient_target on the rep (the row path for the reduced ones, whose
+    # hits at k = 0 come first) and on its translate rep*lower_shear(k)
+    K = 16
+    reps = _haar_reps(8, seed=61)
+    planted = 0
+    for rep in [*reps, *(np.array(w, dtype=float) @ g for w, g in zip(WORDS[1:], reps))]:
+        specs, inside = [], []
+        for k, p1, tau, _ in sorted(orbit_hits_brute(rep, K, (-2.0, 2.0, 0.35, 1.5)), key=lambda h: abs(h[0]))[:3]:
+            for end in range(4):
+                for out in (False, True):
+                    value = (p1, tau)[end // 2]
+                    if out:
+                        value = math.nextafter(value, math.inf if end % 2 == 0 else -math.inf)
+                    spec = spec_with_end((p1, tau), end, value, 0.2)
+                    if spec is None:
+                        continue
+                    hits = orbit_hits_brute(rep, K, spec.box)
+                    assert ((k, p1, tau) in {h[:3] for h in hits}) == (not out)
+                    assert hit_set(rep, spec, K).ks == tuple(sorted({h[0] for h in hits}))
+                    for g in (rep, rep @ lower_shear(k)):
+                        assert in_quotient_target(g, spec) == bool(orbit_hits_brute(g, 0, spec.box))
+                    specs.append(spec)
+                    inside.append(min((abs(h[0]) for h in hits), default=K + 1))
+                    planted += 1
+        if specs:
+            assert _first_hits(rep, [sp.box for sp in specs], K).tolist() == inside
+    assert planted >= 200

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.enumeration import count, enumerate_ball
+from orbitlab.ergodic import hit_set
 from orbitlab.errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
 from orbitlab.homogeneous import (
     COVOLUME,
@@ -148,8 +149,47 @@ def test_reduce_idempotent_and_group_invariant():
 def test_reduce_rejects_bad_input_and_nonconvergence():
     with pytest.raises(ValueError):
         reduce_point(np.diag([2.0, 1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite determinant-one"):
+            reduce_point(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(NonConvergence):
         reduce_point(upper_shear(1e6) @ diag_squeeze(1e-6), max_steps=1)
+    # determinant one, but g*i = 1e-400*i underflows onto the real axis
+    with pytest.raises(DegenerateCoordinate):
+        reduce_point(np.diag([1e-200, 1e200]))
+
+
+@pytest.mark.parametrize(
+    "g, z",
+    [
+        # z = -1/2 + 4i exactly: the tie Re z = -1/2 goes to Re z = +1/2
+        ([[2.0, -0.25], [0.0, 0.5]], complex(0.5, 4.0)),
+        # z = -1e-8 + i, with x^2 + y^2 == 1.0 in floats: the tie on the unit
+        # circle with Re z < 0 goes to Re z > 0
+        ([[1.0, -1e-8], [0.0, 1.0]], complex(1e-8, 1.0)),
+    ],
+    ids=["re-half", "unit-circle"],
+)
+def test_reduce_point_boundary_ties(g, z):
+    pt, gamma = reduce_point(np.array(g))
+    assert act_upper_half(pt.rep, 1j) == z
+    assert np.array_equal(pt.rep, gamma.as_array() @ np.array(g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]], [[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]],
+    ids=["zero", "singular", "nan", "inf", "det-2"],
+)
+@pytest.mark.parametrize(
+    "query", [in_quotient_target, target_bump, lambda g, spec: hit_set(g, spec, 8)], ids=["member", "bump", "hit-set"]
+)
+def test_quotient_queries_refuse_matrices_outside_the_group(g, query, search_spy):
+    # a ZeroDivisionError, a NaN-to-integer error, or an answer for a matrix
+    # of determinant 2, before; now refused before any lattice point is searched
+    with pytest.raises(ValueError, match="finite determinant-one"):
+        query(np.array(g, dtype=float), TargetSpec(*V0, 0.2))
+    assert search_spy.points == 0
 
 
 def test_haar_deterministic_and_order_independent():

@@ -97,6 +97,12 @@ def test_iwasawa_rejects_non_unimodular():
         iwasawa_decompose(np.diag([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("y", [0.0, -1.0])
+def test_diag_squeeze_rejects_nonpositive(y):
+    with pytest.raises(ValueError, match="positive"):
+        diag_squeeze(y)
+
+
 def test_roundtrips_random_elements():
     mats = random_group_elements(20_000, seed=3)
     for g in mats:
