@@ -611,7 +611,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
         raise ValueError("omega bounds must be finite")
     if x0 > x1 or y0 > y1:
         raise ValueError("omega bounds must be ordered")
-    if y0 <= 0.0 or x0 * x1 <= 0.0 or (x0 == 0.0 and x1 == 0.0):
+    if y0 <= 0.0 or x0 <= 0.0 <= x1:
         raise ValueError("omega must be compact and off the axes with positive v2")
     dyadic = _dyadic_levels(eta, k_max, y0)
     # the coarsest floats lie at the corner farthest from the axes, so the

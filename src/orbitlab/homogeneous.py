@@ -37,12 +37,23 @@ Membership.  ``in_quotient_target`` and ``target_bump`` ask for the
 translates of a coset in a box at time 0 through one path, ``_box_hits``:
 a point whose z = g*i lies in the fundamental domain is decided from the
 few bottom rows with |cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``),
-by the kernel's own float expressions, so with the kernel's answer bitwise,
-when those rows give at most two translates; other representatives, and
-longer bump sums, take the hit step, as the injectivity probe's batch does.
-Every query refuses a matrix outside the determinant-one group (a non-finite
-entry, or |det - 1| > 1e-6) with ValueError, as ``reduce_point`` does
-(``_check_group``).
+by the kernel's own float expressions, so with the kernel's translates
+bitwise, wherever those rows can bound the box (k <= 16*y); other
+representatives take the hit step, as the injectivity probe's batch does.
+``target_bump`` is the correctly rounded sum (math.fsum) of its terms, so
+their order does not matter.
+
+One check.  A matrix enters the quotient side through one check,
+``matrices._chart``, called once per query where it enters:
+``reduce_point``, ``_rep_of`` (every query of ``ergodic`` and
+``in_target``) and the row path's prologue (``in_quotient_target`` and
+``target_bump``).  It refuses a matrix outside the determinant-one group (a
+non-finite entry, or |det - 1| > 1e-6) with ValueError, and one whose z is
+not a finite point of the upper half plane in floats with
+DegenerateCoordinate.  The kernel checks nothing: every matrix it sees
+was checked there or built by the package (invariant samples, the probe's
+chart matrices).  A window whose rows leave int64 (an entry near 1e150)
+is refused with DegenerateCoordinate by ``_window_rows``.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
-from .matrices import LatticeElement, act_upper_half, frobenius_norm
+from .matrices import LatticeElement, _chart, frobenius_norm
 
 __all__ = [
     "COVOLUME",
@@ -177,14 +188,6 @@ class HomPoint:
         return cls(np.array(vals).reshape(2, 2))
 
 
-def _check_group(det_err: float) -> None:
-    """Refuse a matrix outside the determinant-one group: det_err = |det - 1|
-    (the largest of a batch) above 1e-6, or NaN or infinite, as a non-finite
-    entry makes it."""
-    if not det_err <= 1e-6:
-        raise ValueError(f"matrix is not a finite determinant-one matrix: |det - 1| = {det_err!r}")
-
-
 def reduce_point(g, max_steps: int = 10000):
     """Reduce g to the standard fundamental domain; returns (HomPoint, word).
 
@@ -195,11 +198,8 @@ def reduce_point(g, max_steps: int = 10000):
     trivially on the quotient.
     """
     g = np.asarray(g, dtype=float)
-    (g00, g01), (g10, g11) = g.tolist()
-    _check_group(abs(g00 * g11 - g01 * g10 - 1.0))
-    z = act_upper_half(g, 1j)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)) or z.imag <= 0.0:
-        raise DegenerateCoordinate("matrix does not map i into the upper half plane")
+    x, y, _ = _chart(g.tolist())
+    z = complex(x, y)
     a, b, c, d = 1, 0, 0, 1
     for _ in range(max_steps):
         n = math.floor(z.real + 0.5)
@@ -429,6 +429,8 @@ def _window_rows(g, tau_lo, tau_hi, sig_lo, sig_hi, reduced: dict):
     # the row index at the corners of the slack square
     lo_x, hi_x, lo_y, hi_y = (ox - slack) * r2y, (ox + slack) * r2y, (oy - slack) * r2x, (oy + slack) * r2x
     corners = ((lo_x - lo_y) / det, (lo_x - hi_y) / det, (hi_x - lo_y) / det, (hi_x - hi_y) / det)
+    if not -(2.0**63) < min(corners) <= max(corners) < 2.0**63:
+        raise DegenerateCoordinate("matrix too extreme for the lattice-point search: its rows leave int64")
     i0 = math.ceil(min(corners)) - 1
     n_rows = math.floor(max(corners)) + 2 - i0
     hx = math.copysign(slack, r2x) if abs(r2x) >= _FLAT else math.inf
@@ -545,9 +547,10 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     bounds holds the box (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) of each
     window (shape (n, 6)), as an array or a list of rows of Python floats,
     which is used as it is, and reps one matrix g for every window (shape
-    (2, 2)) or one per window (shape (n, 2, 2)), each of determinant one
-    (_check_group).  Returns four flat arrays (p1, tau, s, win), float, float,
-    float, int64: (p1, tau) is the second column of gamma*g, s its
+    (2, 2)) or one per window (shape (n, 2, 2)), each of determinant one:
+    checked where it entered (matrices._chart) or built by the package.
+    Returns four flat arrays (p1, tau, s, win), float, float, float, int64:
+    (p1, tau) is the second column of gamma*g, s its
     lower-shear coordinate and win the index of the window.  Windows come in
     batch order, each in (i, j, m) order: reduced-lattice row, point along
     the row, top-row shift, so window k's rows are bitwise those of a call
@@ -565,16 +568,7 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     if not isinstance(bounds, list):
         bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
     reps = np.asarray(reps, dtype=float)
-    if reps.ndim == 2:  # one matrix: checked in Python floats, a few times cheaper than in 0-d arrays
-        (g00, g01), (g10, g11) = g = reps.tolist()
-        det_err = abs(g00 * g11 - g01 * g10 - 1.0)
-        reps = [g] * len(bounds)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite or huge entry: a NaN or infinite det
-            det = reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0]
-        det_err = float(abs(det - 1.0).max(initial=0.0))
-        reps = reps.tolist()
-    _check_group(det_err)
+    reps = [reps.tolist()] * len(bounds) if reps.ndim == 2 else reps.tolist()
     if any(b[2] <= 0.0 for b in bounds):
         raise ValueError("tau window must be positive (chart constraint)")
     windows = [
@@ -645,16 +639,6 @@ def _hits(reps, bounds: list) -> tuple:
     return win[hit], k[hit], p1[hit], tau[hit], r[hit]
 
 
-def _bezout_row(c: int, d: int) -> tuple:
-    """The top row (a0, b0) that _bezout_rows gives the primitive row (c, d)."""
-    old_r, r, old_x, x = d, c, 1, 0
-    while r:
-        q = old_r // r
-        old_r, r, old_x, x = r, old_r - q * r, x, old_x - q * x
-    x = old_x * old_r
-    return x, (d * x - 1) // c if c else 0
-
-
 def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     """(p1, tau, s) of the candidates of _box_candidates_batch(g, [(p1_lo,
     p1_hi, tau_lo, tau_hi, -1/2, 1/2)]) with |s| < 1/2, for a g whose z = g*i
@@ -670,20 +654,18 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     the float x, y and n within a few ulps of |z|, |z| and n, with y >=
     0.86|z|; the margins, 1e-6 relative on the bound and 1e-6 on each end of
     the c and d ranges, cover these many times over.  Each row is decided by
-    the kernel's own float expressions and Bezout top row, so the result is
-    the kernel's bitwise.  Of each pair +-(c, d) the row with tau > 0 is
+    the kernel's own float expressions, so the result is the kernel's
+    bitwise.  Of each pair +-(c, d) the row with tau > 0 is
     tried.  The rows number about 30 at most while k <= 16*y (tau_hi up to
-    about 3.5); a larger box gets None too.  A g outside the determinant-one
-    group is refused (_check_group).
+    about 3.5); a larger box gets None too.  Its prologue is the point's
+    one check (matrices._chart), whose x, y and n it uses.  The top row of
+    a primitive row comes from pow(d, -1, |c|); p1 depends only on the
+    integer top row, not on the Bezout solution that seeds the shifts.
     """
+    x, y, n = _chart(g)
     (g00, g01), (g10, g11) = g
-    det = g00 * g11 - g01 * g10
-    _check_group(abs(det - 1.0))
-    n = g10 * g10 + g11 * g11
-    x = (g00 * g10 + g01 * g11) / n
-    y = det / n
     k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
-    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6 and y > 0.0 and k <= 16.0 * y):
+    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6 and k <= 16.0 * y):
         return None
     out = []
     for c in range(math.floor(math.sqrt(k) / y + 1e-6) + 1):
@@ -697,7 +679,8 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
                 continue
             s = (cs * g00 + ds * g10) / tau
             if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
-                a0, b0 = _bezout_row(cs, ds)
+                a0 = pow(ds, -1, abs(cs)) if cs else ds  # a0*ds - b0*cs = 1
+                b0 = (a0 * ds - 1) // cs if cs else 0
                 w1 = a0 * g01 + b0 * g11
                 for m in range(math.ceil((p1_lo - w1) / tau - 1e-9), math.floor((p1_hi - w1) / tau + 1e-9) + 1):
                     p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11
@@ -706,22 +689,30 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     return out
 
 
-def _box_hits(rep: np.ndarray, box: tuple) -> list:
-    """The (p1, tau, s) of the translates gamma*rep in the box
-    (p1_lo, p1_hi, tau_lo, tau_hi) with |s| < 1/2, in the kernel's order:
-    from the row path of _reduced_candidates when it finds at most two, else
-    from the hit step (_hits) on the box with shear window (-1/2, 1/2),
-    where k = 0 and r = s.  The row path refuses a rep outside the
-    determinant-one group."""
-    hits = _reduced_candidates(rep.tolist(), *box)
-    if hits is None or len(hits) > 2:
-        _, _, p1, tau, s = _hits(rep, [box + (-0.5, 0.5)])
-        hits = list(zip(p1.tolist(), tau.tolist(), s.tolist()))
-    return hits
+def _matrix(point) -> np.ndarray:
+    """The representative of a quotient point, or a matrix, as a float array."""
+    return point.rep if isinstance(point, HomPoint) else np.asarray(point, dtype=float)
 
 
 def _rep_of(point) -> np.ndarray:
-    return point.rep if isinstance(point, HomPoint) else np.asarray(point, dtype=float)
+    """_matrix(point), checked where it enters the quotient side (_chart)."""
+    rep = _matrix(point)
+    _chart(rep.tolist())
+    return rep
+
+
+def _box_hits(point, box: tuple) -> list:
+    """The (p1, tau, s) of the translates gamma*rep in the box
+    (p1_lo, p1_hi, tau_lo, tau_hi) with |s| < 1/2, as a multiset: from the
+    row path of _reduced_candidates, whose prologue is the one check of the
+    point, wherever it can run, else from the hit step (_hits) on the box
+    with shear window (-1/2, 1/2), where k = 0 and r = s."""
+    rep = _matrix(point)
+    hits = _reduced_candidates(rep.tolist(), *box)
+    if hits is None:
+        _, _, p1, tau, s = _hits(rep, [box + (-0.5, 0.5)])
+        hits = list(zip(p1.tolist(), tau.tolist(), s.tolist()))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +726,10 @@ def in_target(g, spec: TargetSpec) -> bool:
     the box conditions reduce to closed entrywise bounds |g[0,1] - v1| <= d/2,
     |g[1,1] - v2| <= d/2 in floats, that is g[0,1] and g[1,1] in the ranges
     of spec.box, together with the strict shear window |g[1,0]/g[1,1]| < 1/2.
-    Matrices with negative lower-right entry are outside the chart.
+    Matrices with negative lower-right entry are outside the chart.  A matrix
+    outside the determinant-one group is refused, as by every quotient query.
     """
-    g = np.asarray(g, dtype=float)
+    g = _rep_of(g)
     d = g[1, 1]
     if abs(d) < 1e-12 * frobenius_norm(g):
         raise DegenerateCoordinate("lower-right entry too small for the chart")
@@ -784,7 +776,7 @@ def _target_box(v1: float, v2: float, delta: float) -> tuple:
 
 def in_quotient_target(point, spec: TargetSpec) -> bool:
     """Does the coset of the point meet the projected box target?"""
-    return bool(_box_hits(_rep_of(point), spec.box))
+    return bool(_box_hits(point, spec.box))
 
 
 def _bump_x_width(spec: TargetSpec) -> float:
@@ -811,13 +803,14 @@ def target_bump(point, spec: TargetSpec) -> float:
     """Smooth bump on the quotient supported inside the projected box.
 
     Summed over the group: each candidate translate contributes the product
-    of three profile factors in the chart coordinates of gamma * rep.
+    of three profile factors in the chart coordinates of gamma * rep, and
+    the value is the correctly rounded sum of these terms (math.fsum).
     """
-    hits = _box_hits(_rep_of(point), _bump_box(spec))
+    hits = _box_hits(point, _bump_box(spec))
     if not hits:  # most points: skip three profile evaluations
         return 0.0
     p1, tau, s = np.array(hits).T
-    return float((_bump_weight(spec, p1, tau) * bump(s)).sum())
+    return math.fsum((_bump_weight(spec, p1, tau) * bump(s)).tolist())
 
 
 def bump_mean(spec: TargetSpec) -> float:

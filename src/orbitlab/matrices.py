@@ -195,16 +195,35 @@ class IwasawaCoords:
         )
 
 
+def _chart(g) -> tuple:
+    """The one check of a point of the quotient: (x, y, n) for z = g*i = x + iy
+    and n = g10^2 + g11^2, from the rows of g as Python floats.
+
+    Refuses a matrix outside the determinant-one group (a non-finite entry,
+    or |det - 1| > 1e-6) with ValueError, and one whose z is not a finite
+    point of the upper half plane in floats (an entry so large or small
+    that n leaves the floats) with DegenerateCoordinate.
+    """
+    (g00, g01), (g10, g11) = g
+    det = g00 * g11 - g01 * g10
+    if not abs(det - 1.0) <= 1e-6:  # NaN, as a non-finite entry makes it, fails too
+        raise ValueError(f"matrix is not a finite determinant-one matrix: |det - 1| = {abs(det - 1.0)!r}")
+    n = g10 * g10 + g11 * g11
+    x, y = ((g00 * g10 + g01 * g11) / n, det / n) if n else (math.inf, math.inf)
+    if not (math.isfinite(x) and 0.0 < y < math.inf):
+        raise DegenerateCoordinate("matrix does not map i to a finite point of the upper half plane")
+    return x, y, n
+
+
 def iwasawa_decompose(g) -> IwasawaCoords:
-    """Global shear / squeeze / rotation factorization of a determinant-one matrix."""
-    g = np.asarray(g, dtype=float)
-    if abs(det2(g) - 1.0) > 1e-6:
-        raise ValueError(f"matrix is not in the determinant-one group: det={det2(g)!r}")
-    c, d = g[1, 0], g[1, 1]
-    r2 = c * c + d * d
-    y = 1.0 / r2
-    x = (g[0, 0] * c + g[0, 1] * d) * y
-    theta = math.atan2(-c, d) % (2.0 * math.pi)
+    """Global shear / squeeze / rotation factorization of a determinant-one matrix.
+
+    x + iy is g*i as the one check of a quotient point (_chart) computes it,
+    which refuses a matrix outside the group or with z outside the floats.
+    """
+    g = np.asarray(g, dtype=float).tolist()
+    x, y, _ = _chart(g)
+    theta = math.atan2(-g[1][0], g[1][1]) % (2.0 * math.pi)
     return IwasawaCoords(x=x, y=y, theta=theta)
 
 

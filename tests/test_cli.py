@@ -215,6 +215,12 @@ def test_survey_uniform_mode(tmp_path, capsys):
     assert len(doc["perSample"]) == 2
 
 
+def test_survey_uniform_omega_next_to_the_axis(capsys):
+    # x0*x1 underflows to 0 here: omega is off the axes, so it runs
+    rc, _, err = run(capsys, "survey", "--mode", "uniform", "--omega", "1e-200,2e-200,1,2", "--kmax", "64", "--samples", "1")
+    assert rc == 0, err
+
+
 def test_survey_uniform_streams_huge_grids(tmp_path, capsys):
     # 6*10^7 targets per level: each level is built a slice of 512 targets
     # at a time and ends at its first slice with a miss, so memory is that

@@ -839,10 +839,14 @@ def test_curves_reject_inputs_they_cannot_run(call, match):
         (lambda rep: window_hit_counts(rep, V0, -1000.0, 64), "shrink exponent"),
         (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), -1000.0, rep, 64), "shrink exponent"),
         (lambda rep: uniform_grid_experiment((1.4, 1.2, 0.7, 0.9), 0.2, rep, 64), "ordered"),
+        (lambda rep: uniform_grid_experiment((-1.0, 1.0, 0.7, 0.9), 0.2, rep, 64), "off the axes"),
+        (lambda rep: uniform_grid_experiment((0.0, 1.0, 0.7, 0.9), 0.2, rep, 64), "off the axes"),
+        (lambda rep: uniform_grid_experiment((0.0, 0.0, 0.7, 0.9), 0.2, rep, 64), "off the axes"),
     ],
     ids=[
         "average-width", "hit-set-K", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
-        "report-eta-overflow", "counts-eta-overflow", "grid-eta-overflow", "grid-order",
+        "report-eta-overflow", "counts-eta-overflow", "grid-eta-overflow", "grid-order", "grid-across-axis",
+        "grid-on-axis", "grid-axis-point",
     ],
 )
 def test_drivers_reject_inputs_they_cannot_run(call, match, search_spy):

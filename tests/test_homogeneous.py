@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.enumeration import count, enumerate_ball
-from orbitlab.ergodic import hit_set
+from orbitlab.ergodic import hit_set, shrinking_hit_report, uniform_grid_experiment, window_hit_counts
 from orbitlab.errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
 from orbitlab.homogeneous import (
     COVOLUME,
@@ -176,20 +176,65 @@ def test_reduce_point_boundary_ties(g, z):
     assert np.array_equal(pt.rep, gamma.as_array() @ np.array(g))
 
 
+# Every public entry of a quotient point, on the target of a spec.
+QUERIES = {
+    "member": in_quotient_target,
+    "bump": target_bump,
+    "hit-set": lambda g, spec: hit_set(g, spec, 8),
+    "in-target": in_target,
+    "report": lambda g, spec: shrinking_hit_report(0.25, g, 64, (spec.v1, spec.v2)),
+    "counts": lambda g, spec: window_hit_counts(g, (spec.v1, spec.v2), 0.25, 64),
+    "grid": lambda g, spec: uniform_grid_experiment((spec.v1, spec.v1, spec.v2, spec.v2), 0.25, g, 64),
+}
+
+
 @pytest.mark.parametrize(
-    "g",
-    [np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]], [[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]], [[2.0, 0.0], [0.0, 1.0]]],
-    ids=["zero", "singular", "nan", "inf", "det-2"],
+    "g, error",
+    [
+        (np.zeros((2, 2)), ValueError),
+        ([[1.0, 2.0], [2.0, 4.0]], ValueError),
+        ([[math.nan, 0.0], [0.0, 1.0]], ValueError),
+        ([[1.0, math.inf], [0.0, 1.0]], ValueError),
+        ([[2.0, 0.0], [0.0, 1.0]], ValueError),
+        # determinant one, but g10^2 + g11^2 underflows: to 0, then to a
+        # subnormal whose reciprocal overflows, so z = g*i leaves the floats
+        (np.diag([1e200, 1e-200]), DegenerateCoordinate),
+        (np.diag([1e160, 1e-160]), DegenerateCoordinate),
+    ],
+    ids=["zero", "singular", "nan", "inf", "det-2", "n-zero", "n-subnormal"],
 )
-@pytest.mark.parametrize(
-    "query", [in_quotient_target, target_bump, lambda g, spec: hit_set(g, spec, 8)], ids=["member", "bump", "hit-set"]
-)
-def test_quotient_queries_refuse_matrices_outside_the_group(g, query, search_spy):
+@pytest.mark.parametrize("query", QUERIES.values(), ids=QUERIES.keys())
+def test_quotient_queries_refuse_matrices_outside_the_group(g, error, query, search_spy):
     # a ZeroDivisionError, a NaN-to-integer error, or an answer for a matrix
     # of determinant 2, before; now refused before any lattice point is searched
-    with pytest.raises(ValueError, match="finite determinant-one"):
+    match = "finite determinant-one" if error is ValueError else "upper half plane"
+    with pytest.raises(error, match=match):
         query(np.array(g, dtype=float), TargetSpec(*V0, 0.2))
     assert search_spy.points == 0
+
+
+@pytest.mark.parametrize(
+    "g, names",
+    [
+        (upper_shear(1e150), ("member", "hit-set", "report")),
+        (lower_shear(1e150), ("member", "hit-set", "report")),
+        (np.diag([1e-150, 1e150]), ("member", "hit-set", "report")),
+        # reduced: its rows decide membership (no row reaches the box)
+        (np.diag([1e150, 1e-150]), ("hit-set", "report")),
+    ],
+    ids=["upper-shear", "lower-shear", "squeeze", "stretch"],
+)
+def test_windows_whose_rows_leave_int64_are_refused(g, names, search_spy):
+    # valid points of the quotient whose search window has row indices
+    # beyond int64 (about 7e138 for the shear): an OverflowError from numpy,
+    # before; now refused before any array is built
+    spec = TargetSpec(*V0, 0.2)
+    for name in names:
+        with pytest.raises(DegenerateCoordinate, match="int64"):
+            QUERIES[name](g, spec)
+    assert search_spy.points == 0
+    if "member" not in names:
+        assert not in_quotient_target(g, spec)
 
 
 def test_haar_deterministic_and_order_independent():
@@ -299,8 +344,9 @@ def test_bump_center_value_and_support():
 PATH_SAMPLES = 25_000  # reduced samples per spec against the batched kernel (about 1 s each)
 
 # The specs of the reduced-point path: V0 at three sizes, delta at its caps
-# (1/2, and 0.98*v2 for a small v2), the non-injective box, a negative v1 and
-# v2 near 2.
+# (1/2, and 0.98*v2 for a small v2), the non-injective box, a negative v1,
+# v2 near 2, and a tall box whose rows give some points three or more
+# translates.
 PATH_SPECS = [
     TargetSpec(*V0, 0.2),
     TargetSpec(*V0, 0.1),
@@ -310,6 +356,7 @@ PATH_SPECS = [
     TargetSpec(1.3, 0.6, 0.45),
     TargetSpec(-2.0, 1.4, 0.2),
     TargetSpec(-0.9, 2.1, 0.3),
+    TargetSpec(0.1, 3.0, 0.49),
 ]
 
 
@@ -335,8 +382,8 @@ def kernel_terms(reps, box):
 def check_path_against_kernel(reps, spec, n_bump):
     """The reduced-point path lists the kernel's candidates with |s| < 1/2
     (bitwise, as a multiset) and in_quotient_target follows them; target_bump
-    equals the kernel's sum bitwise on the first n_bump reps.  Returns how
-    many reps took the path."""
+    equals the correctly rounded sum of the kernel's terms bitwise on the
+    first n_bump reps.  Returns how many reps took the path."""
     reps = np.asarray(reps, dtype=float).tolist()
     box = spec.box
     taken = 0
@@ -350,8 +397,8 @@ def check_path_against_kernel(reps, spec, n_bump):
     dx = _bump_x_width(spec)
     for g, terms in zip(reps[:n_bump], kernel_terms(reps[:n_bump], bump_box(spec))):
         p1, tau, s = np.array(terms).reshape(-1, 3).T
-        ref = (bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)).sum()
-        assert target_bump(np.array(g), spec) == float(ref)
+        ref = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)
+        assert target_bump(np.array(g), spec) == math.fsum(ref.tolist())
     return taken
 
 
@@ -465,6 +512,14 @@ def test_reduced_points_skip_the_kernel(monkeypatch):
     member = [in_quotient_target(g, spec) for g in reps]
     bumps = [target_bump(g, spec) for g in reps]
     assert calls == [] and any(member) and any(b > 0.0 for b in bumps)
+    # a tall box: some reduced points meet it through three or more
+    # translates, and their rows still decide them
+    tall = TargetSpec(0.1, 3.0, 0.49)
+    tall_reps = _haar_reps(4000, seed=7)
+    assert max(len(_reduced_candidates(g.tolist(), *tall.box)) for g in tall_reps) >= 3
+    assert any([in_quotient_target(g, tall) for g in tall_reps])
+    assert any([target_bump(g, tall) > 0.0 for g in tall_reps])
+    assert calls == []
     # a non-reduced rep of the same coset goes to the kernel, with the same answer
     g0 = np.array([[2.0, 1.0], [1.0, 1.0]])
     picks = [i for i in range(2000) if member[i]][:10] + list(range(10))

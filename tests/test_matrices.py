@@ -95,6 +95,12 @@ def test_iwasawa_examples():
 def test_iwasawa_rejects_non_unimodular():
     with pytest.raises(ValueError):
         iwasawa_decompose(np.diag([2.0, 1.0]))
+    # NaN or inf coordinates, before: abs(nan - 1) > 1e-6 is False
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite determinant-one"):
+            iwasawa_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DegenerateCoordinate):
+        iwasawa_decompose(np.diag([1e200, 1e-200]))
 
 
 @pytest.mark.parametrize("y", [0.0, -1.0])
