@@ -5,13 +5,16 @@ with ad - bc = 1 and a^2 + b^2 + c^2 + d^2 <= T.  It is enumerated through the
 two-squares identity: with p = a+d, q = b-c, r = a-d, s = b+c, the elements of
 norm n correspond one-to-one to the pairs of lattice points with
 p^2 + q^2 = n + 2 and r^2 + s^2 = n - 2 whose coordinates agree mod 2
-(p - r and q - s even).  The norms are taken in windows of ``_WINDOW_NORMS``;
-for each window numpy builds the two annuli of such points and pairs the points
-of equal (norm, parity) key.  Only one window is in memory at a time: about
-6 * ``_WINDOW_NORMS`` rows plus the 2*sqrt(T) columns of its annuli, whatever
-the budget.  ``count``, ``elements_array`` and ``enumerate_ball`` all read this
-one window generator, and congruence subgroups are one vectorized filter on
-its rows.
+(p - r and q - s even).  The norms are taken in windows of ``_WINDOW_NORMS``,
+and each window is one annulus of points that holds both sides (``_annuli``).
+``elements_array`` and ``enumerate_ball`` pair its points of equal (norm,
+parity) key into rows (``_windows``): about 6 * ``_WINDOW_NORMS`` rows plus the
+2*sqrt(T) columns of the annulus are in memory at a time, whatever the budget,
+and congruence subgroups are one vectorized filter on the rows.  ``count``
+builds no row under the full group and ``gamma:N``: it sums, per norm and
+residue class, the products of the two sides' point counts.  ``gamma0:N``
+counts keep the row filter, since their condition ties the two sides together
+(see ``count``).
 
 The annulus bounds use the floor of a float square root, which is the integer
 root for arguments below 2^52, and the coordinates and pairing keys are int64,
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,6 +72,9 @@ class SubgroupFilter:
     def __post_init__(self):
         if self.kind not in ("full", "gamma0", "gamma"):
             raise ValueError(f"unknown filter kind {self.kind!r}")
+        if isinstance(self.level, bool):
+            raise TypeError("filter level must be an integer, not a bool")
+        object.__setattr__(self, "level", operator.index(self.level))  # TypeError for floats
         if self.level < 1:
             raise ValueError("filter level must be a positive integer")
         if self.kind == "full" and self.level != 1:
@@ -151,36 +158,78 @@ def _annulus(lo: int, hi: int) -> tuple:
     return np.concatenate([x, x])[col], y
 
 
-def _windows(Tint: int) -> Iterator[np.ndarray]:
-    """Every element with norm <= Tint as (n, 4) int64 rows (a, b, c, d), window by window.
+def _annuli(Tint: int) -> Iterator[tuple]:
+    """The lattice points of each window of norms up to Tint, one annulus per window.
 
-    The window [n0, n1) of norms pairs the annulus n0+2 <= p^2+q^2 < n1+2 with
-    the annulus n0-2 <= r^2+s^2 < n1-2 on equal keys (norm, x mod 2, y mod 2);
-    a pair is the element a = (p+r)/2, b = (q+s)/2, c = (s-q)/2, d = (p-r)/2.
-    Rows within a window come in no particular order.
+    For the window [n0, n1) of element norms it yields (w, x, y, m) with
+    w = n1 - n0: the points (x, y) with n0-2 <= x^2+y^2 < n1+2 as int64 arrays
+    and m = x^2 + y^2 - (n0 - 2).  The pq side of the window is the points with
+    m >= 4 (p^2 + q^2 = n + 2), the rs side those with m < w (r^2 + s^2 = n - 2).
     """
     for n0 in range(2, Tint + 1, _WINDOW_NORMS):
         n1 = min(n0 + _WINDOW_NORMS, Tint + 1)
-        p, q = _annulus(n0 + 2, n1 + 2)
-        r, s = _annulus(n0 - 2, n1 - 2)
-        pq_key = 4 * (p * p + q * q - 2 - n0) + 2 * (p & 1) + (q & 1)
-        rs_key = 4 * (r * r + s * s + 2 - n0) + 2 * (r & 1) + (s & 1)
-        size = np.bincount(rs_key, minlength=4 * (n1 - n0))
-        i, j = _ranges((np.cumsum(size) - size)[pq_key], size[pq_key])
-        j = np.argsort(rs_key)[j]
-        p, q, r, s = p[i], q[i], r[j], s[j]
+        x, y = _annulus(n0 - 2, n1 + 2)
+        yield n1 - n0, x, y, x * x + y * y - (n0 - 2)
+
+
+def _windows(Tint: int) -> Iterator[np.ndarray]:
+    """Every element with norm <= Tint as (n, 4) int64 rows (a, b, c, d), window by window.
+
+    Each window of ``_annuli`` pairs its pq points with its rs points on equal
+    keys (norm, x mod 2, y mod 2); a pair is the element a = (p+r)/2,
+    b = (q+s)/2, c = (s-q)/2, d = (p-r)/2.  Rows within a window come in no
+    particular order.
+    """
+    for w, x, y, m in _annuli(Tint):
+        key = 4 * m + 2 * (x & 1) + (y & 1)
+        size = np.bincount(key, minlength=4 * (w + 4))
+        pq = np.flatnonzero(m >= 4)
+        partner = key[pq] - 16  # the key of a pq point's partners, all of them rs points
+        i, j = _ranges((np.cumsum(size) - size)[partner], size[partner])
+        i, j = pq[i], np.argsort(key)[j]
+        p, q, r, s = x[i], y[i], x[j], y[j]
         yield np.stack([(p + r) >> 1, (q + s) >> 1, (s - q) >> 1, (p - r) >> 1], axis=1)
+
+
+def _classes(x: np.ndarray, y: np.ndarray, m: np.ndarray, x0: int, N: int, w: int) -> np.ndarray:
+    """Points per (m, class) of the points with x = x0 and y = 0 (mod N), as a (w + 4, 4) array.
+
+    The class of a point is ((x - x0)/N mod 2, y/N mod 2); the other points
+    are dropped.
+    """
+    u = x - x0
+    if N > 1:
+        keep = (u % N == 0) & (y % N == 0)
+        u, y, m = u[keep] // N, y[keep] // N, m[keep]
+    return np.bincount(4 * m + 2 * (u & 1) + (y & 1), minlength=4 * (w + 4)).reshape(-1, 4)
 
 
 def count(T: float, subgroup: SubgroupFilter = SubgroupFilter.full(), workers: int = 1) -> int:
     """Number of budget-T elements passing the filter.
 
-    The sum of ``subgroup.mask`` over the norm windows, so memory stays bounded
-    by one window whatever T; exact for T below 2^52 - 2.  Costs about 0.4 s per
-    10^6 of budget on one core.  ``workers`` is accepted for compatibility and
-    has no effect.
+    Under ``full`` and ``gamma:N`` no element is built.  An element of norm n
+    is a pq point of norm n + 2 and an rs point of norm n - 2 in the same
+    class, and a = d = 1, b = c = 0 (mod N) exactly when p = 2, q = 0 and
+    r = s = 0 (mod N) and ((p-2)/N, q/N) = (r/N, s/N) (mod 2); N = 1 is the
+    parity pairing of the full group.  So each window's count is the sum over
+    norms and the 4 classes of the product of the two sides' histograms of
+    its one annulus.  On one core ``count(10^5)`` takes about 4 ms and
+    ``count(10^7)`` 0.5 to 0.8 s, against 35 ms and 3.8 s from rows.
+    ``gamma0:N`` keeps the sum of ``subgroup.mask`` over the rows of
+    ``_windows``: its condition c = (s - q)/2 = 0 (mod N) ties the two sides
+    through s = q (mod 2N), which would take 4N classes.  Memory stays bounded
+    by one window whatever T; exact for T below 2^52 - 2.  ``workers`` is
+    accepted for compatibility and has no effect.
     """
-    return sum(int(subgroup.mask(rows).sum()) for rows in _windows(_budget_int(T)))
+    Tint = _budget_int(T)
+    if subgroup.kind == "gamma0":
+        return sum(int(subgroup.mask(rows).sum()) for rows in _windows(Tint))
+    N, total = subgroup.level, 0
+    for w, x, y, m in _annuli(Tint):
+        rs = _classes(x, y, m, 0, N, w)
+        pq = rs if N == 1 else _classes(x, y, m, 2, N, w)
+        total += int((pq[4:] * rs[:w]).sum())
+    return total
 
 
 def elements_array(T: float, subgroup: SubgroupFilter = SubgroupFilter.full()) -> np.ndarray:

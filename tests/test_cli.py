@@ -393,33 +393,41 @@ def test_file_errors_are_config_errors(tmp_path, capsys, argv):
 
 
 def test_enumerate_checks_paths_first_and_counts_once(tmp_path, capsys, monkeypatch):
-    # a path that cannot be written fails before any window of the ball is
+    # a path that cannot be written fails before any annulus of the ball is
     # generated (580 was printed first), and --dump counts what it writes
-    # instead of counting the ball a second time
+    # instead of counting the ball a second time: it walks the annuli once,
+    # all of them as rows, and no histogram pass of its own
     import orbitlab.enumeration as enum_mod
 
-    made = []
-    real = enum_mod._windows
+    annuli, rows = [], []
+    real_annuli, real_windows = enum_mod._annuli, enum_mod._windows
 
-    def windows(Tint):
-        for rows in real(Tint):
-            made.append(len(rows))
-            yield rows
+    def spy_annuli(Tint):
+        for a in real_annuli(Tint):
+            annuli.append(len(a[1]))
+            yield a
 
-    monkeypatch.setattr(enum_mod, "_windows", windows)
+    def spy_windows(Tint):
+        for r in real_windows(Tint):
+            rows.append(len(r))
+            yield r
+
+    monkeypatch.setattr(enum_mod, "_annuli", spy_annuli)
+    monkeypatch.setattr(enum_mod, "_windows", spy_windows)
     (tmp_path / "file").write_text("")
     for opt, name in ("--out", "file/x.json"), ("--dump", "file/sub/x.i64"):
         rc, out, err = run(capsys, "enumerate", "--T", "100", opt, str(tmp_path / name))
-        assert (rc, out, made) == (2, "", []) and "config error" in err
+        assert (rc, out, annuli, rows) == (2, "", [], []) and "config error" in err
     # a budget out of range is refused before any path is created
     rc, _, err = run(capsys, "enumerate", "--T", "1e19", "--out", str(tmp_path / "big.json"))
     assert rc == 3 and "BudgetOverflow" in err and not (tmp_path / "big.json").exists()
     rc, out, _ = run(capsys, "enumerate", "--T", "100")
-    once = list(made)
-    made.clear()
+    once = list(annuli)
+    assert once and rows == []  # the full count builds no row
+    annuli.clear()
     dump = str(tmp_path / "ball.i64")
     rc2, out2, _ = run(capsys, "enumerate", "--T", "100", "--dump", dump, "--out", str(tmp_path / "c.json"))
-    assert rc == rc2 == 0 and out == out2 == "580\n" and made == once
+    assert rc == rc2 == 0 and out == out2 == "580\n" and annuli == once and sum(rows) == 580
     assert load_elements(dump)[1]["count"] == 580
 
 

@@ -74,6 +74,31 @@ def test_count_at_1e5():
     assert count(10**5) == 600196
 
 
+def test_count_at_1e7():
+    # the number of rows _windows builds, which count summed before it read histograms
+    assert count(10**7) == 60010740
+
+
+CROSS_FILTERS = [SubgroupFilter.full()] + [
+    SubgroupFilter(kind, n) for kind in ("gamma0", "gamma") for n in (1, 2, 3, 4, 5, 6, 7, 12, 97)
+]
+
+
+@pytest.mark.parametrize("flt", CROSS_FILTERS, ids=str)
+def test_count_matches_rows_across_window_seams(flt, monkeypatch):
+    # windows of 7 norms put many seams under small budgets; count reads
+    # residue histograms under full and gamma:N and the rows under gamma0:N
+    monkeypatch.setattr(enumeration, "_WINDOW_NORMS", 7)
+    walks = []
+    real = enumeration._windows
+    monkeypatch.setattr(enumeration, "_windows", lambda Tint: walks.append(Tint) or real(Tint))
+    for T in (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 16, 23, 50, 99, 150, 209, 299.5, 300):
+        walks.clear()
+        n = count(T, flt)
+        assert walks == ([math.floor(T)] if flt.kind == "gamma0" else []), (T, flt)
+        assert n == len(elements_array(T, flt)), (T, flt)
+
+
 def test_isqrt_exact_below_2_52():
     k = np.concatenate([np.arange(0, 2000), np.arange(2**26 - 2000, 2**26)])
     v = np.concatenate([k * k + off for off in (-2, -1, 0, 1, 2)])
@@ -166,6 +191,15 @@ def test_filter_parsing_and_validation():
         SubgroupFilter("gamma1", 3)
     with pytest.raises(ValueError, match="takes no level"):
         SubgroupFilter("full", 3)
+    # levels are integers: numpy integers are stored as int, bools and floats refused
+    flt = SubgroupFilter("gamma", np.int64(3))
+    assert type(flt.level) is int and flt == SubgroupFilter.gamma(3) and str(flt) == "gamma:3"
+    for kind in ("gamma0", "gamma"):
+        for level in (2.5, 3.0, np.float64(2.0), True, False, "3"):
+            with pytest.raises((TypeError, ValueError)):
+                SubgroupFilter(kind, level)
+    with pytest.raises(TypeError, match="not a bool"):
+        SubgroupFilter("full", True)
 
 
 def test_filter_mask_agrees_with_passes():
