@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .approx import TRACE_CSV_HEADER, ApproxTrace, _exponent_row, approx_trace, survey_exponents
-from .enumeration import SubgroupFilter, _budget_int, count, dump_elements
+from .enumeration import SubgroupFilter, _budget_int, _row_budget, count, dump_elements
 from .ergodic import (
     matcoef_curve,
     miss_rate_curve,
@@ -141,7 +141,7 @@ def _found_summary(per_sample: list) -> dict:
 
 
 def _cmd_enumerate(args, cfg: dict) -> int:
-    _budget_int(args.T)  # a budget out of range touches no file
+    (_row_budget if args.dump else _budget_int)(args.T)  # a budget out of range touches no file
     if args.dump:
         os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
     for path in filter(None, (args.dump, args.out)):  # fail before the ball is counted

@@ -402,8 +402,8 @@ def test_enumerate_checks_paths_first_and_counts_once(tmp_path, capsys, monkeypa
     annuli, rows = [], []
     real_annuli, real_windows = enum_mod._annuli, enum_mod._windows
 
-    def spy_annuli(Tint):
-        for a in real_annuli(Tint):
+    def spy_annuli(*args):
+        for a in real_annuli(*args):
             annuli.append(len(a[1]))
             yield a
 
@@ -421,6 +421,9 @@ def test_enumerate_checks_paths_first_and_counts_once(tmp_path, capsys, monkeypa
     # a budget out of range is refused before any path is created
     rc, _, err = run(capsys, "enumerate", "--T", "1e19", "--out", str(tmp_path / "big.json"))
     assert rc == 3 and "BudgetOverflow" in err and not (tmp_path / "big.json").exists()
+    # and so is a dump above the largest ball whose rows can be ordered
+    rc, _, err = run(capsys, "enumerate", "--T", "1073741824", "--dump", str(tmp_path / "big" / "b.i64"))
+    assert rc == 3 and "BudgetOverflow" in err and not (tmp_path / "big").exists()
     rc, out, _ = run(capsys, "enumerate", "--T", "100")
     once = list(annuli)
     assert once and rows == []  # the full count builds no row

@@ -79,15 +79,21 @@ def test_count_at_1e7():
     assert count(10**7) == 60010740
 
 
+def test_gamma0_counts_at_1e6():
+    # the row path's counts, which count read from rows before it sorted keys
+    for level, n in ((2, 1999754), (3, 1499870), (97, 61234)):
+        assert count(10**6, SubgroupFilter.gamma0(level)) == n
+
+
 CROSS_FILTERS = [SubgroupFilter.full()] + [
     SubgroupFilter(kind, n) for kind in ("gamma0", "gamma") for n in (1, 2, 3, 4, 5, 6, 7, 12, 97)
-]
+] + [SubgroupFilter.gamma0(1000), SubgroupFilter.gamma0(10**18)]
 
 
 @pytest.mark.parametrize("flt", CROSS_FILTERS, ids=str)
 def test_count_matches_rows_across_window_seams(flt, monkeypatch):
-    # windows of 7 norms put many seams under small budgets; count reads
-    # residue histograms under full and gamma:N and the rows under gamma0:N
+    # windows of 7 norms put many seams under small budgets; count builds no
+    # row under any filter
     monkeypatch.setattr(enumeration, "_WINDOW_NORMS", 7)
     walks = []
     real = enumeration._windows
@@ -95,8 +101,44 @@ def test_count_matches_rows_across_window_seams(flt, monkeypatch):
     for T in (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 16, 23, 50, 99, 150, 209, 299.5, 300):
         walks.clear()
         n = count(T, flt)
-        assert walks == ([math.floor(T)] if flt.kind == "gamma0" else []), (T, flt)
+        assert walks == [], (T, flt)
         assert n == len(elements_array(T, flt)), (T, flt)
+
+
+@pytest.mark.parametrize("flt", CROSS_FILTERS, ids=str)
+def test_rows_in_lexsort_order(flt):
+    # the order key gives the order of one lexsort on (a^2 + c^2, a, c, a*b + c*d)
+    for T in (0, 2, 3, 50, 1000.5, 3000):
+        arr = elements_array(T, flt)
+        a, b, c, d = arr.T
+        assert np.array_equal(arr, arr[np.lexsort((a * b + c * d, c, a, a * a + c * c))]), (T, flt)
+
+
+def test_order_key_at_its_bound():
+    # the largest key of a budget-T ball, all digits at their top, fits int64
+    # exactly up to MAX_ROW_BUDGET
+    def top(T):
+        R = math.isqrt(T)
+        return ((T * (2 * R + 1) + 2 * R) * 2 + 1) * (2 * R + 2) + 2 * R + 1
+
+    T = enumeration.MAX_ROW_BUDGET
+    assert top(T) < 2**63 <= top(T + 1)
+    # a row with a^2 + c^2 near T, a = isqrt(T) and c > 0, keyed in int64 and in Python ints
+    R = math.isqrt(T)
+    c = math.isqrt(T - R * R)
+    row = (R, -(R - 1), c, -R)
+    want = enumeration._order_key(np.array([row], dtype=object), T)[0]
+    got = enumeration._order_key(np.array([row], dtype=np.int64), T)
+    assert got.dtype == np.int64 and int(got[0]) == want and 0 <= want < 2**63
+
+
+def test_rows_refused_above_the_order_bound(tmp_path):
+    T = enumeration.MAX_ROW_BUDGET + 1
+    path = tmp_path / "ball.i64"
+    for call in (lambda: elements_array(T), lambda: list(enumerate_ball(T)), lambda: dump_elements(str(path), T)):
+        with pytest.raises(BudgetOverflow, match="can be ordered"):
+            call()
+    assert not path.exists() and not (tmp_path / "ball.i64.json").exists()
 
 
 def test_isqrt_exact_below_2_52():

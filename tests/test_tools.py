@@ -9,15 +9,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_ab_timing_compares_a_checkout_with_itself():
     argv = [sys.executable, str(ROOT / "tools" / "ab_timing.py"), str(ROOT), str(ROOT)]
-    done = subprocess.run(argv + ["--rounds", "2", "--sets", "member,bump-tall,count"], capture_output=True, text=True, timeout=120)
+    done = subprocess.run(argv + ["--rounds", "2", "--sets", "member,bump-tall,count,elements"], capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[:3] == [
+    assert lines[:4] == [
         "member       outputs: 0 of 2000 values differ",
         "bump-tall    outputs: 0 of 2000 values differ",
         "count        outputs: 0 of 1 values differ",
+        "elements     outputs: 0 of 595240 values differ",
     ]
-    assert [l.split()[1] for l in lines[4:]] == ["parent", "change", "ratio"] * 3
+    assert [l.split()[1] for l in lines[5:]] == ["parent", "change", "ratio"] * 4
     bad = subprocess.run(argv + ["--sets", "nope"], capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2 and "unknown call sets" in bad.stderr
 

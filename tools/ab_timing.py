@@ -52,6 +52,7 @@ def call_sets(side: dict, reps: np.ndarray, pairs: list) -> dict:
     """name -> (calls, thunk): the thunk makes `calls` calls of one side and
     returns their outputs."""
     hom, erg, apx, enu = side["homogeneous"], side["ergodic"], side["approx"], side["enumeration"]
+    ball_filters = [enu.SubgroupFilter.full(), enu.SubgroupFilter.gamma0(3)]
     spec, tall = hom.TargetSpec(*V0, 0.2), hom.TargetSpec(0.1, 3.0, 0.49)
     word = np.array([[2.0, 1.0], [1.0, 1.0]])  # a non-reduced rep of the same point
     reduced, moved = list(reps[:2000]), [word @ g for g in reps[:300]]
@@ -66,8 +67,9 @@ def call_sets(side: dict, reps: np.ndarray, pairs: list) -> dict:
         "miss-rate": (1, lambda: erg.miss_rate_curve([16, 64, 256], 0.1, V0, 512, seed=1)),
         "best-approx": (len(pairs), lambda: [apx.best_approx(u, v, 11_000) for u, v in pairs]),
         "trace": (5, lambda: [apx.approx_trace(u, v, BUDGETS).records for u, v in pairs[:5]]),
+        "elements": (2, lambda: [enu.elements_array(2 * 10**4, f) for f in ball_filters]),
         "count": (1, lambda: enu.count(10**5)),
-        "count-gamma0": (1, lambda: enu.count(5 * 10**4, enu.SubgroupFilter.gamma0(3))),
+        "count-gamma0": (2, lambda: [enu.count(5 * 10**4, enu.SubgroupFilter.gamma0(n)) for n in (3, 97)]),
         "count-gamma": (1, lambda: enu.count(5 * 10**4, enu.SubgroupFilter.gamma(2))),
     }
 
