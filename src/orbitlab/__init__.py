@@ -17,8 +17,6 @@ from .matrices import (
     IwasawaCoords,
     LatticeElement,
     UDLCoords,
-    cartan_radius,
-    frobenius_norm,
     hs_norm,
     iwasawa_decompose,
     udl_decompose,
@@ -46,7 +44,6 @@ from .homogeneous import (
     TargetSpec,
     bump,
     bump_mean,
-    box_haar_mass,
     haar_sample,
     in_quotient_target,
     in_target,
@@ -59,10 +56,7 @@ from .ergodic import (
     MissRate,
     VarianceCurve,
     hit_set,
-    matrix_coefficient,
-    miss_rate,
     miss_rate_curve,
-    orbit_average,
     shrinking_hit_experiment,
     uniform_grid_experiment,
     variance_curve,

@@ -115,10 +115,16 @@ class SubgroupFilter:
         return a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0
 
     def mask(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized ``passes`` over the rows (a, b, c, d) of an (n, 4) integer array."""
+        """Vectorized ``passes`` over the rows (a, b, c, d) of an (n, 4) integer array.
+
+        The level is clamped to 2^62, so that the remainders stay in int64.
+        That is exact while every entry is below 2^62 - 1 in absolute value,
+        as row and strip entries are (below 2^31): an entry x is then 0 or 1
+        modulo the level exactly when x is 0 or 1.
+        """
         if self.kind == "full":
             return np.ones(arr.shape[0], dtype=bool)
-        n = self.level
+        n = min(self.level, 2**62)
         a, b, c, d = arr.T
         if self.kind == "gamma0":
             return c % n == 0

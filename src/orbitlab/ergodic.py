@@ -36,7 +36,6 @@ import numpy as np
 
 from .homogeneous import (
     COVOLUME,
-    HomPoint,
     TargetSpec,
     _box_candidates_batch,
     _bump_box,
@@ -49,21 +48,16 @@ from .homogeneous import (
     _target_box,
     bump,
     bump_mean,
-    reduce_point,
 )
-from .matrices import lower_shear
 
 __all__ = [
     "HitSet",
     "VarianceCurve",
     "MissRate",
     "UniformGridReport",
-    "orbit_average",
     "variance_curve",
-    "matrix_coefficient",
     "matcoef_curve",
     "hit_set",
-    "miss_rate",
     "miss_rate_curve",
     "shrinking_hit_experiment",
     "shrinking_hit_report",
@@ -107,23 +101,6 @@ def _moments(parts: list, n_samples: int) -> tuple:
     values = s1 / n_samples
     var = np.maximum(s2 / n_samples - values**2, 0.0)
     return values, np.sqrt(var / n_samples)
-
-
-def orbit_average(fn: Callable, point: HomPoint, half_width: int) -> float:
-    """Uniform average of fn over the 2T+1 shear translates of the point.
-
-    Every translate is re-reduced to the fundamental domain before fn sees it.
-    This is the literal averaging operator; the experiment drivers below
-    compute the same numbers through the candidate kernel.
-    """
-    if half_width < 0:
-        raise ValueError("half_width must be >= 0")
-    rep = _rep_of(point)
-    total = 0.0
-    for k in range(-half_width, half_width + 1):
-        q, _ = reduce_point(rep @ lower_shear(k))
-        total += fn(q)
-    return total / (2 * half_width + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +225,7 @@ def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
     if K < 1:
         raise ValueError("horizon K must be >= 1")
-    _, ks, *_ = _hits(_rep_of(point), [spec.box + (-K - 0.5, K + 0.5)])
+    _, ks, *_ = _hits(_rep_of(point)[0], [spec.box + (-K - 0.5, K + 0.5)])
     return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
 
@@ -375,12 +352,6 @@ def matcoef_curve(
     return values.tolist(), stderrs.tolist()
 
 
-def matrix_coefficient(spec: TargetSpec, t: float, n_samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the centered-bump correlation at shear time t."""
-    values, _ = matcoef_curve(spec, [t], n_samples, seed)
-    return values[0]
-
-
 # ---------------------------------------------------------------------------
 # Missing-set measure
 # ---------------------------------------------------------------------------
@@ -441,10 +412,6 @@ def miss_rate_curve(
             MissRate(T=T, delta=float(delta), fraction=misses / n_samples, ci_lo=lo, ci_hi=hi, n=n_samples)
         )
     return out
-
-
-def miss_rate(T: int, delta: float, v, n_samples: int, seed: int, workers: int = 1) -> MissRate:
-    return miss_rate_curve([T], delta, v, n_samples, seed, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +493,7 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     v1, v2, levels = _target_v(v, eta, k_max)
     boxes = [_target_box(v1, v2, d) for _, d in levels]
     horizons = [h for h, _ in levels]
-    flags = _first_hits(_rep_of(point), boxes, horizons) <= horizons
+    flags = _first_hits(_rep_of(point)[0], boxes, horizons) <= horizons
     rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
     return {"eta": eta, "kMax": k_max, "T0": _certified_T0(flags, k_max), "levels": rows}
 
@@ -555,7 +522,7 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
         bounds += [box + sw for sw in _shells(lo, hi)]
     # one batched search: window j is the shell pair 2j, 2j + 1, and a hit in
     # a shell lies at a time of the shell
-    win, k, p1, tau, _ = _hits(_rep_of(point), bounds)
+    win, k, p1, tau, _ = _hits(_rep_of(point)[0], bounds)
     dk = np.array([_target_size(a, eta, cap) for a in np.abs(k).tolist()])
     inside = (np.abs(p1 - v1) <= 0.5 * dk) & (np.abs(tau - v2) <= 0.5 * dk)
     # a time lies in one window: count the distinct times per window
@@ -617,7 +584,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     # the coarsest floats lie at the corner farthest from the axes, so the
     # smallest level's box there holds more than one float if any target's does
     TargetSpec(max(x0, x1, key=abs), y1, _target_size(max(k_max, 1), eta, _delta_cap(y0)))
-    rep = _rep_of(point)
+    rep = _rep_of(point)[0]
     levels = []
     for horizon, delta in dyadic:
         nx, ny = _grid_shape(omega, delta)

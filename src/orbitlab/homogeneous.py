@@ -35,25 +35,29 @@ kernel through it.
 
 Membership.  ``in_quotient_target`` and ``target_bump`` ask for the
 translates of a coset in a box at time 0 through one path, ``_box_hits``:
-a point whose z = g*i lies in the fundamental domain is decided from the
-few bottom rows with |cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``),
-by the kernel's own float expressions, so with the kernel's translates
-bitwise, wherever those rows can bound the box (k <= 16*y); other
-representatives take the hit step, as the injectivity probe's batch does.
-``target_bump`` is the correctly rounded sum (math.fsum) of its terms, so
-their order does not matter.
+the point's reduced representative is decided from the few bottom rows with
+|cz + d|^2 <= 1.25*tau_hi^2*y (``_reduced_candidates``), by the kernel's
+own float expressions, so with the kernel's translates bitwise, wherever
+those rows can bound the box (k <= 16*y); a taller box takes the hit step,
+as the injectivity probe's batch does.  ``target_bump`` is the correctly
+rounded sum (math.fsum) of its terms, so their order does not matter.
 
-One check.  A matrix enters the quotient side through one check,
-``matrices._chart``, called once per query where it enters:
-``reduce_point``, ``_rep_of`` (every query of ``ergodic`` and
-``in_target``) and the row path's prologue (``in_quotient_target`` and
-``target_bump``).  It refuses a matrix outside the determinant-one group (a
-non-finite entry, or |det - 1| > 1e-6) with ValueError, and one whose z is
-not a finite point of the upper half plane in floats with
-DegenerateCoordinate.  The kernel checks nothing: every matrix it sees
-was checked there or built by the package (invariant samples, the probe's
-chart matrices).  A window whose rows leave int64 (an entry near 1e150)
-is refused with DegenerateCoordinate by ``_window_rows``.
+One entry.  A point enters the quotient side once per query, through
+``_rep_of`` (every query of ``ergodic``, ``in_quotient_target`` and
+``target_bump``), which is also its one check and its one reduction.  The
+check, ``matrices._chart``, refuses a matrix outside the determinant-one
+group (a non-finite entry, or |det - 1| > 1e-6) with ValueError, and one
+whose z = g*i is not a finite point of the upper half plane in floats with
+DegenerateCoordinate; ``reduce_point`` and ``in_target`` make it too.  A
+point whose z lies in the fundamental domain widened by 1e-6 (every
+invariant sample) is searched exactly as given; any other is searched
+through the representative of ``reduce_point``, which refuses a point it
+cannot bring into that domain.  The answers are properties of the coset,
+and for a non-reduced matrix (p1, tau, s) may move by a few ulps.  The
+kernel checks nothing: every matrix it sees entered there or was built by
+the package (the probe's chart matrices).  A window whose rows leave int64
+(a cusp point, y near 1e300) is refused with DegenerateCoordinate by
+``_window_rows``.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
-from .matrices import LatticeElement, _chart, frobenius_norm
+from .matrices import LatticeElement, _chart, hs_norm
 
 __all__ = [
     "COVOLUME",
@@ -82,7 +86,6 @@ __all__ = [
     "in_quotient_target",
     "target_bump",
     "bump_mean",
-    "box_haar_mass",
     "target_measure",
 ]
 
@@ -175,18 +178,6 @@ class HomPoint:
     def __post_init__(self):
         self.rep = np.asarray(self.rep, dtype=float)
 
-    def to_text(self) -> str:
-        """Row-major representative as four 17-significant-digit decimals."""
-        r = self.rep
-        return ",".join(f"{x:.17g}" for x in (r[0, 0], r[0, 1], r[1, 0], r[1, 1]))
-
-    @classmethod
-    def from_text(cls, text: str) -> "HomPoint":
-        vals = [float(p) for p in text.split(",")]
-        if len(vals) != 4:
-            raise ValueError(f"expected four comma-separated entries, got {text!r}")
-        return cls(np.array(vals).reshape(2, 2))
-
 
 def reduce_point(g, max_steps: int = 10000):
     """Reduce g to the standard fundamental domain; returns (HomPoint, word).
@@ -195,10 +186,21 @@ def reduce_point(g, max_steps: int = 10000):
     representative normalized so its image of i has |Re| <= 1/2 and modulus
     >= 1 (ties: Re = +1/2 and, on the unit circle, Re >= 0).  The sign of the
     representative is canonicalized through the central element, which acts
-    trivially on the quotient.
+    trivially on the quotient.  z is followed in floats apart from the
+    matrix, so the representative's own z = rep*i is checked: one outside
+    the fundamental domain widened by 1e-6 (an entry so large that z loses
+    its digits, as lower_shear(1e30)) is refused with DegenerateCoordinate.
     """
     g = np.asarray(g, dtype=float)
     x, y, _ = _chart(g.tolist())
+    rep, word, _ = _reduce(g, x, y, max_steps)
+    return HomPoint(rep), LatticeElement(*word)
+
+
+def _reduce(m: np.ndarray, x: float, y: float, max_steps: int = 10000) -> tuple:
+    """reduce_point's representative of the matrix m with z = m*i = x + iy:
+    (rep, (a, b, c, d), (rows, x, y, n)), rows = rep.tolist() and (x, y, n)
+    its chart, checked to lie in the fundamental domain widened by 1e-6."""
     z = complex(x, y)
     a, b, c, d = 1, 0, 0, 1
     for _ in range(max_steps):
@@ -217,12 +219,14 @@ def reduce_point(g, max_steps: int = 10000):
         a, b = a + c, b + d
     elif z.real * z.real + z.imag * z.imag == 1.0 and z.real < 0.0:
         a, b, c, d = -c, -d, a, b
-    gamma = LatticeElement(a, b, c, d)
-    rep = gamma.as_array() @ g
+    rep = np.array([[a, b], [c, d]], dtype=float) @ m
     if rep[1, 1] < 0.0 or (rep[1, 1] == 0.0 and rep[1, 0] < 0.0):
-        rep = -rep
-        gamma = -gamma
-    return HomPoint(rep), gamma
+        rep, a, b, c, d = -rep, -a, -b, -c, -d
+    g = rep.tolist()
+    x, y, n = _chart(g)
+    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6):
+        raise DegenerateCoordinate("reduction left the fundamental domain: the matrix is too extreme")
+    return rep, (a, b, c, d), (g, x, y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +564,11 @@ def _box_candidates_batch(reps, bounds) -> tuple:
 
     Each block of _lattice_points is cut to the shear windows and to
     primitive rows before Bezout completion.  On one core of a shared 2-core
-    Xeon (best of 7): about 55 us for a lone membership window (delta = 0.1;
-    reduced points skip the kernel), 15 us per window of a batch of 512 such
-    windows (their scalar set-up), and 0.2 us per lattice point or 0.4 us
-    per candidate of a wide window (40k points, 22k candidates in 8 ms).
+    Xeon (best of 7): about 55 us for a lone window of a delta = 0.1 box
+    at one orbit time (membership takes the rows), 15 us per window of a
+    batch of 512 such windows (their scalar set-up), and 0.2 us per lattice
+    point or 0.4 us per candidate of a wide window (40k points, 22k
+    candidates in 8 ms).
     """
     if not isinstance(bounds, list):
         bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
@@ -639,10 +644,12 @@ def _hits(reps, bounds: list) -> tuple:
     return win[hit], k[hit], p1[hit], tau[hit], r[hit]
 
 
-def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
-    """(p1, tau, s) of the candidates of _box_candidates_batch(g, [(p1_lo,
-    p1_hi, tau_lo, tau_hi, -1/2, 1/2)]) with |s| < 1/2, for a g whose z = g*i
-    lies in the fundamental domain F widened by 1e-6; None for any other g.
+def _reduced_candidates(g: list, x, y, n, box: tuple):
+    """(p1, tau, s) of the candidates of _box_candidates_batch(g, [box +
+    (-1/2, 1/2)]) with |s| < 1/2, box = (p1_lo, p1_hi, tau_lo, tau_hi), for
+    a g whose z = g*i lies in the fundamental domain F widened by 1e-6, as
+    _rep_of gives it with its chart (x, y, n); None for a box the rows
+    cannot bound.
 
     A hit has |sigma| <= tau/2 (a float |sigma| > tau/2 rounds to |s| >= 1/2),
     so sigma^2 + tau^2 <= 1.25*tau_hi^2.  For the float g itself, of
@@ -657,15 +664,14 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     the kernel's own float expressions, so the result is the kernel's
     bitwise.  Of each pair +-(c, d) the row with tau > 0 is
     tried.  The rows number about 30 at most while k <= 16*y (tau_hi up to
-    about 3.5); a larger box gets None too.  Its prologue is the point's
-    one check (matrices._chart), whose x, y and n it uses.  The top row of
-    a primitive row comes from pow(d, -1, |c|); p1 depends only on the
-    integer top row, not on the Bezout solution that seeds the shifts.
+    about 3.5); a larger box gets None.  The top row of a primitive row
+    comes from pow(d, -1, |c|); p1 depends only on the integer top row, not
+    on the Bezout solution that seeds the shifts.
     """
-    x, y, n = _chart(g)
     (g00, g01), (g10, g11) = g
+    p1_lo, p1_hi, tau_lo, tau_hi = box
     k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
-    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6 and k <= 16.0 * y):
+    if k > 16.0 * y:
         return None
     out = []
     for c in range(math.floor(math.sqrt(k) / y + 1e-6) + 1):
@@ -689,28 +695,32 @@ def _reduced_candidates(g: list, p1_lo, p1_hi, tau_lo, tau_hi):
     return out
 
 
-def _matrix(point) -> np.ndarray:
-    """The representative of a quotient point, or a matrix, as a float array."""
-    return point.rep if isinstance(point, HomPoint) else np.asarray(point, dtype=float)
-
-
-def _rep_of(point) -> np.ndarray:
-    """_matrix(point), checked where it enters the quotient side (_chart)."""
-    rep = _matrix(point)
-    _chart(rep.tolist())
-    return rep
+def _rep_of(point) -> tuple:
+    """The one entry of a quotient point, or a matrix: (g, x, y, n), g the
+    rows of the representative every query searches, as Python floats, and
+    (x, y, n) its chart (_chart, the point's one check).  A point whose z
+    lies in the fundamental domain widened by 1e-6 is used exactly as
+    given; any other is replaced by reduce_point's representative
+    (_reduce)."""
+    m = point.rep if isinstance(point, HomPoint) else np.asarray(point, dtype=float)
+    g = m.tolist()
+    x, y, n = _chart(g)
+    if not (abs(x) <= 0.5 + 1e-6 and x * x + y * y >= 1.0 - 1e-6):  # the test _reduce's result passes
+        return _reduce(m, x, y)[2]
+    return g, x, y, n
 
 
 def _box_hits(point, box: tuple) -> list:
     """The (p1, tau, s) of the translates gamma*rep in the box
-    (p1_lo, p1_hi, tau_lo, tau_hi) with |s| < 1/2, as a multiset: from the
-    row path of _reduced_candidates, whose prologue is the one check of the
-    point, wherever it can run, else from the hit step (_hits) on the box
-    with shear window (-1/2, 1/2), where k = 0 and r = s."""
-    rep = _matrix(point)
-    hits = _reduced_candidates(rep.tolist(), *box)
+    (p1_lo, p1_hi, tau_lo, tau_hi) with |s| < 1/2, as a multiset, rep the
+    point's representative from _rep_of: from the row path of
+    _reduced_candidates wherever it can bound the box, else (k > 16*y) from
+    the hit step (_hits) on the box with shear window (-1/2, 1/2), where
+    k = 0 and r = s."""
+    g, x, y, n = _rep_of(point)
+    hits = _reduced_candidates(g, x, y, n, box)
     if hits is None:
-        _, _, p1, tau, s = _hits(rep, [box + (-0.5, 0.5)])
+        _, _, p1, tau, s = _hits(g, [box + (-0.5, 0.5)])
         hits = list(zip(p1.tolist(), tau.tolist(), s.tolist()))
     return hits
 
@@ -727,11 +737,13 @@ def in_target(g, spec: TargetSpec) -> bool:
     |g[1,1] - v2| <= d/2 in floats, that is g[0,1] and g[1,1] in the ranges
     of spec.box, together with the strict shear window |g[1,0]/g[1,1]| < 1/2.
     Matrices with negative lower-right entry are outside the chart.  A matrix
-    outside the determinant-one group is refused, as by every quotient query.
+    outside the determinant-one group is refused, as by every quotient query
+    (_chart); g is not reduced, since the question is about g, not its coset.
     """
-    g = _rep_of(g)
+    g = np.asarray(g, dtype=float)
+    _chart(g.tolist())
     d = g[1, 1]
-    if abs(d) < 1e-12 * frobenius_norm(g):
+    if abs(d) < 1e-12 * math.sqrt(hs_norm(g)):
         raise DegenerateCoordinate("lower-right entry too small for the chart")
     if d < 0.0:
         return False
@@ -824,13 +836,9 @@ def bump_mean(spec: TargetSpec) -> float:
     return 2.0 * _bump_x_width(spec) * spec.delta * spec.v2 / COVOLUME
 
 
-def box_haar_mass(spec: TargetSpec) -> float:
-    """Group volume of the box: exactly 2*delta**2, independent of the target."""
-    return 2.0 * spec.delta * spec.delta
-
-
 def target_measure(spec: TargetSpec, probe: int = 128, seed: int = 0) -> float:
-    """Quotient measure of the projected box, assuming the box injects.
+    """Quotient measure of the projected box, assuming the box injects: its
+    group volume, exactly 2*delta**2 whatever the target, over COVOLUME.
 
     Warns with InjectivityUnverified when the empirical probe finds a box
     point whose coset meets the box through more than one group translate
@@ -843,7 +851,7 @@ def target_measure(spec: TargetSpec, probe: int = 128, seed: int = 0) -> float:
                 "measure formula is an upper bound",
                 InjectivityUnverified,
             )
-    return box_haar_mass(spec) / COVOLUME
+    return 2.0 * spec.delta * spec.delta / COVOLUME
 
 
 def _injectivity_probe(spec: TargetSpec, n_probe: int, seed: int) -> bool:

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * the matrix norm is the *trace* norm ``tr(g^t g)``, i.e. the sum of squared
   entries with no square root.  All norm budgets and exponent computations use
-  this convention; ``frobenius_norm`` exists only as a conversion helper.
+  this convention.
 * ``upper_shear(x) = [[1, x], [0, 1]]``, ``lower_shear(x) = [[1, 0], [x, 1]]``,
   ``diag_squeeze(y) = [[sqrt(y), 0], [0, 1/sqrt(y)]]`` (y > 0) and
   ``rotation(theta) = [[cos, sin], [-sin, cos]]``.
@@ -27,8 +27,6 @@ __all__ = [
     "UDLCoords",
     "IwasawaCoords",
     "hs_norm",
-    "frobenius_norm",
-    "det2",
     "upper_shear",
     "lower_shear",
     "diag_squeeze",
@@ -36,7 +34,6 @@ __all__ = [
     "act_upper_half",
     "udl_decompose",
     "iwasawa_decompose",
-    "cartan_radius",
 ]
 
 
@@ -58,19 +55,8 @@ class LatticeElement:
         """Trace norm: sum of squared entries (an exact integer, always >= 2)."""
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
-    def inverse(self) -> "LatticeElement":
-        return LatticeElement(self.d, -self.b, -self.c, self.a)
-
     def __neg__(self) -> "LatticeElement":
         return LatticeElement(-self.a, -self.b, -self.c, -self.d)
-
-    def __matmul__(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def apply(self, u) -> np.ndarray:
         """Linear action on a plane vector: (a*u1 + b*u2, c*u1 + d*u2)."""
@@ -93,16 +79,6 @@ def hs_norm(g) -> float:
         return g.norm
     arr = np.asarray(g, dtype=float)
     return float(np.sum(arr * arr))
-
-
-def frobenius_norm(g) -> float:
-    """sqrt of the trace norm.  Conversion helper only; budgets never use it."""
-    return math.sqrt(hs_norm(g))
-
-
-def det2(g) -> float:
-    g = np.asarray(g, dtype=float)
-    return float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
 
 
 def upper_shear(x: float) -> np.ndarray:
@@ -161,11 +137,11 @@ def udl_decompose(g) -> UDLCoords:
 
     Requires the lower-right entry d to be nonzero; the excluded set d = 0 has
     measure zero.  For d < 0 the negated matrix is decomposed and the sign is
-    recorded.  Raises DegenerateCoordinate when |d| < 1e-12 * frobenius_norm(g).
+    recorded.  Raises DegenerateCoordinate when |d| < 1e-12 * sqrt(hs_norm(g)).
     """
     g = np.asarray(g, dtype=float)
     d = g[1, 1]
-    if abs(d) < 1e-12 * frobenius_norm(g):
+    if abs(d) < 1e-12 * math.sqrt(hs_norm(g)):
         raise DegenerateCoordinate(f"lower-right entry too small: {d!r}")
     sign = 1 if d > 0 else -1
     a, b, c, dd = sign * g[0, 0], sign * g[0, 1], sign * g[1, 0], sign * g[1, 1]
@@ -226,13 +202,3 @@ def iwasawa_decompose(g) -> IwasawaCoords:
     theta = math.atan2(-g[1][0], g[1][1]) % (2.0 * math.pi)
     return IwasawaCoords(x=x, y=y, theta=theta)
 
-
-def cartan_radius(t: float) -> float:
-    """Diagonal radius y >= 1 of a shear of size t, i.e. the root of y + 1/y = 2 + t**2.
-
-    Computed as (q + |t|*sqrt(4 + t**2)) / 2 with q = 2 + t**2, which avoids the
-    cancellation in sqrt(q**2 - 4) for small t.
-    """
-    t = float(t)
-    q = 2.0 + t * t
-    return 0.5 * (q + abs(t) * math.sqrt(4.0 + t * t))

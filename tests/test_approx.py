@@ -85,6 +85,13 @@ def test_best_approx_with_filter(ball_1e4):
     assert rec.dist == pytest.approx(oracle, rel=1e-9)
 
 
+def test_best_approx_with_a_level_beyond_int64():
+    # only the identity lies in gamma(10^20) at this budget (an
+    # OverflowError from the filter's mask, before)
+    rec = best_approx((1.37, 1.52), (1.9, 1.2), 10_000, subgroup=SubgroupFilter.gamma(10**20))
+    assert rec.gamma == IDENTITY and rec.gamma_norm == 2
+
+
 def test_best_approx_horizontal_seed_tie_rule():
     # u2 = 0: the distance depends on the first column only, and the
     # minimal-norm completion passing the filter must win the tie
@@ -660,7 +667,7 @@ def test_survey_rows_of_exact_hits_carry_the_witness(monkeypatch):
 def test_group_translate_invariance_of_slope():
     # same orbit after translating the seed: estimates agree at finite scale
     budgets = [2.0**k for k in range(8, 28)]
-    g0 = LatticeElement(1, 1, 0, 1) @ LatticeElement(1, 0, 1, 1)
+    g0 = LatticeElement(2, 1, 1, 1)  # upper_shear(1) @ lower_shear(1)
     for (u, v) in [((1.23, 1.91), (1.51, 1.17)), ((1.77, 1.31), (1.05, 1.89))]:
         m1 = estimate_exponents(approx_trace(u, v, budgets)).mu_hat
         m2 = estimate_exponents(approx_trace(tuple(g0.apply(u)), v, budgets)).mu_hat

@@ -47,6 +47,10 @@ def test_enumerate_dump(tmp_path, capsys):
     doc = json.loads((tmp_path / "c.json").read_text())
     assert doc["count"] == arr.shape[0]
     assert set(doc["meta"]) == {"seed", "configHash", "version"}
+    # a level beyond int64: a traceback and an empty file, before
+    path = str(tmp_path / "big.i64")
+    rc, out, _ = run(capsys, "enumerate", "--T", "100", "--filter", "gamma0:100000000000000000000", "--dump", path)
+    assert rc == 0 and out.strip() == "38" and load_elements(path)[0].shape == (38, 4)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,10 +20,7 @@ from orbitlab.ergodic import (
     _target_size,
     hit_set,
     matcoef_curve,
-    matrix_coefficient,
-    miss_rate,
     miss_rate_curve,
-    orbit_average,
     shrinking_hit_experiment,
     shrinking_hit_report,
     uniform_grid_experiment,
@@ -37,6 +35,7 @@ from orbitlab.homogeneous import (
     _bump_weight,
     _closed_range,
     _haar_reps,
+    _rep_of,
     _target_box,
     bump,
     bump_mean,
@@ -45,12 +44,24 @@ from orbitlab.homogeneous import (
     reduce_point,
     target_bump,
 )
-from orbitlab.matrices import lower_shear
+from orbitlab.matrices import lower_shear, upper_shear
 from conftest import orbit_hits_brute
 from test_kernel import chart_rep
 
 V0 = (1.3, 0.8)
 SPEC = TargetSpec(*V0, 0.2)
+
+
+def orbit_average(fn, point: HomPoint, half_width: int) -> float:
+    """The literal averaging operator: the uniform average of fn over the
+    2T+1 shear translates of the point, each reduced to the fundamental
+    domain before fn sees it.  The reference of the experiment drivers,
+    which compute the same numbers through the candidate kernel."""
+    total = 0.0
+    for k in range(-half_width, half_width + 1):
+        q, _ = reduce_point(point.rep @ lower_shear(k))
+        total += fn(q)
+    return total / (2 * half_width + 1)
 
 
 def test_orbit_average_constant_and_range():
@@ -146,7 +157,7 @@ def test_matcoef_zero_time_matches_variance():
     vc = variance_curve(spec, [0], 5000, seed=10)
     assert v0 == vc.values[0]
     assert v0 > 0.0
-    assert matrix_coefficient(spec, 0.0, 2000, seed=11) > 0.0
+    assert matcoef_curve(spec, [0.0], 2000, seed=11)[0][0] > 0.0
 
 
 def test_matcoef_decays_from_peak():
@@ -174,7 +185,7 @@ def test_miss_rate_monotone_and_vanishing():
     assert fr[-1] <= 0.005
     for m in rates:
         assert 0.0 <= m.ci_lo <= m.fraction <= m.ci_hi <= 1.0
-    single = miss_rate(64, 0.2, V0, 2000, seed=14)
+    single = miss_rate_curve([64], 0.2, V0, 2000, seed=14)[0]
     assert single.fraction == fr[1]
 
 
@@ -185,8 +196,8 @@ def test_miss_rate_worker_stable():
 
 
 def test_miss_rate_smaller_targets_harder():
-    big = miss_rate(128, 0.2, V0, 2000, seed=15)
-    small = miss_rate(128, 0.1, V0, 2000, seed=15)
+    big = miss_rate_curve([128], 0.2, V0, 2000, seed=15)[0]
+    small = miss_rate_curve([128], 0.1, V0, 2000, seed=15)[0]
     assert small.fraction >= big.fraction  # exact: same samples, nested boxes
 
 
@@ -827,7 +838,6 @@ def test_curves_reject_inputs_they_cannot_run(call, match):
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda rep: orbit_average(lambda q: 1.0, rep, -1), "half_width"),
         (lambda rep: hit_set(rep, SPEC, 0), "horizon K"),
         (lambda rep: shrinking_hit_report(1.0, rep, 64, V0), "shrink exponent"),
         (lambda rep: shrinking_hit_report(math.nan, rep, 64, V0), "shrink exponent"),
@@ -844,7 +854,7 @@ def test_curves_reject_inputs_they_cannot_run(call, match):
         (lambda rep: uniform_grid_experiment((0.0, 0.0, 0.7, 0.9), 0.2, rep, 64), "off the axes"),
     ],
     ids=[
-        "average-width", "hit-set-K", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
+        "hit-set-K", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
         "report-eta-overflow", "counts-eta-overflow", "grid-eta-overflow", "grid-order", "grid-across-axis",
         "grid-on-axis", "grid-axis-point",
     ],
@@ -859,17 +869,30 @@ def test_drivers_reject_inputs_they_cannot_run(call, match, search_spy):
 # one of them is a representative of the same point that is not reduced.
 WORDS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, 0], [1, 1]], [[1, -1], [1, 0]])
 
+# The letters S, T and T^-1 of the words of oracle_cases.
+LETTERS = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))
+
+
+def word_matrix(letters) -> np.ndarray:
+    """The product of the letters, an integer matrix, as floats."""
+    w = np.eye(2, dtype=np.int64)
+    for m in letters:
+        w = w @ np.array(m, dtype=np.int64)
+    return w.astype(float)
+
 
 @st.composite
 def oracle_cases(draw):
-    """A representative, reduced or not, and a target whose box keeps
-    tau <= 1.5, so that the oracle's grid stays below a million rows; half
-    the targets lie near a translate that the oracle finds at time 0."""
+    """A representative, a reduced one times a word of up to 20 letters in
+    S, T and T^-1 (reduced or not), and a target whose box keeps tau <= 1.5,
+    so that the oracle's grid on the representative the queries search (its
+    reduced one) stays below a million rows; half the targets lie near a
+    translate that the oracle finds at time 0."""
     g = chart_rep(draw(st.floats(-0.5, 0.5)), draw(st.floats(1.0, 2.0)), draw(st.floats(0.0, 2.0 * math.pi)))
-    rep = np.array(draw(st.sampled_from(WORDS)), dtype=float) @ g
+    rep = word_matrix(draw(st.lists(st.sampled_from(LETTERS), max_size=20))) @ g
     v1 = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
     v2 = draw(st.floats(0.3, 1.3))
-    near = [h for h in orbit_hits_brute(rep, 0, (-2.0, 2.0, 0.35, 1.25)) if abs(h[1]) >= 0.1]
+    near = [h for h in orbit_hits_brute(_rep_of(rep)[0], 0, (-2.0, 2.0, 0.35, 1.25)) if abs(h[1]) >= 0.1]
     if near and draw(st.booleans()):
         _, p1, tau, _ = draw(st.sampled_from(near))
         v1, v2 = p1 + draw(st.floats(-0.05, 0.05)), tau + draw(st.floats(-0.05, 0.05))
@@ -883,14 +906,41 @@ def oracle_cases(draw):
 @example(case=(np.array([[1.0, -0.5], [0.4, 0.8]]), TargetSpec(-0.5, 0.8, 0.2)), K=4)
 @example(case=(np.array([[1.0, 0.5], [-0.4, 0.8]]), TargetSpec(0.5, 0.8, 0.2)), K=4)
 def test_quotient_queries_match_the_brute_orbit_oracle(case, K):
-    rep, spec = case
+    # every query answers as the oracle does on the representative it
+    # searches: the rep itself where it is reduced, else its reduced one
+    given, spec = case
+    rep = _rep_of(given)[0]
     hits = orbit_hits_brute(rep, K, spec.box)
-    assert hit_set(rep, spec, K).ks == tuple(sorted({k for k, *_ in hits}))
+    assert hit_set(given, spec, K).ks == tuple(sorted({k for k, *_ in hits}))
     assert _first_hits(rep, [spec.box], K).tolist() == [min((abs(k) for k, *_ in hits), default=K + 1)]
-    assert in_quotient_target(rep, spec) == bool(orbit_hits_brute(rep, 0, spec.box))
+    assert in_quotient_target(given, spec) == bool(orbit_hits_brute(rep, 0, spec.box))
     _, p1, tau, r = np.array(orbit_hits_brute(rep, 0, _bump_box(spec))).reshape(-1, 4).T
     # the same terms, summed in an order of their own
-    assert target_bump(rep, spec) == pytest.approx(float((_bump_weight(spec, p1, tau) * bump(r)).sum()), rel=1e-12, abs=0.0)
+    assert target_bump(given, spec) == pytest.approx(float((_bump_weight(spec, p1, tau) * bump(r)).sum()), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "x, K, ks",
+    [(1e13 + 0.4, 64, (4, 29, 55)), (3e14 + 0.4, 64, (-42, -35, -6, 22, 29, 58)), (1e16, 8, ()), (1e17, 8, ())],
+    ids=["1e13", "3e14", "1e16", "1e17"],
+)
+def test_large_shears_answer_as_their_reduced_coset(x, K, ks):
+    # upper_shear(x) and upper_shear(x - round(x)) are one coset.  Searched
+    # as given, in a window whose slack grew with the entry, the first
+    # returned (4, 29), the second () after 6.5 s, and the last two () in
+    # 15 s and not within 60 s
+    spec = TargetSpec(*V0, 0.2)
+    reduced = upper_shear(x - round(x))
+    assert ks == tuple(sorted({k for k, *_ in orbit_hits_brute(reduced, K, spec.box)}))
+    assert hit_set(upper_shear(x), spec, K).ks == hit_set(reduced, spec, K).ks == ks
+    if not ks:
+        assert hit_set(np.eye(2), spec, K).ks == ks
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        hit_set(upper_shear(x), spec, K)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01
 
 
 def spec_with_end(point: tuple, end: int, value: float, delta: float):
@@ -912,12 +962,15 @@ def test_quotient_queries_match_the_brute_oracle_on_planted_box_ends():
     # hits planted on each end of a target box, and one float outside it, for
     # reduced and non-reduced reps: at their time k by hit_set and _first_hits
     # (the boxes of one rep in one call, so they share cover windows), and by
-    # in_quotient_target on the rep (the row path for the reduced ones, whose
-    # hits at k = 0 come first) and on its translate rep*lower_shear(k)
+    # in_quotient_target on the rep (whose hits at k = 0 come first) and on
+    # its translate rep*lower_shear(k).  A non-reduced rep is searched
+    # through its reduced one, so its hits are planted from that rep's
+    # floats, and each answer is the oracle's on the rep its query searches
     K = 16
     reps = _haar_reps(8, seed=61)
     planted = 0
-    for rep in [*reps, *(np.array(w, dtype=float) @ g for w, g in zip(WORDS[1:], reps))]:
+    for given in [*reps, *(np.array(w, dtype=float) @ g for w, g in zip(WORDS[1:], reps))]:
+        rep = np.array(_rep_of(given)[0])
         specs, inside = [], []
         for k, p1, tau, _ in sorted(orbit_hits_brute(rep, K, (-2.0, 2.0, 0.35, 1.5)), key=lambda h: abs(h[0]))[:3]:
             for end in range(4):
@@ -930,9 +983,9 @@ def test_quotient_queries_match_the_brute_oracle_on_planted_box_ends():
                         continue
                     hits = orbit_hits_brute(rep, K, spec.box)
                     assert ((k, p1, tau) in {h[:3] for h in hits}) == (not out)
-                    assert hit_set(rep, spec, K).ks == tuple(sorted({h[0] for h in hits}))
-                    for g in (rep, rep @ lower_shear(k)):
-                        assert in_quotient_target(g, spec) == bool(orbit_hits_brute(g, 0, spec.box))
+                    assert hit_set(given, spec, K).ks == tuple(sorted({h[0] for h in hits}))
+                    for g in (given, rep @ lower_shear(k)):
+                        assert in_quotient_target(g, spec) == bool(orbit_hits_brute(_rep_of(g)[0], 0, spec.box))
                     specs.append(spec)
                     inside.append(min((abs(h[0]) for h in hits), default=K + 1))
                     planted += 1

@@ -21,8 +21,8 @@ from orbitlab.homogeneous import (
     _haar_coords,
     _haar_reps,
     _reduced_candidates,
+    _rep_of,
     _target_box,
-    box_haar_mass,
     bump,
     bump_mean,
     haar_sample,
@@ -39,6 +39,7 @@ from orbitlab.matrices import (
     rotation,
     upper_shear,
 )
+from conftest import orbit_hits_brute
 from test_kernel import chart_rep
 
 V0 = (1.3, 0.8)
@@ -176,6 +177,16 @@ def test_reduce_point_boundary_ties(g, z):
     assert np.array_equal(pt.rep, gamma.as_array() @ np.array(g))
 
 
+@pytest.mark.parametrize("g", [lower_shear(1e30 + 0.3), lower_shear(1e150)], ids=["1e30", "1e150"])
+def test_reduce_point_refuses_a_representative_outside_the_domain(g):
+    # determinant one exactly (floats this large are integers), so the
+    # reduced point is i; z followed in floats lost its digits, and the
+    # representatives with x = 1.4e14 and y = 3.0e-269 were returned as
+    # reduced, before
+    with pytest.raises(DegenerateCoordinate, match="fundamental domain"):
+        reduce_point(g)
+
+
 # Every public entry of a quotient point, on the target of a spec.
 QUERIES = {
     "member": in_quotient_target,
@@ -214,27 +225,33 @@ def test_quotient_queries_refuse_matrices_outside_the_group(g, error, query, sea
 
 
 @pytest.mark.parametrize(
-    "g, names",
+    "g, refused",
     [
-        (upper_shear(1e150), ("member", "hit-set", "report")),
-        (lower_shear(1e150), ("member", "hit-set", "report")),
-        (np.diag([1e-150, 1e150]), ("member", "hit-set", "report")),
-        # reduced: its rows decide membership (no row reaches the box)
-        (np.diag([1e150, 1e-150]), ("hit-set", "report")),
+        # reduces exactly to the identity
+        (upper_shear(1e150), {}),
+        # its reduction loses z = g*i: refused by reduce_point
+        (lower_shear(1e150), dict.fromkeys(("member", "hit-set", "report"), "fundamental domain")),
+        # reduces to a cusp point (y = 1e300), as the stretch is one: rows
+        # decide membership (no row reaches the box), and the windows of the
+        # orbit searches have row indices beyond int64
+        (np.diag([1e-150, 1e150]), dict.fromkeys(("hit-set", "report"), "int64")),
+        (np.diag([1e150, 1e-150]), dict.fromkeys(("hit-set", "report"), "int64")),
     ],
     ids=["upper-shear", "lower-shear", "squeeze", "stretch"],
 )
-def test_windows_whose_rows_leave_int64_are_refused(g, names, search_spy):
-    # valid points of the quotient whose search window has row indices
-    # beyond int64 (about 7e138 for the shear): an OverflowError from numpy,
-    # before; now refused before any array is built
+def test_windows_whose_rows_leave_int64_are_refused(g, refused, search_spy):
+    # valid points of the quotient with an entry near 1e150: an
+    # OverflowError from numpy, and a search of the given matrix whose
+    # window has row indices beyond int64 (about 7e138 for the shears),
+    # before.  A refusal comes before any array is built, and every query
+    # that answers answers as for the identity coset (no hit, no member)
     spec = TargetSpec(*V0, 0.2)
-    for name in names:
-        with pytest.raises(DegenerateCoordinate, match="int64"):
+    for name, match in refused.items():
+        with pytest.raises(DegenerateCoordinate, match=match):
             QUERIES[name](g, spec)
     assert search_spy.points == 0
-    if "member" not in names:
-        assert not in_quotient_target(g, spec)
+    for name in {"member", "hit-set", "report"} - refused.keys():
+        assert QUERIES[name](g, spec) == QUERIES[name](np.eye(2), spec)
 
 
 def test_haar_deterministic_and_order_independent():
@@ -244,14 +261,6 @@ def test_haar_deterministic_and_order_independent():
     c = _haar_reps(100, seed=9)
     assert np.array_equal(a[:100], c)  # per-index streams
     assert not np.array_equal(a, _haar_reps(500, seed=10))
-
-
-def test_hompoint_text_roundtrip():
-    pt = haar_sample(1, seed=33)[0]
-    back = HomPoint.from_text(pt.to_text())
-    assert np.array_equal(back.rep, pt.rep)  # 17 digits round-trip doubles
-    with pytest.raises(ValueError):
-        HomPoint.from_text("1,2,3")
 
 
 def test_haar_points_are_reduced():
@@ -380,32 +389,36 @@ def kernel_terms(reps, box):
 
 
 def check_path_against_kernel(reps, spec, n_bump):
-    """The reduced-point path lists the kernel's candidates with |s| < 1/2
-    (bitwise, as a multiset) and in_quotient_target follows them; target_bump
-    equals the correctly rounded sum of the kernel's terms bitwise on the
-    first n_bump reps.  Returns how many reps took the path."""
-    reps = np.asarray(reps, dtype=float).tolist()
+    """On the representative each rep enters as (_rep_of), the reduced-point
+    path lists the kernel's candidates with |s| < 1/2 (bitwise, as a
+    multiset), and in_quotient_target on the rep follows them; target_bump
+    on the rep equals the correctly rounded sum of the kernel's terms
+    bitwise on the first n_bump reps.  Returns how many reps took the path
+    and how many the entry replaced by another representative."""
+    reps = np.asarray(reps, dtype=float)
+    entries = [_rep_of(g) for g in reps]
+    searched = [e[0] for e in entries]
     box = spec.box
     taken = 0
-    for g, terms in zip(reps, kernel_terms(reps, box)):
-        fast = _reduced_candidates(g, *box)
+    for g, entry, terms in zip(reps, entries, kernel_terms(searched, box)):
+        fast = _reduced_candidates(*entry, box)
         hits = sorted(t for t in terms if abs(t[2]) < 0.5)
-        assert in_quotient_target(np.array(g), spec) == bool(hits)
+        assert in_quotient_target(g, spec) == bool(hits)
         if fast is not None:
             assert sorted(fast) == hits
             taken += 1
     dx = _bump_x_width(spec)
-    for g, terms in zip(reps[:n_bump], kernel_terms(reps[:n_bump], bump_box(spec))):
+    for g, terms in zip(reps[:n_bump], kernel_terms(searched[:n_bump], bump_box(spec))):
         p1, tau, s = np.array(terms).reshape(-1, 3).T
         ref = bump((p1 - spec.v1) / (tau * dx)) * bump((tau - spec.v2) / spec.delta) * bump(s)
-        assert target_bump(np.array(g), spec) == math.fsum(ref.tolist())
-    return taken
+        assert target_bump(g, spec) == math.fsum(ref.tolist())
+    return taken, sum(e != g for e, g in zip(searched, reps.tolist()))
 
 
 @pytest.mark.parametrize("spec", PATH_SPECS, ids=spec_id)
 def test_reduced_path_matches_kernel(spec):
     reps = _haar_reps(PATH_SAMPLES, seed=21)
-    assert check_path_against_kernel(reps, spec, PATH_SAMPLES // 5) == PATH_SAMPLES
+    assert check_path_against_kernel(reps, spec, PATH_SAMPLES // 5) == (PATH_SAMPLES, 0)
 
 
 def adversarial_reps(n, seed):
@@ -450,24 +463,25 @@ def shear_edge_reps(spec):
 @pytest.mark.parametrize("spec", PATH_SPECS, ids=spec_id)
 def test_reduced_path_adversarial_reps(spec):
     reps = adversarial_reps(300, seed=22) + shear_edge_reps(spec)
-    taken = check_path_against_kernel(reps, spec, len(reps))
-    # all but the two reps per round beyond the margin take the path
-    assert taken == len(reps) - 2 * 300
+    # every rep takes the path; the two reps per round beyond the margin
+    # take it on their reduced representative
+    assert check_path_against_kernel(reps, spec, len(reps)) == (len(reps), 2 * 300)
     assert any(in_quotient_target(np.array(g), spec) for g in reps)
 
 
 @st.composite
 def planted_targets(draw):
-    """(v1, v2, delta, kernel): a target whose chart matrices [[1/tau, p1],
+    """(v1, v2, delta, moved): a target whose chart matrices [[1/tau, p1],
     [0, tau]] near its box are reduced (|p1| < tau/2 and tau < 1, so z = g*i
-    lies in the fundamental domain and the row path decides them), or with
-    kernel set lie below the unit circle (tau > 1.1, so the kernel does).
-    The p1 range reaches across 0 for |v1| < delta: there the floats at its
-    ends are finer than those of delta/2, and v -+ delta/2 can round inward."""
-    kernel = draw(st.booleans())
+    lies in the fundamental domain and they are searched as given), or with
+    moved set lie below the unit circle (tau > 1.1, so the entry searches
+    their reduced representatives).  The p1 range reaches across 0 for
+    |v1| < delta: there the floats at its ends are finer than those of
+    delta/2, and v -+ delta/2 can round inward."""
+    moved = draw(st.booleans())
     f = draw(st.floats(1e-6, 1.0, exclude_max=True))
     t = draw(st.floats(-1.0, 1.0).filter(lambda x: x != 0.0))
-    if kernel:
+    if moved:
         delta = 0.5 * f
         return 0.99 * t * delta, draw(st.floats(1.35, 2.5)), delta, True
     v2 = draw(st.floats(0.2, 0.75))
@@ -479,12 +493,14 @@ def planted_targets(draw):
 @example((0.12121881172106551, 0.81989636041194, 0.357311198985153, False))
 def test_in_target_implies_in_quotient_target(target):
     # chart matrices planted at each end of the spec's box and one float
-    # outside it, in p1 and in tau (corners included): a matrix in the box
-    # lies in its own coset, so in_target must imply in_quotient_target, on
-    # the row path and on the kernel alike.  The example is a target whose
-    # corner matrix in_target accepted while the coset search, on a box with
-    # the rounded ends v -+ delta/2, missed it.
-    v1, v2, delta, kernel = target
+    # outside it, in p1 and in tau (corners included): a reduced matrix in
+    # the box lies in its own coset, as searched, so in_target must imply
+    # in_quotient_target.  A matrix below the unit circle is searched
+    # through its reduced representative, whose translates' floats may move
+    # by a few ulps, so membership is the brute oracle's on that rep.  The
+    # example is a target whose corner matrix in_target accepted while the
+    # coset search, on a box with the rounded ends v -+ delta/2, missed it.
+    v1, v2, delta, moved = target
     spec = TargetSpec(v1, v2, delta)
     p1_lo, p1_hi, tau_lo, tau_hi = spec.box
     p1s = (p1_lo, p1_hi, v1, math.nextafter(p1_lo, -math.inf), math.nextafter(p1_hi, math.inf))
@@ -492,10 +508,14 @@ def test_in_target_implies_in_quotient_target(target):
     for i, p1 in enumerate(p1s):
         for j, tau in enumerate(taus):
             g = np.array([[1.0 / tau, p1], [0.0, tau]])
-            assert (_reduced_candidates(g.tolist(), *spec.box) is None) == kernel
+            rep = _rep_of(g)[0]
+            assert (rep != g.tolist()) == moved
             inside = in_target(g, spec)
             assert inside == (i < 3 and j < 3)
-            assert in_quotient_target(g, spec) or not inside
+            if moved:
+                assert in_quotient_target(g, spec) == bool(orbit_hits_brute(rep, 0, spec.box))
+            else:
+                assert in_quotient_target(g, spec) or not inside
 
 
 def test_reduced_points_skip_the_kernel(monkeypatch):
@@ -516,17 +536,24 @@ def test_reduced_points_skip_the_kernel(monkeypatch):
     # translates, and their rows still decide them
     tall = TargetSpec(0.1, 3.0, 0.49)
     tall_reps = _haar_reps(4000, seed=7)
-    assert max(len(_reduced_candidates(g.tolist(), *tall.box)) for g in tall_reps) >= 3
-    assert any([in_quotient_target(g, tall) for g in tall_reps])
+    assert max(len(_reduced_candidates(*_rep_of(g), tall.box)) for g in tall_reps) >= 3
+    tall_member = [in_quotient_target(g, tall) for g in tall_reps]
+    assert any(tall_member)
     assert any([target_bump(g, tall) > 0.0 for g in tall_reps])
     assert calls == []
-    # a non-reduced rep of the same coset goes to the kernel, with the same answer
+    # a non-reduced rep of the same coset is reduced where it enters, and its
+    # rows decide it too, with the same answers (tau_hi <= 3.5)
     g0 = np.array([[2.0, 1.0], [1.0, 1.0]])
     picks = [i for i in range(2000) if member[i]][:10] + list(range(10))
     for i in picks:
         assert in_quotient_target(g0 @ reps[i], spec) == member[i]
         assert target_bump(g0 @ reps[i], spec) == pytest.approx(bumps[i], rel=1e-9, abs=1e-12)
-    assert calls == [1] * 2 * len(picks)
+    assert [in_quotient_target(g0 @ g, tall) for g in tall_reps[:200]] == tall_member[:200]
+    assert calls == []
+    # only a box the rows cannot bound (k > 16*y, tau_hi above about 3.58)
+    # takes the kernel
+    in_quotient_target(g0 @ reps[0], TargetSpec(0.1, 3.5, 0.2))
+    assert calls == [1]
 
 
 def test_bump_mean_matches_monte_carlo():
@@ -552,8 +579,8 @@ def test_box_mass_quadrature_and_scaling():
         lo = 1.0 / (spec.v2 + spec.delta / 2) ** 2
         hi = 1.0 / (spec.v2 - spec.delta / 2) ** 2
         mass, _ = quad(lambda y: spec.delta * math.sqrt(y) / (y * y), lo, hi)
-        assert mass == pytest.approx(box_haar_mass(spec), rel=1e-10)
-    assert box_haar_mass(TargetSpec(*V0, 0.4)) == pytest.approx(4 * box_haar_mass(TargetSpec(*V0, 0.2)))
+        assert mass == pytest.approx(target_measure(spec, probe=0) * COVOLUME, rel=1e-10)
+    assert target_measure(TargetSpec(*V0, 0.4), probe=0) == pytest.approx(4 * target_measure(TargetSpec(*V0, 0.2), probe=0))
 
 
 def test_covolume_against_ball_count():

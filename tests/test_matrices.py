@@ -7,9 +7,7 @@ from orbitlab.errors import DegenerateCoordinate
 from orbitlab.matrices import (
     IDENTITY,
     LatticeElement,
-    cartan_radius,
     diag_squeeze,
-    frobenius_norm,
     hs_norm,
     iwasawa_decompose,
     lower_shear,
@@ -45,17 +43,6 @@ def test_hs_norm_examples():
     assert hs_norm(LatticeElement(1, 1, 0, 1)) == 3
     assert hs_norm(LatticeElement(2, 1, 1, 1)) == 7
     assert hs_norm(np.array([[2.0, 1.0], [1.0, 1.0]])) == 7.0
-
-
-def test_frobenius_is_square_root_of_trace_norm():
-    g = LatticeElement(2, 1, 1, 1)
-    assert frobenius_norm(g) == pytest.approx(math.sqrt(7))
-
-
-def test_inverse_preserves_norm():
-    for g in (LatticeElement(2, 1, 1, 1), LatticeElement(5, 2, 2, 1), LatticeElement(1, -4, 0, 1)):
-        assert g.inverse().norm == g.norm
-        assert (g @ g.inverse()) == IDENTITY
 
 
 def test_udl_identity_and_shears():
@@ -120,21 +107,6 @@ def test_roundtrips_random_elements():
             ud = udl_decompose(g)
             err = np.abs(ud.recompose() - g).max() / np.abs(g).max()
             assert err <= 1e-12
-
-
-def test_cartan_radius_values_and_identity():
-    assert cartan_radius(0.0) == 1.0
-    # oracle: solve y + 1/y = 3 by the quadratic formula
-    root = np.roots([1.0, -3.0, 1.0]).max()
-    assert cartan_radius(1.0) == pytest.approx(root, rel=1e-12)
-    ts = np.linspace(0.0, 50.0, 400)
-    ys = np.array([cartan_radius(t) for t in ts])
-    assert np.all(np.diff(ys) > 0)  # monotone in |t|
-    for t in (0.0, 0.3, 1.0, 7.7, 123.0):
-        y = cartan_radius(t)
-        assert abs(y + 1.0 / y - 2.0 - t * t) <= 1e-9 * (2.0 + t * t)
-    t = 1e4
-    assert cartan_radius(t) / t**2 == pytest.approx(1.0, rel=1e-6)
 
 
 def test_haar_weight_consistency_in_chart_box():

@@ -62,6 +62,7 @@ def call_sets(side: dict, reps: np.ndarray, pairs: list) -> dict:
         "member-tall": (len(reduced), lambda: [hom.in_quotient_target(g, tall) for g in reduced]),
         "bump-tall": (len(reduced), lambda: [hom.target_bump(g, tall) for g in reduced]),
         "nonreduced": (len(moved), lambda: [hom.in_quotient_target(g, spec) for g in moved]),
+        "nonreduced-hit-set": (len(moved), lambda: [erg.hit_set(g, spec, 16) for g in moved]),
         "hit-set": (300, lambda: [erg.hit_set(g, spec, 16) for g in reduced[:300]]),
         "report": (8, lambda: [erg.shrinking_hit_report(0.25, g, 3 * 10**4, V0) for g in reduced[:8]]),
         "miss-rate": (1, lambda: erg.miss_rate_curve([16, 64, 256], 0.1, V0, 512, seed=1)),
