@@ -12,14 +12,16 @@ decides time 0 by the same test).  The variance chunks search one
 window per sample point, and the window counts one window per dyadic shell
 of orbit times, each with the largest target its times still use.  Miss
 rates, grid levels and shrinking-target reports ask only for the first hit
-of each sample, grid target or dyadic level: _first_hits searches shells of
-orbit times outward and drops a window once it has hit or reached its own
-horizon.  Windows of one matrix (the levels of a report, the targets of a
-grid slice) share a cover window, the bounding box of consecutive windows,
+of each sample, grid target or dyadic level: _first_hits gives each window
+shells of orbit times of its own, a first one sized by its own box and then
+outward from where it stopped, and drops it once it has hit or reached its
+own horizon.  Windows of one matrix (the levels of a report, the targets of
+a grid slice) share a cover window, the bounding box of consecutive windows
+searched from the least of their starts to the farthest of their ends,
 wherever it predicts no more kernel work than searching them apart, and
-each hit goes to every window whose closed box and horizon hold it.  The
-correlation chunks alone keep every candidate, to place it at several shear
-offsets.
+each hit goes to every window of its cover whose closed box and horizon
+hold it.  The correlation chunks alone keep every candidate, to place it
+at several shear offsets.
 
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
@@ -28,8 +30,10 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,44 +111,67 @@ def _moments(parts: list, n_samples: int) -> tuple:
 # Candidate arrays per sample
 # ---------------------------------------------------------------------------
 
-# The first shell of a first-hit search predicts _FIRST_SHELL_POINTS lattice
-# points per window, to amortise a window's set-up (about 15 us), or one hit of
-# a random orbit if that takes longer, so that few windows pay a second set-up.
+# A window's first shell predicts _FIRST_SHELL_POINTS lattice points, to
+# amortise the window's set-up (about 15 us), or one hit of a random orbit if
+# that takes longer, so that few windows pay a second set-up; each later
+# shell reaches _SHELL_GROWTH times as far as the last.
 _FIRST_SHELL_POINTS = 100
 _SHELL_GROWTH = 4
+# Up to this many (window, hit) pairs of a round, testing every pair at once
+# takes fewer numpy calls than sorting the hits first.
+_PAIR_CELLS = 1 << 12
 
 
-def _covers(boxes: list, ends: list, lo: int) -> list:
-    """The pending windows of one shell that share one matrix, cut into runs
-    that share a cover window: (box, reach) per run, the bounding box of the
-    boxes of its windows and the farthest of their reaches.
+def _first_reach(cols: np.ndarray) -> list:
+    """The end k of the first shell |k| <= k of each window, from the
+    rows (p1_lo, p1_hi, tau_lo, tau_hi) of the windows' box ends.
 
-    Per orbit time of the shell, a box predicts (tau_hi - tau_lo)*tau_hi
-    lattice points and 2*(p1_hi - p1_lo)*(tau_hi - tau_lo)/COVOLUME
-    candidates (a random orbit's hits).  Walked in order, a window joins the
-    current run when the joint box, searched to the farther of the two
-    reaches, predicts no more points and candidates than the run and the
-    window searched apart.
+    Over |k| <= k a box holds about (tau_hi - tau_lo)*(2k + 1)*tau_hi
+    lattice points, and a random orbit expects 2k + 1 times the box measure
+    2*(p1_hi - p1_lo)*(tau_hi - tau_lo)/COVOLUME hits.
     """
-    odd = 2 if lo else 1  # the shell lo <= |k| <= end holds 2*(end - lo) + odd times
+    p1_lo, p1_hi, tau_lo, tau_hi = cols
+    area = (tau_hi - tau_lo) * tau_hi
+    measure = 2.0 * (p1_hi - p1_lo) * (tau_hi - tau_lo) / COVOLUME
+    return np.ceil((np.maximum(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0).astype(np.int64).tolist()
+
+
+def _covers(boxes: list, starts: list, ends: list) -> list:
+    """The pending windows of one round that share one matrix, window i
+    searching start_i <= |k| <= end_i, cut into runs that share a cover
+    window: (box, start, end, size) per run of size consecutive windows, the
+    bounding box of their boxes, the least of their starts and the farthest
+    of their ends.
+
+    Per orbit time, a box predicts (tau_hi - tau_lo)*tau_hi lattice points
+    and 2*(p1_hi - p1_lo)*(tau_hi - tau_lo)/COVOLUME candidates (a random
+    orbit's hits).  Walked in order, a window joins the current run when the
+    joint box, searched from the lesser start to the farther end, predicts
+    no more points and candidates than the run and the window searched
+    apart.
+    """
     runs = []
-    for box, end in zip(boxes, ends):
+    for box, lo, end in zip(boxes, starts, ends):
         p1_lo, p1_hi, tau_lo, tau_hi = box
-        alone = (tau_hi - tau_lo) * (tau_hi + 2.0 * (p1_hi - p1_lo) / COVOLUME) * (2 * (end - lo) + odd)
+        # lo <= |k| <= end holds 2*(end - lo) + 2 times, one fewer for lo = 0
+        alone = (tau_hi - tau_lo) * (tau_hi + 2.0 * (p1_hi - p1_lo) / COVOLUME) * (2 * (end - lo) + (2 if lo else 1))
         if runs:
-            cover, reach = runs[-1]
-            # the joint box and reach (conditionals: min and max cost more here)
-            p1_lo = cover[0] if cover[0] < p1_lo else p1_lo
-            p1_hi = cover[1] if cover[1] > p1_hi else p1_hi
-            tau_lo = cover[2] if cover[2] < tau_lo else tau_lo
-            tau_hi = cover[3] if cover[3] > tau_hi else tau_hi
-            far = reach if reach > end else end
-            joint = (tau_hi - tau_lo) * (tau_hi + 2.0 * (p1_hi - p1_lo) / COVOLUME) * (2 * (far - lo) + odd)
+            # the joint box and times (conditionals: min and max cost more here)
+            p1_lo = c0 if c0 < p1_lo else p1_lo
+            p1_hi = c1 if c1 > p1_hi else p1_hi
+            tau_lo = c2 if c2 < tau_lo else tau_lo
+            tau_hi = c3 if c3 > tau_hi else tau_hi
+            least = least if least < lo else lo
+            far = far if far > end else end
+            times = 2 * (far - least) + (2 if least else 1)
+            joint = (tau_hi - tau_lo) * (tau_hi + 2.0 * (p1_hi - p1_lo) / COVOLUME) * times
             if joint <= work + alone:
-                runs[-1], work = ((p1_lo, p1_hi, tau_lo, tau_hi), far), joint
+                c0, c1, c2, c3, work = p1_lo, p1_hi, tau_lo, tau_hi, joint
+                runs[-1] = ((c0, c1, c2, c3), least, far, runs[-1][3] + 1)
                 continue
-        runs.append((box, end))
-        work = alone  # the predicted work of the last run
+        c0, c1, c2, c3 = box
+        least, far, work = lo, end, alone  # the last run's start, end and predicted work
+        runs.append((box, lo, end, 1))
     return runs
 
 
@@ -154,56 +181,73 @@ def _first_hits(reps, boxes: list, horizon) -> np.ndarray:
 
     reps is one representative per window or one matrix for all, boxes the
     (p1_lo, p1_hi, tau_lo, tau_hi) of each window, and horizon one int for
-    all windows or one per window.  Each shell of orbit times is one _hits
-    call on the windows still pending: |k| <= k0 (one k0 for all windows),
-    then the mirror pairs of _shells(lo, hi), each reaching _SHELL_GROWTH
-    times as far as the last; each window's shells stop at its horizon, and
-    it leaves the search once it has hit or reached that horizon.  Over
-    |k| <= k a window holds about (tau_hi - tau_lo)*(2k + 1)*tau_hi lattice
-    points, and a random orbit expects 2k + 1 times the box measure
-    2*(p1_hi - p1_lo)*(tau_hi - tau_lo)/COVOLUME hits.
+    all windows or one per window.  Each window searches shells of its own:
+    |k| <= its _first_reach, then from where its last search stopped to
+    _SHELL_GROWTH times that stop, each cut at its horizon; it leaves the
+    search once it has hit or reached that horizon.  Each round is one _hits
+    call on the windows still pending, with the centred shell |k| <= end for
+    a window that starts at 0 and the mirror pair of _shells(start, end) for
+    one that starts later.
 
     Windows that share one matrix share a cover window where that predicts
-    no more work (_covers): on each shell, runs of consecutive pending
-    windows are searched as the bounding box of their boxes, to the
-    farthest of their reaches, and each hit of the shell goes to every
-    pending window whose closed box holds its (p1, tau).  A candidate's
-    (p1, tau, s) depends only on its integer row and the matrix, not on the
-    window it was found in, and the kernel returns every candidate of a
-    closed box, so each window sees the floats of a search on it alone; a
-    hit beyond a window's horizon cannot take its answer below horizon + 1.
-    A hit has s strictly inside (-k - 1/2, -k + 1/2), so it lies in exactly
-    one shell.
+    no more work (_covers): runs of consecutive pending windows are searched
+    as the bounding box of their boxes, from the least of their starts to
+    the farthest of their ends.  Each hit of the round goes to every
+    pending window whose closed box holds its (p1, tau) and whose run's end
+    holds its |k| (a farther run may find a later hit of a window before
+    the window has searched the times between); one beyond a window's
+    horizon leaves its answer at horizon + 1.  A window that does not hit
+    goes on from its run's end, so no time is searched twice for a window.
+    A candidate's (p1, tau, s) depends only on its integer row and the
+    matrix, not on the window it was found in, and the kernel returns every
+    candidate of a closed box, so each window sees the floats of a search
+    on it alone, and a cover that starts below a window's start finds no
+    hit of that window there.  A hit has s strictly inside
+    (-k - 1/2, -k + 1/2), so it lies in exactly one shell.
     """
     reps = np.asarray(reps, dtype=float)
     horizons = [horizon] * len(boxes) if np.isscalar(horizon) else list(horizon)
-    area = max((b[3] - b[2]) * b[3] for b in boxes)
-    measure = min(2.0 * (b[1] - b[0]) * (b[3] - b[2]) / COVOLUME for b in boxes)
-    lo, hi = 0, math.ceil((max(_FIRST_SHELL_POINTS / area, 1.0 / measure) - 1.0) / 2.0)
     first = np.array(horizons, dtype=np.int64) + 1
+    cols = np.array(boxes).T  # the box ends, one row each
+    starts = [0] * len(boxes)
+    ends = [e if e < h else h for e, h in zip(_first_reach(cols), horizons)]
     pending = list(range(len(boxes)))
     while True:
-        ends = [min(hi, horizons[i]) for i in pending]
-        mine = [boxes[i] for i in pending]
-        runs = _covers(mine, ends, lo) if reps.ndim == 2 else list(zip(mine, ends))
-        shells = [_shells(lo, e) if lo else ((-e - 0.5, e + 0.5),) for _, e in runs]
-        n = len(shells[0])
-        pick = reps if reps.ndim == 2 else reps[np.repeat(pending, n)]
-        win, k, p1, tau, _ = _hits(pick, [box + w for (box, _), ws in zip(runs, shells) for w in ws])
+        if reps.ndim == 2:
+            runs = _covers([boxes[i] for i in pending], [starts[i] for i in pending], [ends[i] for i in pending])
+        else:
+            runs = [(boxes[i], starts[i], ends[i], 1) for i in pending]
+        shells = [_shells(lo, e) if lo else ((-e - 0.5, e + 0.5),) for _, lo, e, _ in runs]
+        run = np.repeat(np.arange(len(runs)), [len(ws) for ws in shells])  # the run of each shell
+        at = np.array(pending)
+        pick = reps if reps.ndim == 2 else reps[at[run]]
+        win, k, p1, tau, _ = _hits(pick, [r[0] + w for r, ws in zip(runs, shells) for w in ws])
+        reach = [e for _, _, e, n in runs for _ in range(n)]  # per pending window, its run's end
+        ak = np.abs(k)
         if len(runs) == len(pending):  # no shared cover: each hit is its own window's
-            np.minimum.at(first, np.array(pending)[win // n], np.abs(k))
-        else:  # one matrix: each hit goes to every window whose closed box holds it
+            at = at[run[win]]
+        elif len(pending) * len(k) <= _PAIR_CELLS:  # one matrix: test every (window, hit) pair
+            p1_lo, p1_hi, tau_lo, tau_hi = cols[:, at, None]
+            ok = (p1_lo <= p1) & (p1 <= p1_hi) & (tau_lo <= tau) & (tau <= tau_hi) & (ak <= np.array(reach)[:, None])
+            j, h = ok.nonzero()
+            at, ak = at[j], ak[h]
+        else:  # the same test on the pairs whose p1 range holds the hit, from the hits sorted by p1
             order = np.argsort(p1)
-            p1, tau, ak = p1[order], tau[order], np.abs(k[order])
-            box = np.array(mine)
-            start = np.searchsorted(p1, box[:, 0], "left")
-            at, h = _ranges(start, np.searchsorted(p1, box[:, 1], "right") - start)
-            ok = (box[at, 2] <= tau[h]) & (tau[h] <= box[at, 3])
-            np.minimum.at(first, np.array(pending)[at[ok]], ak[h[ok]])
-        pending = [i for i, f in zip(pending, first[pending].tolist()) if f > horizons[i] > hi]
+            p1, tau, ak = p1[order], tau[order], ak[order]
+            start = np.searchsorted(p1, cols[0, at], "left")
+            j, h = _ranges(start, np.searchsorted(p1, cols[1, at], "right") - start)
+            w, tau = at[j], tau[h]
+            ok = (cols[2, w] <= tau) & (tau <= cols[3, w]) & (ak[h] <= np.array(reach)[j])
+            at, ak = w[ok], ak[h[ok]]
+        np.minimum.at(first, at, ak)  # a hit beyond a window's horizon leaves it at horizon + 1
+        # a window that has not hit goes on from its run's end, if that lies below its horizon
+        pending, later = [], pending
+        for i, e, f in zip(later, reach, first[later].tolist()):
+            if f > horizons[i] > e:
+                starts[i], ends[i] = e + 1, min(_SHELL_GROWTH * e, horizons[i])
+                pending.append(i)
         if not pending:
             return first
-        lo, hi = hi + 1, _SHELL_GROWTH * hi
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +516,15 @@ def _shells(lo: int, hi: int) -> tuple:
     return (-hi - 0.5, -lo + 0.5), (lo - 0.5, hi + 0.5)
 
 
+@functools.lru_cache(maxsize=1 << 8)
+def _report_targets(eta: float, k_max: int, v1: float, v2: float) -> tuple:
+    """(levels, boxes, horizons) of a shrinking-target report: the levels of
+    _target_v, the _target_box of each and their horizons, built once per
+    (eta, k_max, v) and shared by every report of a run (read only)."""
+    v1, v2, levels = _target_v((v1, v2), eta, k_max)
+    return tuple(levels), tuple(_target_box(v1, v2, d) for _, d in levels), tuple(h for h, _ in levels)
+
+
 def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     """Dyadic certification run for the shrinking-target hit problem.
 
@@ -482,18 +535,20 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     in the target of size delta_j: abs(p1 - v1) <= delta_j/2 and
     abs(tau - v2) <= delta_j/2.  One _first_hits search answers every level:
     one window per level, with the _target_box of that test and the level's
-    own horizon, each window stopping at its first hit.  The levels' boxes
-    are nested, so they share cover windows: on 8 reports at eta = 0.25,
-    k_max = 3*10^4 the search takes 26 windows and 1,944 lattice points
-    where one window per level and shell took 160 and 5,266.  A level that
-    misses searches |k| <= 2^j and no further.
+    own horizon, each window stopping at its first hit.  Each level's first
+    shell holds about 100 lattice points of its own box, or one expected
+    hit, so nearly every level hits in the first round, and the levels'
+    boxes are nested, so they share cover windows: 8 reports at eta = 0.25,
+    k_max = 3*10^4 take 9 kernel calls with 18 windows and 3,847 lattice
+    points, where one window per level and shell took 160 windows and 5,266
+    points.  A level that misses searches |k| <= 2^j and no further.  The
+    levels and their boxes are built once per (eta, k_max, v)
+    (_report_targets).
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    v1, v2, levels = _target_v(v, eta, k_max)
-    boxes = [_target_box(v1, v2, d) for _, d in levels]
-    horizons = [h for h, _ in levels]
-    flags = _first_hits(_rep_of(point)[0], boxes, horizons) <= horizons
+    levels, boxes, horizons = _report_targets(eta, k_max, float(v[0]), float(v[1]))
+    flags = [f <= h for f, h in zip(_first_hits(_rep_of(point)[0], boxes, horizons).tolist(), horizons)]
     rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
     return {"eta": eta, "kMax": k_max, "T0": _certified_T0(flags, k_max), "levels": rows}
 
@@ -569,7 +624,10 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     norm), and the level passes when every grid target's first hit
     (_first_hits, one call per _CHUNK targets, whose neighbouring targets
     share cover windows where that saves work) lies within the horizon; the
-    first slice with a miss ends the level.  Each slice is built from the
+    first slice with a miss ends the level.  A slice walks its targets row
+    by row, so that the targets of one row, which share a tau range and so
+    the lattice points per orbit time of one box, and whose first shells
+    end together, meet in one cover.  Each slice is built from the
     per-axis grid coordinates (_grid_points), so memory is that of a slice
     for any nGrid = nx*ny.  Reports the certified uniform T0, or None.
     """
@@ -588,8 +646,8 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     levels = []
     for horizon, delta in dyadic:
         nx, ny = _grid_shape(omega, delta)
-        slices = (
-            [_target_box(*w, delta) for w in _grid_points(omega, delta, i, i + _CHUNK)]
+        slices = (  # each slice row by row: a stable sort on tau_lo
+            sorted((_target_box(*w, delta) for w in _grid_points(omega, delta, i, i + _CHUNK)), key=itemgetter(2))
             for i in range(0, nx * ny, _CHUNK)
         )
         hit = all((_first_hits(rep, boxes, horizon) <= horizon).all() for boxes in slices)

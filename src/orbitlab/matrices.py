@@ -178,12 +178,20 @@ def _chart(g) -> tuple:
     Refuses a matrix outside the determinant-one group (a non-finite entry,
     or |det - 1| > 1e-6) with ValueError, and one whose z is not a finite
     point of the upper half plane in floats (an entry so large or small
-    that n leaves the floats) with DegenerateCoordinate.
+    that n leaves the floats) with DegenerateCoordinate.  The float det is
+    off by at most about 2^-52*(|g00*g11| + |g01*g10|) + 2^-53, so where
+    that sum exceeds 2^22 the test takes |det - 1| from the entries' exact
+    ratios of integers, correctly rounded.
     """
     (g00, g01), (g10, g11) = g
-    det = g00 * g11 - g01 * g10
-    if not abs(det - 1.0) <= 1e-6:  # NaN, as a non-finite entry makes it, fails too
-        raise ValueError(f"matrix is not a finite determinant-one matrix: |det - 1| = {abs(det - 1.0)!r}")
+    ad, bc = g00 * g11, g01 * g10
+    det = ad - bc
+    err = abs(det - 1.0)
+    if 2.0**22 < abs(ad) + abs(bc) < math.inf:
+        (a, p), (b, q), (c, r), (d, t) = (x.as_integer_ratio() for x in (g00, g01, g10, g11))
+        err = abs(a * d * q * r - b * c * p * t - p * t * q * r) / (p * t * q * r)
+    if not err <= 1e-6:  # NaN, as a non-finite entry makes it, fails too
+        raise ValueError(f"matrix is not a finite determinant-one matrix: |det - 1| = {err!r}")
     n = g10 * g10 + g11 * g11
     x, y = ((g00 * g10 + g01 * g11) / n, det / n) if n else (math.inf, math.inf)
     if not (math.isfinite(x) and 0.0 < y < math.inf):

@@ -489,6 +489,80 @@ def test_first_hits_stop_at_each_windows_horizon():
         assert 0 < sum(f > h for f, h in zip(want, horizons)) < len(want)  # some miss, some hit
 
 
+def shell_times(bound) -> tuple:
+    """The orbit times lo <= |k| <= hi of one shear window of _first_hits:
+    a centred shell (-hi - 1/2, hi + 1/2) or either half of a mirror pair."""
+    s_lo, s_hi = bound[4], bound[5]
+    if s_lo == -s_hi:
+        return 0, int(s_hi - 0.5)
+    return (int(-s_hi + 0.5), int(-s_lo - 0.5)) if s_hi <= 0.5 else (int(s_lo + 0.5), int(s_hi - 0.5))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["rep-per-window", "one-matrix"])
+def test_first_hit_windows_search_each_time_once(shared, monkeypatch):
+    # across rounds, each window's own times are disjoint and contiguous from
+    # |k| = 0 to the round of its first hit, or to its horizon where it
+    # misses.  Matrices [[1/a, x], [0, a]] lie high in the cusp, so the
+    # windows of the two small boxes miss for several rounds; the two boxes
+    # differ in size, so their shells end apart, and once the big box
+    # between them (horizon 5) has left, one cover joins them from
+    # different starts
+    boxes = [_target_box(1.3, 0.8, 0.01), _target_box(2.3, 0.8, 0.2), _target_box(1.3, 0.8, 0.012)]
+    boxes += [_target_box(-1.3, 1.1, 0.01), _target_box(-0.3, 1.1, 0.2), _target_box(-1.3, 1.1, 0.012)]
+    horizons = [100_000, 5, 100_000] * 2
+    if shared:
+        reps = np.array([[5000.0, 0.37], [0.0, 2e-4]])
+    else:
+        heights = [2e-4, 1e-4, 3e-4, 2e-4, 5e-3, 5e-5]
+        reps = np.array([[[1.0 / a, x], [0.0, a]] for a, x in zip(heights, np.linspace(0.1, 0.9, 6))])
+    window = {r.tobytes(): i for i, r in enumerate(reps)} if not shared else None
+    rounds, hits, covers = [], ergodic_mod._hits, ergodic_mod._covers
+
+    def hits_spy(pick, bounds):
+        rounds.append({"bounds": bounds, "times": {}})
+        if not shared:  # each kernel window is one window's own shell
+            for r, b in zip(pick, bounds):
+                times = rounds[-1]["times"].setdefault(window[r.tobytes()], shell_times(b))
+                assert times == shell_times(b)  # the two halves of a mirror pair agree
+        return hits(pick, bounds)
+
+    def covers_spy(mine, starts, ends):
+        runs = covers(mine, starts, ends)
+        rounds.append({"runs": runs, "windows": [boxes.index(b) for b in mine], "starts": starts})
+        return runs
+
+    monkeypatch.setattr(ergodic_mod, "_hits", hits_spy)
+    monkeypatch.setattr(ergodic_mod, "_covers", covers_spy)
+    first = _first_hits(reps, boxes, horizons).tolist()
+    assert first == first_hits_one_window(reps, boxes, horizons).tolist()
+    searched = {i: [] for i in range(len(boxes))}
+    if shared:  # a run searches from its least start to its farthest end, its windows theirs to that end
+        joined = False
+        for plan, kernel in zip(rounds[::2], rounds[1::2]):
+            runs, at = plan["runs"], iter(zip(plan["windows"], plan["starts"]))
+            assert [b[:4] for b in kernel["bounds"]] == [box for box, lo, *_ in runs for _ in range(2 if lo else 1)]
+            assert {shell_times(b) for b in kernel["bounds"]} == {(lo, e) for _, lo, e, _ in runs}
+            for _, lo, e, size in runs:
+                members = [next(at) for _ in range(size)]
+                joined = joined or len({start for _, start in members}) > 1
+                assert lo == min(start for _, start in members)
+                for i, start in members:
+                    searched[i].append((start, min(e, horizons[i])))
+        assert joined
+    else:
+        for kernel in rounds:
+            for i, times in kernel["times"].items():
+                searched[i].append(times)
+    assert max(len(s) for s in searched.values()) >= 3
+    for i, spans in searched.items():
+        assert spans[0][0] == 0
+        assert all(b[0] == a[1] + 1 for a, b in zip(spans, spans[1:]))
+        if first[i] <= horizons[i]:
+            assert all(hi < first[i] for _, hi in spans[:-1]) and first[i] <= spans[-1][1]
+        else:
+            assert spans[-1][1] == horizons[i]
+
+
 @st.composite
 def shared_matrix_targets(draw):
     """Boxes and horizons of windows that share one matrix: the nested boxes
@@ -540,8 +614,10 @@ def planted_hits(rep, K: int, count: int) -> tuple:
 def test_cover_members_decide_hits_on_their_box_ends(search_spy):
     # a hit planted on an end of a small box, and one float outside it; the
     # small boxes share the one cover window of a wide box that holds every
-    # hit, so the closed box test after the search decides them
-    K = 400
+    # hit, so the closed box test after the search decides them.  The wide
+    # box's first shell would reach |k| = 76, so at K = 64 every window's
+    # first shell ends at K, and the small ones join the wide box's cover
+    K = 64
     rep = _haar_reps(1, seed=54)[0]
     hits, wide = planted_hits(rep, K, 6)
     boxes, outside = [wide], []
@@ -564,9 +640,9 @@ def test_cover_members_decide_hits_on_their_box_ends(search_spy):
 
 def test_cover_members_decide_hits_beyond_their_horizon(search_spy):
     # a hit planted inside a small box whose horizon is its time |k| or one
-    # less: the cover (a wide box to horizon K) finds it, and only the
-    # window whose horizon holds |k| takes it
-    K = 400
+    # less: the cover (a wide box to horizon K, within its first shell)
+    # finds it, and only the window whose horizon holds |k| takes it
+    K = 64
     rep = _haar_reps(1, seed=55)[0]
     hits, wide = planted_hits(rep, K, 8)
     boxes, horizons = [wide], [K]
@@ -581,19 +657,55 @@ def test_cover_members_decide_hits_beyond_their_horizon(search_spy):
     assert len(times) == 8 and first[1::2].tolist() == times and first[2::2].tolist() == times
 
 
+@pytest.mark.parametrize("a", [1 / 2000, 1 / 5000])
+def test_hits_beyond_a_windows_own_search_wait_for_it(a):
+    # a matrix high in the cusp hits a wide box first at |k| = t1 of about
+    # 1/a, far beyond the wide box's first shell (|k| <= 125), and again at
+    # t2 > t1.  Two tiny boxes around the second hit search to their horizon
+    # in a run of their own in the first round and find t2 inside the wide
+    # box too; the wide box must not take it, since it has not searched t1
+    rep = np.array([[1.0 / a, 0.37], [0.0, a]])
+    wide, K = _target_box(1.3, 0.8, 0.4), 20_000
+    p1, tau, s, _ = _box_candidates_batch(rep, [wide + (-K - 0.5, K + 0.5)])
+    k, r = _hit_times(s)
+    hit = np.abs(r) < 0.5
+    hits = sorted(zip(np.abs(k[hit]).tolist(), p1[hit].tolist(), tau[hit].tolist()))
+    (t1, _, _), (t2, x2, y2) = hits[0], next(h for h in hits if h[0] > hits[0][0])
+    tiny = (x2 - 1e-4, x2 + 1e-4, y2 - 1e-4, y2 + 1e-4)
+    assert 125 < t1 < t2 and not (tiny[0] <= hits[0][1] <= tiny[1] and tiny[2] <= hits[0][2] <= tiny[3])
+    assert _first_hits(rep, [tiny, tiny, wide], K).tolist() == [t2, t2, t1]
+
+
 @pytest.mark.parametrize(
     "eta, k_max, calls, windows, points",
-    [(0.25, 30_000, 13, 160 // 3, 5266), (0.5, 100_000, 8, 136, 8218), (0.7, 100_000, 8, 136, 1187)],
+    [(0.25, 30_000, 9, 160 // 3, 5266), (0.5, 100_000, 8, 136, 8218), (0.7, 100_000, 8, 136, 1187)],
 )
 def test_report_covers_cut_windows_and_points(eta, k_max, calls, windows, points, search_spy):
     # 8 reports on _haar_reps(8, seed=2024): one window per pending level
     # and shell took 160 / 136 / 136 windows and 5,266 / 8,218 / 1,187
-    # lattice points; shared covers measured 26 / 64 / 72 windows and
-    # 1,944 / 6,553 / 1,073 points in the same kernel calls, one per shell
+    # lattice points; shared covers measured 18 / 64 / 72 windows and
+    # 3,847 / 6,553 / 1,073 points, one kernel call per round.  At eta =
+    # 0.25 each level's first shell holds about 100 points of its own box,
+    # so 7 of the 8 reports take one call (13 calls when every level shared
+    # the first shell of the largest box)
     for rep in _haar_reps(8, seed=2024):
         shrinking_hit_report(eta, rep, k_max, V0)
     assert search_spy.calls == calls
     assert search_spy.windows <= windows and search_spy.points <= points
+
+
+def test_reports_take_one_kernel_call(search_spy):
+    # 216 reports shaped like the benchmark's (eta = 0.25, k_max = 30000):
+    # each level's first shell holds about 100 points of its own box, or
+    # one expected hit, so nearly every level hits in the first round.
+    # Measured 222 calls, 6 reports with more than one; 306 and 81 when
+    # every level shared the first shell of the largest box
+    many = 0
+    for pt in haar_sample(216, seed=4242):
+        calls = search_spy.calls
+        shrinking_hit_report(0.25, pt, 30_000, V0)
+        many += search_spy.calls - calls > 1
+    assert search_spy.calls <= 225 and many <= 8
 
 
 @pytest.mark.parametrize("eta", [0.4, 0.5])
@@ -780,7 +892,7 @@ def test_drivers_make_one_kernel_call(monkeypatch):
     rep = _haar_reps(1, seed=31)[0]
     report = shrinking_hit_report(0.25, rep, 30_000, V0)
     horizons = [lv["horizon"] for lv in report["levels"]]
-    assert searches == [(len(horizons), horizons)]
+    assert searches == [(len(horizons), tuple(horizons))]
     calls.clear()
     window_hit_counts(rep, V0, 0.7, 30_000)
     assert calls == [2 * 15]  # two shells per dyadic window

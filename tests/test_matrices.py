@@ -90,6 +90,35 @@ def test_iwasawa_rejects_non_unimodular():
         iwasawa_decompose(np.diag([1e200, 1e-200]))
 
 
+def exact_det_error(g) -> float:
+    """|det - 1| of the float entries of g, exactly (as a ratio of integers)."""
+    (n00, d00), (n01, d01), (n10, d10), (n11, d11) = (float(x).as_integer_ratio() for x in np.ravel(g))
+    num = n00 * n11 * d01 * d10 - n01 * n10 * d00 * d11 - d00 * d11 * d01 * d10
+    return abs(num) / (d00 * d11 * d01 * d10)
+
+
+def test_iwasawa_decides_large_entries_on_the_exact_determinant():
+    # the float det of lower_shear(x) @ upper_shear(y) rounds x*y + 1, so it
+    # can read 1 where the entries' det is off by far more than 1e-6; the
+    # check refuses such a matrix with the entries' own figure
+    g = lower_shear(1e6 + 0.3) @ upper_shear(0.7e6 + 0.6)
+    assert abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] - 1.0) <= 1e-6 < exact_det_error(g)
+    with pytest.raises(ValueError, match=r"\|det - 1\| = 4\.4\d*e-05"):
+        iwasawa_decompose(g)
+    refused = set()
+    for x in np.geomspace(1e4, 1e8, 400):
+        g = lower_shear(x) @ upper_shear(0.7 * x + 0.3)
+        try:
+            iwasawa_decompose(g)
+        except ValueError:
+            refused.add(True)
+            assert exact_det_error(g) > 1e-6
+        else:
+            refused.add(False)
+            assert exact_det_error(g) <= 1e-6
+    assert refused == {True, False}
+
+
 @pytest.mark.parametrize("y", [0.0, -1.0])
 def test_diag_squeeze_rejects_nonpositive(y):
     with pytest.raises(ValueError, match="positive"):

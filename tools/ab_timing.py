@@ -64,7 +64,7 @@ def call_sets(side: dict, reps: np.ndarray, pairs: list) -> dict:
         "nonreduced": (len(moved), lambda: [hom.in_quotient_target(g, spec) for g in moved]),
         "nonreduced-hit-set": (len(moved), lambda: [erg.hit_set(g, spec, 16) for g in moved]),
         "hit-set": (300, lambda: [erg.hit_set(g, spec, 16) for g in reduced[:300]]),
-        "report": (8, lambda: [erg.shrinking_hit_report(0.25, g, 3 * 10**4, V0) for g in reduced[:8]]),
+        "report": (64, lambda: [erg.shrinking_hit_report(0.25, g, 3 * 10**4, V0) for g in reduced[:64]]),
         "miss-rate": (1, lambda: erg.miss_rate_curve([16, 64, 256], 0.1, V0, 512, seed=1)),
         "best-approx": (len(pairs), lambda: [apx.best_approx(u, v, 11_000) for u, v in pairs]),
         "trace": (5, lambda: [apx.approx_trace(u, v, BUDGETS).records for u, v in pairs[:5]]),
