@@ -13,7 +13,6 @@ from .errors import (
     OrbitLabError,
 )
 from .matrices import (
-    IDENTITY,
     IwasawaCoords,
     LatticeElement,
     UDLCoords,

@@ -110,12 +110,10 @@ def best_approx(
 ) -> ApproxRecord:
     """Element of the budget-T ball (after filtering) closest to v on the orbit of u.
 
-    This is the one-budget ``approx_trace``.  Ties resolve by
-    (dist, norm, a, c, b, d); ``workers`` is accepted for compatibility and has
-    no effect.
+    This is the one-budget ``approx_trace``, which also refuses the seed u
+    (|u|^2 must be positive in floats).  Ties resolve by (dist, norm, a, c,
+    b, d); ``workers`` is accepted for compatibility and has no effect.
     """
-    if float(u[0]) == 0.0 and float(u[1]) == 0.0:
-        raise ValueError("orbit seed u must be nonzero")
     if math.isnan(float(T)):
         raise ValueError("budget must not be NaN")
     if _budget_int(T) < 2:
@@ -481,6 +479,8 @@ def survey_exponents(
     """Exponent estimates for seeded random (u, v) pairs, u and v uniform on
     [1, 2]^2 (or v = fixed_v); one dict per pair, its coordinates followed
     by the fields of _exponent_row."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n_pairs):

@@ -149,7 +149,7 @@ def _cmd_enumerate(args, cfg: dict) -> int:
     if args.dump:  # the dump counts what it writes
         n = dump_elements(args.dump, args.T, args.filter)
     else:
-        n = count(args.T, args.filter, workers=args.workers)
+        n = count(args.T, args.filter)
     print(n)
     if args.out:
         _emit_json(args.out, {"count": n, "T": args.T, "filter": str(args.filter)}, cfg)

@@ -106,16 +106,8 @@ class SubgroupFilter:
                 return cls(kind, int(text[len(prefix):]))
         raise ValueError(f"cannot parse subgroup filter {text!r}")
 
-    def passes(self, a: int, b: int, c: int, d: int) -> bool:
-        if self.kind == "full":
-            return True
-        n = self.level
-        if self.kind == "gamma0":
-            return c % n == 0
-        return a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0
-
     def mask(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized ``passes`` over the rows (a, b, c, d) of an (n, 4) integer array.
+        """Whether each row (a, b, c, d) of an (n, 4) integer array passes the filter.
 
         The level is clamped to 2^62, so that the remainders stay in int64.
         That is exact while every entry is below 2^62 - 1 in absolute value,
@@ -301,17 +293,12 @@ def elements_array(T: float, subgroup: SubgroupFilter = SubgroupFilter.full()) -
     return arr[np.argsort(_order_key(arr, Tint))]
 
 
-def enumerate_ball(
-    T: float,
-    subgroup: SubgroupFilter = SubgroupFilter.full(),
-    workers: int = 1,
-) -> Iterator[LatticeElement]:
+def enumerate_ball(T: float, subgroup: SubgroupFilter = SubgroupFilter.full()) -> Iterator[LatticeElement]:
     """Yield each budget-T element passing the filter exactly once.
 
     The rows of ``elements_array`` in its order: by first column
     (a^2 + c^2, a, c), then Bezout shift k ascending; a budget above
-    ``MAX_ROW_BUDGET`` raises ``BudgetOverflow``.  ``workers`` is accepted
-    for compatibility and has no effect.
+    ``MAX_ROW_BUDGET`` raises ``BudgetOverflow``.
     """
     for a, b, c, d in elements_array(T, subgroup).tolist():
         yield LatticeElement(a, b, c, d)

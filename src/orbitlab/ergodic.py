@@ -23,6 +23,11 @@ each hit goes to every window of its cover whose closed box and horizon
 hold it.  The correlation chunks alone keep every candidate, to place it
 at several shear offsets.
 
+Horizons are integers, checked once where they enter a driver (_horizon):
+K >= 1 for hit_set, k_max >= 1 for window_hit_counts, k_max >= 2 for the
+shrinking-target reports and uniform grids, and half-widths and orbit
+windows >= 0 for the curves.
+
 Monte Carlo loops use common random numbers across grid values and accumulate
 in fixed-size chunks in index order, so results are bitwise identical for any
 worker count.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -86,6 +92,16 @@ def _chunk_map(chunk_fn: Callable, args: tuple, n_samples: int, seed: int, worke
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(chunk_fn, chunks))
+
+
+def _horizon(k, least: int, name: str) -> int:
+    """The one check of an orbit-time horizon, where it enters a driver: k
+    as an int (numpy ints pass), or a ValueError naming it when k is a bool,
+    not an integer or below least (a float horizon would search a time
+    beyond its integer part)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, not {k!r}")
+    return int(k)
 
 
 def _nonempty(values: list, what: str) -> list:
@@ -267,8 +283,7 @@ class HitSet:
 
 def hit_set(point, spec: TargetSpec, K: int) -> HitSet:
     """All |k| <= K with the k-th shear translate inside the projected box."""
-    if K < 1:
-        raise ValueError("horizon K must be >= 1")
+    K = _horizon(K, 1, "horizon K")
     _, ks, *_ = _hits(_rep_of(point)[0], [spec.box + (-K - 0.5, K + 0.5)])
     return HitSet(K=K, ks=tuple(int(k) for k in np.unique(ks)))
 
@@ -324,9 +339,7 @@ def variance_curve(
     The same sample set serves every grid value (common random numbers), which
     sharpens slope estimates by an order of magnitude.
     """
-    Ts = _nonempty([int(T) for T in Ts], "orbit half-width")
-    if any(T < 0 for T in Ts):
-        raise ValueError("orbit half-widths must be >= 0")
+    Ts = _nonempty([_horizon(T, 0, "orbit half-widths") for T in Ts], "orbit half-width")
     parts = _chunk_map(_variance_chunk, (spec, Ts), n_samples, seed, workers)
     values, stderrs = _moments(parts, n_samples)
     return VarianceCurve(Ts=Ts, values=values.tolist(), stderrs=stderrs.tolist())
@@ -388,9 +401,7 @@ def matcoef_curve(
     variance reduction that leaves the estimand unchanged by invariance.
     """
     ts = _nonempty([float(t) for t in ts], "shear time")
-    W = int(orbit_window)
-    if W < 0:
-        raise ValueError("orbit window must be >= 0")
+    W = _horizon(orbit_window, 0, "orbit window")
     parts = _chunk_map(_matcoef_chunk, (spec, ts, W), n_samples, seed, workers)
     values, stderrs = _moments(parts, n_samples)
     return values.tolist(), stderrs.tolist()
@@ -443,9 +454,7 @@ def miss_rate_curve(
     (orbits only grow), which is also the statistical content being measured.
     """
     spec = TargetSpec(float(v[0]), float(v[1]), float(delta))  # validates v and delta
-    Ts = _nonempty(sorted(int(T) for T in Ts), "orbit half-width")
-    if Ts[0] < 0:
-        raise ValueError("orbit half-widths must be >= 0")
+    Ts = _nonempty(sorted(_horizon(T, 0, "orbit half-widths") for T in Ts), "orbit half-width")
     parts = _chunk_map(_miss_chunk, (spec, Ts), n_samples, seed, workers)
     first = np.concatenate(parts)
     out = []
@@ -506,7 +515,7 @@ def _target_v(v, eta: float, k_max: int) -> tuple:
     and holds more than one float per coordinate."""
     v1, v2 = float(v[0]), float(v[1])
     levels = _dyadic_levels(eta, k_max, v2)
-    TargetSpec(v1, v2, _target_size(max(k_max, 1), eta, _delta_cap(v2)))
+    TargetSpec(v1, v2, _target_size(k_max, eta, _delta_cap(v2)))
     return v1, v2, levels
 
 
@@ -545,8 +554,7 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     levels and their boxes are built once per (eta, k_max, v)
     (_report_targets).
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    k_max = _horizon(k_max, 2, "k_max")
     levels, boxes, horizons = _report_targets(eta, k_max, float(v[0]), float(v[1]))
     flags = [f <= h for f, h in zip(_first_hits(_rep_of(point)[0], boxes, horizons).tolist(), horizons)]
     rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
@@ -568,6 +576,7 @@ def window_hit_counts(point, v, eta: float, k_max: int) -> list:
     shells with the _target_box of the window's largest target, which holds
     every float the count test accepts, so that test decides each time.
     """
+    k_max = _horizon(k_max, 1, "k_max")
     v1, v2, levels = _target_v(v, eta, k_max)
     cap = _delta_cap(v2)
     windows = [(lo, min(2 * lo - 1, k_max)) for lo, _ in levels]
@@ -631,6 +640,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     per-axis grid coordinates (_grid_points), so memory is that of a slice
     for any nGrid = nx*ny.  Reports the certified uniform T0, or None.
     """
+    k_max = _horizon(k_max, 2, "k_max")
     omega = x0, x1, y0, y1 = tuple(float(t) for t in omega)
     if not all(math.isfinite(t) for t in (x0, x1, y0, y1)):
         raise ValueError("omega bounds must be finite")
@@ -641,7 +651,7 @@ def uniform_grid_experiment(omega, eta: float, point, k_max: int) -> UniformGrid
     dyadic = _dyadic_levels(eta, k_max, y0)
     # the coarsest floats lie at the corner farthest from the axes, so the
     # smallest level's box there holds more than one float if any target's does
-    TargetSpec(max(x0, x1, key=abs), y1, _target_size(max(k_max, 1), eta, _delta_cap(y0)))
+    TargetSpec(max(x0, x1, key=abs), y1, _target_size(k_max, eta, _delta_cap(y0)))
     rep = _rep_of(point)[0]
     levels = []
     for horizon, delta in dyadic:

@@ -548,11 +548,11 @@ def _lattice_points(gs, windows):
 def _box_candidates_batch(reps, bounds) -> tuple:
     """Integer gamma with gamma*g in a coordinate box, for a batch of windows.
 
-    bounds holds the box (p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) of each
-    window (shape (n, 6)), as an array or a list of rows of Python floats,
-    which is used as it is, and reps one matrix g for every window (shape
-    (2, 2)) or one per window (shape (n, 2, 2)), each of determinant one:
-    checked where it entered (matrices._chart) or built by the package.
+    bounds is a list of the windows' boxes (p1_lo, p1_hi, tau_lo, tau_hi,
+    s_lo, s_hi), rows of Python floats, and reps one matrix g for every
+    window (shape (2, 2)) or one per window (shape (n, 2, 2)), each of
+    determinant one: checked where it entered (matrices._chart) or built by
+    the package.
     Returns four flat arrays (p1, tau, s, win), float, float, float, int64:
     (p1, tau) is the second column of gamma*g, s its
     lower-shear coordinate and win the index of the window.  Windows come in
@@ -570,8 +570,6 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     point or 0.4 us per candidate of a wide window (40k points, 22k
     candidates in 8 ms).
     """
-    if not isinstance(bounds, list):
-        bounds = np.asarray(bounds, dtype=float).reshape(-1, 6).tolist()
     reps = np.asarray(reps, dtype=float)
     reps = [reps.tolist()] * len(bounds) if reps.ndim == 2 else reps.tolist()
     if any(b[2] <= 0.0 for b in bounds):

@@ -71,6 +71,18 @@ def brute_ball_50():
     return out
 
 
+def passes(flt, a: int, b: int, c: int, d: int) -> bool:
+    """Oracle: whether the element [[a, b], [c, d]] passes the subgroup
+    filter, one element at a time in Python integers, the reference of
+    SubgroupFilter.mask."""
+    if flt.kind == "full":
+        return True
+    n = flt.level
+    if flt.kind == "gamma0":
+        return c % n == 0
+    return a % n == 1 % n and d % n == 1 % n and b % n == 0 and c % n == 0
+
+
 def brute_min_dist(arr: np.ndarray, u, v, T) -> float:
     """Oracle: minimum |gamma*u - v| over the materialized ball rows with norm <= T."""
     norms = (arr * arr).sum(axis=1)

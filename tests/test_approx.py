@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import orbitlab.approx as approx_mod
-from conftest import brute_best, brute_min_dist
+from conftest import brute_best, brute_min_dist, passes
 from orbitlab.approx import (
     ApproxRecord,
     ApproxTrace,
@@ -21,7 +21,9 @@ from orbitlab.approx import (
 from orbitlab.cli import main
 from orbitlab.enumeration import SubgroupFilter
 from orbitlab.errors import BudgetOverflow, EmptyBudget, ExactHit, InsufficientData
-from orbitlab.matrices import IDENTITY, LatticeElement
+from orbitlab.matrices import LatticeElement
+
+IDENTITY = LatticeElement(1, 0, 0, 1)
 
 
 def test_orbit_point_examples():
@@ -104,7 +106,7 @@ def test_best_approx_horizontal_seeds_follow_tie_order(ball_1e4):
     rng = np.random.default_rng(2718)
     filters = [SubgroupFilter.gamma0(n) for n in (2, 3, 4, 5)] + [SubgroupFilter.gamma(n) for n in (2, 3)]
     for flt in filters:
-        rows = ball_1e4[[flt.passes(*row) for row in ball_1e4.tolist()]]
+        rows = ball_1e4[[passes(flt, *row) for row in ball_1e4.tolist()]]
         for i in range(4):
             u = (float(rng.uniform(1, 2) * rng.choice((-1.0, 1.0))), 0.0)
             v = [float(x) for x in rng.uniform(-2, 2, 2)]
@@ -166,7 +168,7 @@ def test_trace_witnesses_reproduce_distances(flt):
             tr = approx_trace(u, v, budgets, subgroup=flt)
             for T, rec in zip(budgets, tr.records):
                 g = rec.gamma
-                assert g.a * g.d - g.b * g.c == 1 and flt.passes(*g.entries())
+                assert g.a * g.d - g.b * g.c == 1 and passes(flt, *g.entries())
                 assert rec.gamma_norm == g.a**2 + g.b**2 + g.c**2 + g.d**2 <= T
                 assert rec.dist == pytest.approx(_exact_dist(g, u, v), rel=1e-9, abs=1e-12), (u, v, T, g)
 
@@ -547,7 +549,7 @@ def test_trace_validation():
         approx_trace((1, 1), (1, 2), [1.5, 4])
     with pytest.raises(ValueError):
         approx_trace((0, 0), (1, 2), [4, 8])
-    with pytest.raises(ValueError, match="nonzero"):
+    with pytest.raises(ValueError, match=r"\|u\|\^2 must be positive"):
         best_approx((0, 0), (1, 2), 8)
 
 

@@ -118,10 +118,14 @@ def test_targets_no_search_can_represent_are_config_errors(capsys, argv):
         ("hit-times --eta 0.25 --kmax 1 --samples 1", "k_max"),
         ("hit-times --eta 0.25 --kmax 64 --samples 0", "n >= 1 samples"),
         ("hit-times --eta 0.25 --kmax 64 --samples 1 --seed -1", "seed must be"),
+        ("survey --pairs 0 --budgets 256:4096:4", "n_pairs must be >= 1"),
+        ("survey --pairs -3 --budgets 256:4096:4", "n_pairs must be >= 1"),
+        ("survey --mode uniform --omega 1,2,1,2 --samples 1 --kmax 1", "k_max must be >= 2"),
     ],
     ids=[
         "replay-header", "tail-fraction", "point", "grid", "tau-text", "tau-zero-division", "no-omega",
         "omega-order", "grid-eta", "report-eta", "report-eta-overflow", "report-kmax", "samples", "seed",
+        "pairs-0", "pairs-negative", "grid-kmax",
     ],
 )
 def test_refused_inputs_exit_2(tmp_path, capsys, argv, message):

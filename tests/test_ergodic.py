@@ -427,7 +427,7 @@ def test_uniform_grid_matches_one_window(eta):
     omegas = [(1.2, 1.3, 0.8, 0.8), (-0.75, -0.65, 1.6, 1.6), (1.3, 1.3, 0.7, 0.9)]
     omegas += [(1.2, 1.3, 0.75, 0.85)] if eta <= 0.5 else []
     for pt in haar_sample(2, seed=46):
-        for k_max in (1, 2, 3, 4096, 100_000):
+        for k_max in (2, 3, 4096, 100_000):
             for omega in omegas:
                 assert uniform_grid_experiment(omega, eta, pt, k_max) == grid_one_window(omega, eta, pt, k_max)
 
@@ -924,7 +924,7 @@ def test_dyadic_drivers_reject_targets_no_search_can_represent(call, search_spy)
     assert search_spy.points == search_spy.windows == 0
 
 
-@pytest.mark.parametrize("Ts", [[], [-4], [16, -1]])
+@pytest.mark.parametrize("Ts", [[], [-4], [16, -1], [True], [16, 2.5], [100.7], [np.int64(-1)]])
 def test_miss_rate_rejects_bad_half_widths(Ts):
     match = "at least one" if not Ts else "must be >= 0"
     with pytest.raises(ValueError, match=match):
@@ -939,8 +939,14 @@ def test_miss_rate_rejects_bad_half_widths(Ts):
         (lambda: matcoef_curve(SPEC, [], 50, seed=1), "at least one shear time"),
         (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=-1), "orbit window must be >= 0"),
         (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=-3), "orbit window must be >= 0"),
+        (lambda: variance_curve(SPEC, [16, 2.5], 50, seed=1), "orbit half-widths must be >= 0"),
+        (lambda: variance_curve(SPEC, [100.7], 50, seed=1), "orbit half-widths must be >= 0"),
+        (lambda: variance_curve(SPEC, [False, 16], 50, seed=1), "orbit half-widths must be >= 0"),
+        (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=2.5), "orbit window must be >= 0"),
+        (lambda: matcoef_curve(SPEC, [1.0], 50, seed=1, orbit_window=True), "orbit window must be >= 0"),
     ],
-    ids=["Ts-empty", "Ts-negative", "ts-empty", "window-1", "window-3"],
+    ids=["Ts-empty", "Ts-negative", "ts-empty", "window-1", "window-3", "Ts-float", "Ts-float-100.7", "Ts-bool",
+         "window-float", "window-bool"],
 )
 def test_curves_reject_inputs_they_cannot_run(call, match):
     with pytest.raises(ValueError, match=match):
@@ -951,6 +957,17 @@ def test_curves_reject_inputs_they_cannot_run(call, match):
     "call, match",
     [
         (lambda rep: hit_set(rep, SPEC, 0), "horizon K"),
+        (lambda rep: hit_set(rep, SPEC, 2.5), "horizon K must be >= 1"),
+        (lambda rep: hit_set(rep, SPEC, 100.7), "horizon K must be >= 1"),
+        (lambda rep: hit_set(rep, SPEC, True), "horizon K must be >= 1"),
+        (lambda rep: shrinking_hit_report(0.25, rep, 64.0, V0), "k_max must be >= 2"),
+        (lambda rep: shrinking_hit_report(0.25, rep, True, V0), "k_max must be >= 2"),
+        (lambda rep: window_hit_counts(rep, V0, 0.25, 0), "k_max must be >= 1"),
+        (lambda rep: window_hit_counts(rep, V0, 0.25, 100.7), "k_max must be >= 1"),
+        (lambda rep: window_hit_counts(rep, V0, 0.25, True), "k_max must be >= 1"),
+        (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.2, rep, 1), "k_max must be >= 2"),
+        (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.2, rep, 2.5), "k_max must be >= 2"),
+        (lambda rep: uniform_grid_experiment((1.2, 1.4, 0.7, 0.9), 0.2, rep, True), "k_max must be >= 2"),
         (lambda rep: shrinking_hit_report(1.0, rep, 64, V0), "shrink exponent"),
         (lambda rep: shrinking_hit_report(math.nan, rep, 64, V0), "shrink exponent"),
         (lambda rep: shrinking_hit_report(0.25, rep, 1, V0), "k_max"),
@@ -966,7 +983,9 @@ def test_curves_reject_inputs_they_cannot_run(call, match):
         (lambda rep: uniform_grid_experiment((0.0, 0.0, 0.7, 0.9), 0.2, rep, 64), "off the axes"),
     ],
     ids=[
-        "hit-set-K", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
+        "hit-set-K", "hit-set-K-float", "hit-set-K-float-100.7", "hit-set-K-bool", "report-kmax-float",
+        "report-kmax-bool", "counts-kmax", "counts-kmax-float", "counts-kmax-bool", "grid-kmax", "grid-kmax-float",
+        "grid-kmax-bool", "report-eta-1", "report-eta-nan", "report-kmax", "counts-eta", "grid-eta",
         "report-eta-overflow", "counts-eta-overflow", "grid-eta-overflow", "grid-order", "grid-across-axis",
         "grid-on-axis", "grid-axis-point",
     ],
@@ -1029,6 +1048,25 @@ def test_quotient_queries_match_the_brute_orbit_oracle(case, K):
     _, p1, tau, r = np.array(orbit_hits_brute(rep, 0, _bump_box(spec))).reshape(-1, 4).T
     # the same terms, summed in an order of their own
     assert target_bump(given, spec) == pytest.approx(float((_bump_weight(spec, p1, tau) * bump(r)).sum()), rel=1e-12, abs=0.0)
+
+
+def test_horizon_edges_match_brute_force():
+    # Haar points with brute hits at |k| = K and |k| = K + 1 for a horizon
+    # K <= 64: hit_set and window_hit_counts (eta = 0, so every time has the
+    # box of the spec) count the first and not the second
+    spec = TargetSpec(*V0, _delta_cap(V0[1]))
+    cases = 0
+    for rep in _haar_reps(40, seed=61):
+        hits = orbit_hits_brute(rep, 65, spec.box)
+        times = {abs(k) for k, *_ in hits}
+        for K in (K for K in range(1, 65) if K in times and K + 1 in times):
+            ks = sorted({k for k, *_ in hits if abs(k) <= K})
+            assert hit_set(rep, spec, K).ks == tuple(ks) and max(map(abs, ks)) == K
+            want = [(lo, min(2 * lo - 1, K)) for lo, _ in _dyadic_levels(0.0, K, V0[1])]
+            want = [{"lo": lo, "hi": hi, "count": sum(lo <= abs(k) <= hi for k in ks)} for lo, hi in want]
+            assert window_hit_counts(rep, V0, 0.0, K) == want
+            cases += 1
+    assert cases >= 100
 
 
 @pytest.mark.parametrize(

@@ -203,7 +203,7 @@ def test_batch_matches_lone_windows(batch):
     # the window index
     lone = [_box_candidates_batch(g, [box])[:3] for g, box in batch]
     win = np.concatenate([np.full(cols[0].size, k, dtype=np.int64) for k, cols in enumerate(lone)])
-    together = _box_candidates_batch(np.array([g for g, _ in batch]), np.array([box for _, box in batch]))
+    together = _box_candidates_batch(np.array([g for g, _ in batch]), [box for _, box in batch])
     assert bits(together) == bits([np.concatenate(col) for col in zip(*lone)] + [win])
 
 

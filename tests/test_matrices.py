@@ -5,7 +5,6 @@ import pytest
 
 from orbitlab.errors import DegenerateCoordinate
 from orbitlab.matrices import (
-    IDENTITY,
     LatticeElement,
     diag_squeeze,
     hs_norm,
@@ -39,7 +38,7 @@ def test_lattice_element_validates_determinant():
 
 
 def test_hs_norm_examples():
-    assert hs_norm(IDENTITY) == 2
+    assert hs_norm(LatticeElement(1, 0, 0, 1)) == 2
     assert hs_norm(LatticeElement(1, 1, 0, 1)) == 3
     assert hs_norm(LatticeElement(2, 1, 1, 1)) == 7
     assert hs_norm(np.array([[2.0, 1.0], [1.0, 1.0]])) == 7.0

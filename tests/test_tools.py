@@ -1,5 +1,5 @@
-"""tools/ab_timing.py and tools/bench_pairs.py run on this checkout, each in
-a process of its own."""
+"""tools/ab_timing.py, tools/bench_pairs.py and tools/src_lines.py run on
+this checkout, each in a process of its own."""
 
 import subprocess
 import sys
@@ -26,6 +26,52 @@ def test_ab_timing_compares_a_checkout_with_itself():
     bad = subprocess.run(argv + ["--sets", "nope"], capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2 and "unknown call sets" in bad.stderr
 
+
+# 21 lines, 8 of them code: docstrings, comments and blank lines are not,
+# every line of a statement that spans lines is, and so is a string that is
+# not a docstring.
+MODULE = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment after code
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    # a comment inside
+    y = (x +
+         1)
+    return math.sqrt(y)
+
+
+class C:
+    """Class docstring."""
+
+    z = """not a docstring,
+but a string"""
+'''
+
+
+def src_lines(*args) -> dict:
+    """{module: (lines, code lines)} from the rows of tools/src_lines.py."""
+    argv = [sys.executable, str(ROOT / "tools" / "src_lines.py"), *args]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    head, *rows = done.stdout.splitlines()
+    assert head.split() == ["module", "lines", "code"]
+    return {name: (int(lines), int(code)) for name, lines, code in (row.split() for row in rows)}
+
+
+def test_src_lines_counts_code_lines(tmp_path):
+    (tmp_path / "__init__.py").write_text('"""Only a docstring."""\n')
+    (tmp_path / "mod.py").write_text(MODULE)
+    assert src_lines(str(tmp_path)) == {"__init__.py": (1, 0), "mod.py": (21, 8), "total": (22, 8)}
+    counts = src_lines()
+    total = counts.pop("total")
+    assert "ergodic.py" in counts
+    assert total == tuple(map(sum, zip(*counts.values())))
 
 
 def test_bench_pairs_compares_a_checkout_with_itself(tmp_path):
