@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .enumeration import SubgroupFilter, _budget_int
-from .errors import EmptyBudget, ExactHit, InsufficientData
+from .errors import ExactHit, InsufficientData
 from .homogeneous import _bezout_rows, _lattice_points, _ranges
 from .matrices import LatticeElement
 
@@ -49,8 +49,10 @@ TRACE_CSV_HEADER = "T,dist,norm,a,b,c,d"
 
 
 def orbit_point(gamma: LatticeElement, u) -> np.ndarray:
-    """Image of the plane point u under the linear action of gamma."""
-    return gamma.apply(u)
+    """Image of the plane point u under the linear action of gamma:
+    (a*u1 + b*u2, c*u1 + d*u2)."""
+    u1, u2 = float(u[0]), float(u[1])
+    return np.array([gamma.a * u1 + gamma.b * u2, gamma.c * u1 + gamma.d * u2])
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,12 @@ def best_approx(
 ) -> ApproxRecord:
     """Element of the budget-T ball (after filtering) closest to v on the orbit of u.
 
-    This is the one-budget ``approx_trace``, which also refuses the seed u
-    (|u|^2 must be positive in floats).  Ties resolve by (dist, norm, a, c,
-    b, d); ``workers`` is accepted for compatibility and has no effect.
+    This is the one-budget ``approx_trace``, and its refusals are that
+    call's: ``ValueError`` for a budget below 2 or NaN and for the seed u
+    (|u|^2 must be positive in floats), ``BudgetOverflow`` above 2^62.  Ties
+    resolve by (dist, norm, a, c, b, d); ``workers`` is accepted for
+    compatibility and has no effect.
     """
-    if math.isnan(float(T)):
-        raise ValueError("budget must not be NaN")
-    if _budget_int(T) < 2:
-        raise EmptyBudget(f"no elements with budget {T} pass filter {subgroup}")
     return approx_trace(u, v, [T], subgroup).records[0]
 
 
@@ -340,8 +340,7 @@ def approx_trace(
     materialized.
     """
     budgets = [float(T) for T in budgets]
-    if any(math.isnan(T) for T in budgets):
-        raise ValueError("budgets must not be NaN")
+    # a NaN budget passes the order checks and is refused by _budget_int
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
     if budgets[0] < 2:

@@ -62,6 +62,11 @@ def _parse_grid(text: str) -> list:
     return out
 
 
+def _orbit_times(text: str) -> list:
+    """The orbit times of a --Ts grid: each value floored, ascending, each once."""
+    return sorted({int(t) for t in _parse_grid(text)})
+
+
 def _parse_tau(text: str) -> float:
     """argparse type of --tau: a float or a fraction such as 7/64, in [0, 1/2)."""
     try:
@@ -242,7 +247,7 @@ def _cmd_hit_times(args, cfg: dict) -> int:
 def _cmd_ergodic_variance(args, cfg: dict) -> int:
     v = _parse_floats(args.v)
     spec = TargetSpec(v[0], v[1], args.delta)
-    Ts = [int(t) for t in _parse_grid(args.Ts)]
+    Ts = _orbit_times(args.Ts)
     curve = variance_curve(spec, Ts, args.samples, args.seed, workers=args.workers)
     _emit_csv(args.out, ["T", "value", "stderr"], curve.rows(), cfg)
     return 0
@@ -250,7 +255,7 @@ def _cmd_ergodic_variance(args, cfg: dict) -> int:
 
 def _cmd_miss_rate(args, cfg: dict) -> int:
     v = _parse_floats(args.v)
-    Ts = [int(t) for t in _parse_grid(args.Ts)]
+    Ts = _orbit_times(args.Ts)
     rates = miss_rate_curve(Ts, args.delta, v, args.samples, args.seed, workers=args.workers)
     rows = [(m.T, m.fraction, m.stderr) for m in rates]
     if args.format == "json":

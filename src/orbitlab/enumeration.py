@@ -129,7 +129,11 @@ class SubgroupFilter:
 
 
 def _budget_int(T: float) -> int:
+    """The integer budget floor(T) of a norm ball: the one check of a budget,
+    ValueError for NaN and BudgetOverflow beyond MAX_BUDGET."""
     T = float(T)
+    if math.isnan(T):
+        raise ValueError("budget must not be NaN")
     if not math.isfinite(T) or T > MAX_BUDGET:
         raise BudgetOverflow(f"budget {T!r} outside the exact enumeration range")
     return math.floor(T)

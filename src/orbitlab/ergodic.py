@@ -69,7 +69,6 @@ __all__ = [
     "matcoef_curve",
     "hit_set",
     "miss_rate_curve",
-    "shrinking_hit_experiment",
     "shrinking_hit_report",
     "window_hit_counts",
     "uniform_grid_experiment",
@@ -559,11 +558,6 @@ def shrinking_hit_report(eta: float, point, k_max: int, v) -> dict:
     flags = [f <= h for f, h in zip(_first_hits(_rep_of(point)[0], boxes, horizons).tolist(), horizons)]
     rows = [{"horizon": h, "delta": d, "hit": bool(f)} for (h, d), f in zip(levels, flags)]
     return {"eta": eta, "kMax": k_max, "T0": _certified_T0(flags, k_max), "levels": rows}
-
-
-def shrinking_hit_experiment(eta: float, point, k_max: int, v) -> Optional[int]:
-    """Least certified dyadic T0 with hits at every time in [T0, k_max], else None."""
-    return shrinking_hit_report(eta, point, k_max, v)["T0"]
 
 
 def window_hit_counts(point, v, eta: float, k_max: int) -> list:

@@ -13,10 +13,6 @@ class BudgetOverflow(OrbitLabError):
     """Requested norm budget exceeds the range where exact enumeration is supported."""
 
 
-class EmptyBudget(OrbitLabError):
-    """No group element passes the norm budget / subgroup filter."""
-
-
 class NonConvergence(OrbitLabError):
     """An iterative reduction failed to terminate; input is numerically invalid."""
 

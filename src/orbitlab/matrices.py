@@ -54,11 +54,6 @@ class LatticeElement:
         """Trace norm: sum of squared entries (an exact integer, always >= 2)."""
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
-    def apply(self, u) -> np.ndarray:
-        """Linear action on a plane vector: (a*u1 + b*u2, c*u1 + d*u2)."""
-        u1, u2 = float(u[0]), float(u[1])
-        return np.array([self.a * u1 + self.b * u2, self.c * u1 + self.d * u2])
-
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 

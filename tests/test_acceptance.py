@@ -18,7 +18,7 @@ from orbitlab.enumeration import count, enumerate_ball
 from orbitlab.ergodic import (
     hit_set,
     miss_rate_curve,
-    shrinking_hit_experiment,
+    shrinking_hit_report,
     variance_curve,
     window_hit_counts,
 )
@@ -227,7 +227,7 @@ def test_criterion_10_shrinking_target_regimes():
     found = sum(
         1
         for i in range(50)
-        if (T0 := shrinking_hit_experiment(0.25, reps[i], k_max, V0)) is not None and T0 <= k_max / 2
+        if (T0 := shrinking_hit_report(0.25, reps[i], k_max, V0)["T0"]) is not None and T0 <= k_max / 2
     )
     frac_found = found / 50
     # fast-shrinking regime: aggregated late-window hit counts taper to zero

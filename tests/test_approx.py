@@ -20,7 +20,7 @@ from orbitlab.approx import (
 )
 from orbitlab.cli import main
 from orbitlab.enumeration import SubgroupFilter
-from orbitlab.errors import BudgetOverflow, EmptyBudget, ExactHit, InsufficientData
+from orbitlab.errors import BudgetOverflow, ExactHit, InsufficientData
 from orbitlab.matrices import LatticeElement
 
 IDENTITY = LatticeElement(1, 0, 0, 1)
@@ -44,7 +44,8 @@ def test_best_approx_examples():
 
 
 def test_best_approx_empty_budget():
-    with pytest.raises(EmptyBudget):
+    # once EmptyBudget, now the refusal of the one-budget approx_trace
+    with pytest.raises(ValueError, match="first budget must be at least 2"):
         best_approx((1.0, 1.0), (2.0, 2.0), 1.5)
 
 
@@ -591,11 +592,15 @@ def test_trace_rejects_nan_budgets():
             approx_trace((1.4, 1.7), (1.2, 1.9), budgets)
     with pytest.raises(BudgetOverflow):
         approx_trace((1.4, 1.7), (1.2, 1.9), [16, math.inf])
-    with pytest.raises(ValueError):
-        best_approx((1.4, 1.7), (1.2, 1.9), math.nan)
-    for T in (math.inf, -math.inf):
-        with pytest.raises(BudgetOverflow):
+    # best_approx refuses what the one-budget approx_trace refuses: -inf is
+    # below 2 (a BudgetOverflow from best_approx before), +inf out of range
+    for T in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
             best_approx((1.4, 1.7), (1.2, 1.9), T)
+        with pytest.raises(ValueError):
+            approx_trace((1.4, 1.7), (1.2, 1.9), [T])
+    with pytest.raises(BudgetOverflow):
+        best_approx((1.4, 1.7), (1.2, 1.9), math.inf)
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -672,7 +677,7 @@ def test_group_translate_invariance_of_slope():
     g0 = LatticeElement(2, 1, 1, 1)  # upper_shear(1) @ lower_shear(1)
     for (u, v) in [((1.23, 1.91), (1.51, 1.17)), ((1.77, 1.31), (1.05, 1.89))]:
         m1 = estimate_exponents(approx_trace(u, v, budgets)).mu_hat
-        m2 = estimate_exponents(approx_trace(tuple(g0.apply(u)), v, budgets)).mu_hat
+        m2 = estimate_exponents(approx_trace(tuple(orbit_point(g0, u)), v, budgets)).mu_hat
         assert abs(m1 - m2) <= 0.1
 
 

@@ -6,12 +6,14 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
 import pytest
 
 import orbitlab
+from orbitlab import approx, cli, enumeration, ergodic, errors, homogeneous, matrices
 from orbitlab.cli import _build_parser, main
 from orbitlab.enumeration import load_elements
 
@@ -121,17 +123,35 @@ def test_targets_no_search_can_represent_are_config_errors(capsys, argv):
         ("survey --pairs 0 --budgets 256:4096:4", "n_pairs must be >= 1"),
         ("survey --pairs -3 --budgets 256:4096:4", "n_pairs must be >= 1"),
         ("survey --mode uniform --omega 1,2,1,2 --samples 1 --kmax 1", "k_max must be >= 2"),
+        # a NaN budget exited 3 (BudgetOverflow) before
+        ("enumerate --T nan", "budget must not be NaN"),
+        ("enumerate --T nan --dump TMP/nan/ball.i64", "budget must not be NaN"),
     ],
     ids=[
         "replay-header", "tail-fraction", "point", "grid", "tau-text", "tau-zero-division", "no-omega",
         "omega-order", "grid-eta", "report-eta", "report-eta-overflow", "report-kmax", "samples", "seed",
-        "pairs-0", "pairs-negative", "grid-kmax",
+        "pairs-0", "pairs-negative", "grid-kmax", "enumerate-nan", "enumerate-nan-dump",
     ],
 )
 def test_refused_inputs_exit_2(tmp_path, capsys, argv, message):
     (tmp_path / "bad.csv").write_text("T,dist\n16,0.5\n")
     rc, _, err = run(capsys, *shlex.split(argv.replace("TMP", str(tmp_path))))
     assert rc == 2 and message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]  # a refused run creates no file
+
+
+@pytest.mark.parametrize(
+    "argv, Ts",
+    [("miss-rate --Ts 1:4:1.1 --samples 50", [1, 2, 3]), ("ergodic-variance --Ts 2:4:1.2 --samples 50", [2, 3])],
+    ids=["miss-rate", "ergodic-variance"],
+)
+def test_ts_grids_write_each_time_once(tmp_path, capsys, argv, Ts):
+    # the grid values were floored and kept: miss-rate wrote T = 1 eight
+    # times, ergodic-variance T = 2 three times
+    path = tmp_path / "out.csv"
+    rc, _, _ = run(capsys, *argv.split(), "--out", str(path))
+    body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert rc == 0 and [int(l.split(",")[0]) for l in body[1:]] == Ts
 
 
 @pytest.mark.parametrize("window", ["-1", "-3"])
@@ -466,3 +486,18 @@ def test_approx_refuses_points_whose_squares_leave_the_floats(capsys, u, v, rc):
     else:
         dists = [float(l.split(",")[1]) for l in out.splitlines()[4:]]
         assert len(dists) == 4 and all(math.isfinite(d) and d > 0 for d in dists)
+
+
+def test_package_names_are_the_modules_public_names():
+    # each module's __all__ is the one list of its public names, and errors
+    # defines only public exception classes
+    modules = (matrices, enumeration, approx, homogeneous, ergodic)
+    for mod in (*modules, cli):
+        assert all(hasattr(mod, name) and not name.startswith("_") for name in mod.__all__), mod.__name__
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert all(not name.startswith("_") for name in classes)
+    public = {n for n in dir(orbitlab) if not n.startswith("_") and not isinstance(getattr(orbitlab, n), types.ModuleType)}
+    assert public == classes.union(*(mod.__all__ for mod in modules))
+    # names that restated another rule
+    assert not hasattr(ergodic, "shrinking_hit_experiment") and not hasattr(errors, "EmptyBudget")
+    assert not hasattr(matrices.LatticeElement, "apply")

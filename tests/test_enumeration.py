@@ -246,6 +246,10 @@ def test_budget_overflow():
         count(1e19)
     with pytest.raises(BudgetOverflow):
         list(enumerate_ball(float("inf")))
+    # a NaN budget is a value error (BudgetOverflow before)
+    for call in (count, elements_array):
+        with pytest.raises(ValueError, match="NaN"):
+            call(float("nan"))
 
 
 def test_filter_parsing_and_validation():

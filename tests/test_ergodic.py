@@ -17,11 +17,11 @@ from orbitlab.ergodic import (
     _first_hits,
     _grid_points,
     _hit_times,
+    _miss_chunk,
     _target_size,
     hit_set,
     matcoef_curve,
     miss_rate_curve,
-    shrinking_hit_experiment,
     shrinking_hit_report,
     uniform_grid_experiment,
     variance_curve,
@@ -215,7 +215,7 @@ def test_shrinking_certifies_threshold():
     reps = _haar_reps(10, seed=17)
     found = 0
     for i in range(10):
-        T0 = shrinking_hit_experiment(0.25, reps[i], 2**14, V0)
+        T0 = shrinking_hit_report(0.25, reps[i], 2**14, V0)["T0"]
         if T0 is not None:
             assert T0 <= 2**13
             found += 1
@@ -738,7 +738,7 @@ def test_uniform_grid_single_point_reduces_to_single_target():
     pt = haar_sample(1, seed=19)[0]
     v = (1.4, 1.2)
     rep = uniform_grid_experiment((v[0], v[0], v[1], v[1]), 0.2, pt, 2**12)
-    T0 = shrinking_hit_experiment(0.2, pt, 2**12, v)
+    T0 = shrinking_hit_report(0.2, pt, 2**12, v)["T0"]
     assert rep.T0 == T0
     assert all(l["nGrid"] == 1 for l in rep.levels)
 
@@ -1067,6 +1067,40 @@ def test_horizon_edges_match_brute_force():
             assert window_hit_counts(rep, V0, 0.0, K) == want
             cases += 1
     assert cases >= 100
+
+
+def test_miss_chunks_and_report_levels_match_brute_force():
+    # the first hits of a miss chunk (_first_hits on per-sample reps, as
+    # _miss_chunk calls it) at horizons K <= 64 with samples whose first
+    # brute hit lies at |k| = K and at K + 1: the first is the sample's
+    # answer, the second reads K + 1 as no hit does
+    reps = _haar_reps(40, seed=61)
+    spec = TargetSpec(*V0, 0.2)
+    first = [min((abs(k) for k, *_ in orbit_hits_brute(rep, 64, spec.box)), default=65) for rep in reps]
+    edges = {"at": 0, "beyond": 0}
+    for K in sorted({K for f in first if f <= 64 for K in (f - 1, f) if K >= 0}):
+        assert _miss_chunk((spec, [K], reps)).tolist() == [min(f, K + 1) for f in first]
+        edges["at"] += first.count(K)
+        edges["beyond"] += first.count(K + 1)
+    assert min(edges.values()) >= 30
+    # each level of a report hits when the level's flag test passes at some
+    # |k| <= its horizon 2^j; the oracle searches a box twice the level's
+    # size and applies the flag test to its floats
+    edges = {"at": 0, "beyond": 0}
+    for rep in reps:
+        report = shrinking_hit_report(0.25, rep, 64, V0)
+        flags = []
+        for level in report["levels"]:
+            h, d = level["horizon"], level["delta"]
+            box = (V0[0] - d, V0[0] + d, V0[1] - d, V0[1] + d)
+            hits = [k for k, p1, tau, _ in orbit_hits_brute(rep, h + 1, box) if abs(p1 - V0[0]) <= 0.5 * d and abs(tau - V0[1]) <= 0.5 * d]
+            f = min((abs(k) for k in hits), default=h + 2)
+            assert level["hit"] == (f <= h)
+            flags.append(f <= h)
+            edges["at"] += f == h
+            edges["beyond"] += f == h + 1
+        assert report["T0"] == _certified_T0(flags, 64)
+    assert min(edges.values()) >= 10
 
 
 @pytest.mark.parametrize(
