@@ -429,8 +429,8 @@ def estimate_exponents(trace: ApproxTrace, tail_fraction: float = 0.5) -> Expone
         raise ValueError("tail_fraction must be in (0, 1]")
     budgets = np.asarray(trace.budgets, dtype=float)
     dists = trace.dists()
-    cutoff = budgets[-1] ** (1.0 - tail_fraction)
-    mask = budgets >= cutoff
+    # budgets[-1:] is empty for an empty trace, whose tail the 8-point check refuses
+    mask = budgets >= budgets[-1:] ** (1.0 - tail_fraction)
     tail_d = dists[mask]
     if np.any(tail_d == 0.0):
         i = int(np.nonzero(mask)[0][int(np.argmax(tail_d == 0.0))])

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -196,6 +197,12 @@ def test_exponent_replay_and_exact_hit(tmp_path, capsys):
     doc = json.loads(open(out_path).read())
     assert doc["muHat"] == pytest.approx(0.5, abs=1e-9)
     assert doc["muHatFrobenius"] == pytest.approx(1.0, abs=1e-9)
+    # too short a trace is refused; an empty or header-only one ended with an
+    # IndexError traceback (exit 1) before
+    for lines, n in ((rows[:8], 7), (rows[:1], 0), ([], 0)):
+        trace_path.write_text("".join(line + "\n" for line in lines))
+        rc, _, err = run(capsys, "exponent", "--replay", str(trace_path))
+        assert rc == 3 and f"InsufficientData: only {n} budgets" in err
     # exact hit: target on the orbit
     rc, _, _ = run(
         capsys, "exponent", "--u", "1.5,1.25", "--v", "1.5,1.25",
@@ -300,31 +307,6 @@ def test_tau_fraction_strings(capsys, tmp_path):
         assert summary["theory"]["frobenius"]["anyTarget"][0] == pytest.approx(lo)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("enumerate", "--T", "40", "--out", "OUT"),
-        ("approx", "--u", "1.41,1.73", "--v", "1.2,1.5", "--budgets", "16:1024:2", "--out", "OUT"),
-        ("exponent", "--u", "1.31,1.77", "--v", "1.5,1.25", "--budgets", "256:262144:2", "--out", "OUT"),
-        ("survey", "--pairs", "2", "--budgets", "256:65536:2", "--seed", "9", "--out", "OUT"),
-        ("hit-times", "--eta", "0.3", "--kmax", "1024", "--samples", "2", "--seed", "4", "--out", "OUT"),
-        ("ergodic-variance", "--delta", "0.15", "--Ts", "16:256:4", "--samples", "400", "--seed", "2", "--out", "OUT"),
-        ("miss-rate", "--delta", "0.2", "--Ts", "16:256:4", "--samples", "400", "--seed", "2", "--out", "OUT"),
-        ("matcoef", "--delta", "0.15", "--ts", "1:64:4", "--samples", "400", "--seed", "2", "--out", "OUT"),
-    ],
-    ids=lambda a: a[0],
-)
-def test_rerun_byte_identical(tmp_path, capsys, argv):
-    p1, p2 = str(tmp_path / "run1.out"), str(tmp_path / "run2.out")
-    a1 = [x if x != "OUT" else p1 for x in argv]
-    a2 = [x if x != "OUT" else p2 for x in argv]
-    assert main(a1) == 0
-    assert main(a2) == 0
-    capsys.readouterr()
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
-    assert b1 == b2 and len(b1) > 0
-
-
 def test_quotient_commands_load_neither_scipy_nor_a_process_pool(tmp_path):
     # one fresh interpreter: the bump is a constant, and the pool is imported
     # only by a run with more than one worker
@@ -391,10 +373,15 @@ def test_options_no_command_reads_are_refused(capsys, argv):
     assert rc == 2 and "unrecognized arguments" in err
 
 
+def readme_commands() -> list:
+    """The argv lists of the README's command block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
 def test_readme_commands_parse():
     # the README's command block and the parser cannot drift apart
-    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = readme_commands()
     assert all(argv[0] == "orbitlab" for argv in commands)
     assert {argv[1] for argv in commands} == {
         "enumerate", "approx", "exponent", "survey", "hit-times", "ergodic-variance", "miss-rate", "matcoef",
@@ -402,6 +389,19 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_bench_readme_runs_cover_the_readme_commands():
+    # tools/bench.py's readme mode checks every README subcommand for
+    # identical outputs, so a new README command cannot skip that check
+    spec = importlib.util.spec_from_file_location("bench", README.parent / "tools" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = [argv.split() for argv in bench.README_RUNS.values()]
+    assert {argv[0] for argv in runs} == {argv[1] for argv in readme_commands()}
+    parser = _build_parser()
+    for argv in runs:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize(

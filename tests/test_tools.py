@@ -1,6 +1,8 @@
-"""tools/ab_timing.py, tools/bench_pairs.py and tools/src_lines.py run on
-this checkout, each in a process of its own."""
+"""tools/bench.py and tools/src_lines.py run on this checkout, each in a
+process of its own."""
 
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,23 +10,62 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_timing_compares_a_checkout_with_itself():
-    argv = [sys.executable, str(ROOT / "tools" / "ab_timing.py"), str(ROOT), str(ROOT)]
-    sets = "member,bump-tall,nonreduced-hit-set,report,count,elements"
-    done = subprocess.run(argv + ["--rounds", "2", "--sets", sets], capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[:6] == [
-        "member       outputs: 0 of 2000 values differ",
-        "bump-tall    outputs: 0 of 2000 values differ",
-        "nonreduced-hit-set outputs: 0 of 1132 values differ",
-        "report       outputs: 0 of 6208 values differ",
-        "count        outputs: 0 of 1 values differ",
-        "elements     outputs: 0 of 595240 values differ",
+def bench_argv(*args) -> list:
+    return [sys.executable, str(ROOT / "tools" / "bench.py"), *map(str, args)]
+
+
+def bench(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(bench_argv(*args), capture_output=True, text=True, timeout=120)
+
+
+def test_bench_compares_a_checkout_with_itself(tmp_path):
+    # the subprocess modes run beside the in-process one: the test checks
+    # the results and their schema, not the times read
+    argv = bench_argv(ROOT, ROOT, "workloads", "readme", "--only", "ball,approx", "--rounds", "1", "--seconds", "1")
+    side = subprocess.Popen(argv + ["--json", tmp_path / "1.json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    layers = bench(ROOT, ROOT, "layers", "--only", "member,report,count", "--rounds", "2", "--json", tmp_path / "0.json")
+    _, err = side.communicate(timeout=120)
+    assert (layers.returncode, side.returncode) == (0, 0), (layers.stderr, err)
+    assert layers.stdout.splitlines()[:3] == [
+        "member           outputs: 0 of 2000 values differ, by at most 0 relative",
+        "report           outputs: 0 of 6208 values differ, by at most 0 relative",
+        "count            outputs: 0 of 1 values differ, by at most 0 relative",
     ]
-    assert [l.split()[1] for l in lines[7:]] == ["parent", "change", "ratio"] * 6
-    bad = subprocess.run(argv + ["--sets", "nope"], capture_output=True, text=True, timeout=120)
-    assert bad.returncode == 2 and "unknown call sets" in bad.stderr
+    docs = [json.loads((tmp_path / f"{i}.json").read_text()) for i in range(2)]
+    names = {
+        "layers": {name: ["us_per_call"] for name in ("member", "report", "count")},
+        "workloads": {"ball": ["wall_s", "setup_s", "op_p50_ms", "op_tail_ms", "cpu_s", "peak_rss_mb"]},
+        "readme": {"approx": ["w1_wall_s", "w1_peak_rss_mb", "w2_wall_s", "w2_peak_rss_mb"]},
+    }
+    modes = docs[0]["modes"] | docs[1]["modes"]
+    assert {mode: {name: list(r["metrics"]) for name, r in res.items()} for mode, res in modes.items()} == names
+    for doc, rounds in zip(docs, (2, 1)):
+        meta = doc["meta"]
+        assert meta["parent"] == meta["change"] and set(meta["parent"]) == {"sha", "dirty", "srcLines"}
+        assert meta["parent"]["srcLines"]["code"] > 0 and meta["nproc"] >= 1 and len(meta["loadavg"]) == 2
+        assert {"python", "numpy"} <= set(meta) and meta["options"]["rounds"] == rounds
+    for res in modes.values():
+        for r in res.values():
+            assert r["problems"] == []
+            for row in r["metrics"].values():
+                assert set(row) == {"parent", "change", "unit", "ratio", "changeLower"}
+                assert row["parent"][0] <= row["parent"][1] <= row["parent"][2] and row["ratio"] > 0
+    assert modes["layers"]["member"]["check"] == {"values": 2000, "differ": 0, "maxRel": 0.0}
+    assert set(modes["readme"]["approx"]["check"]) == {"exitCode", "stdout", "trace.csv"}
+    assert modes["readme"]["approx"]["check"]["exitCode"] == 0
+    bad = bench(ROOT, ROOT, "readme", "--only", "nope")
+    assert bad.returncode == 2 and "unknown names ['nope']" in bad.stderr
+
+
+def test_bench_readme_names_a_command_whose_outputs_differ(tmp_path):
+    # every output file carries the package version, so a copy with another
+    # version writes other bytes
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = tmp_path / "src" / "orbitlab" / "__init__.py"
+    init.write_text(init.read_text().replace('__version__ = "', '__version__ = "0.0.0+'))
+    done = bench(ROOT, tmp_path, "readme", "--only", "approx", "--rounds", "1")
+    assert done.returncode == 1
+    assert "readme approx: change --workers 1: exit code 0, differs from the first run in ['trace.csv']" in done.stderr
 
 
 # 21 lines, 8 of them code: docstrings, comments and blank lines are not,
@@ -72,21 +113,3 @@ def test_src_lines_counts_code_lines(tmp_path):
     total = counts.pop("total")
     assert "ergodic.py" in counts
     assert total == tuple(map(sum, zip(*counts.values())))
-
-
-def test_bench_pairs_compares_a_checkout_with_itself(tmp_path):
-    argv = [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), str(ROOT), str(ROOT), "--workload", "ball"]
-    done = subprocess.run(argv + ["--pairs", "1", "--seconds", "1"], capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "ball, seed 3001, --seconds 1, 1 pairs: q1, median, q3"
-    names = ["wall_s", "setup_s", "op_p50_ms", "op_tail_ms", "cpu_s", "peak_rss_mb"]
-    assert [l.split()[:2] for l in lines[1:]] == [[n, s] for n in names for s in ("parent", "change", "ratio")]
-    assert "only the" not in done.stderr  # one tree, so both sides hold the same bytecode
-    # trees without a benchmark: the first run fails, after the warning that
-    # only one of them holds bytecode
-    (tmp_path / "a" / "src" / "orbitlab" / "__pycache__").mkdir(parents=True)
-    (tmp_path / "b").mkdir()
-    argv[2:4] = [str(tmp_path / "a"), str(tmp_path / "b")]
-    bad = subprocess.run(argv + ["--pairs", "1", "--seconds", "1"], capture_output=True, text=True, timeout=300)
-    assert bad.returncode == 1 and "only the parent tree holds" in bad.stderr and "parent run 1" in bad.stderr

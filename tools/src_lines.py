@@ -46,16 +46,17 @@ def count_lines(text: str) -> tuple:
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
+def counts(root: Path) -> dict:
+    """{module: (lines, code lines)} of the modules of a package directory,
+    and their sum under "total"."""
+    rows = {path.name: count_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    return rows | {"total": tuple(map(sum, zip(*rows.values()))) or (0, 0)}
+
+
 def main(argv: list) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/orbitlab")
-    total = [0, 0]
     print(f"{'module':<20} {'lines':>6} {'code':>6}")
-    for path in sorted(root.glob("*.py")):
-        lines, code = count_lines(path.read_text())
-        total[0] += lines
-        total[1] += code
-        print(f"{path.name:<20} {lines:>6} {code:>6}")
-    print(f"{'total':<20} {total[0]:>6} {total[1]:>6}")
+    for name, (lines, code) in counts(Path(argv[1] if len(argv) > 1 else "src/orbitlab")).items():
+        print(f"{name:<20} {lines:>6} {code:>6}")
     return 0
 
 
