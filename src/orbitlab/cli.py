@@ -147,10 +147,9 @@ def _found_summary(per_sample: list) -> dict:
 
 def _cmd_enumerate(args, cfg: dict) -> int:
     (_row_budget if args.dump else _budget_int)(args.T)  # a budget out of range touches no file
-    if args.dump:
+    if args.dump:  # fail before the ball is counted
         os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
-    for path in filter(None, (args.dump, args.out)):  # fail before the ball is counted
-        open(path, "a").close()
+        open(args.dump, "a").close()
     if args.dump:  # the dump counts what it writes
         n = dump_elements(args.dump, args.T, args.filter)
     else:
@@ -387,6 +386,11 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ValueError("--workers must be >= 1")
+        if args.out:  # fail before the run, and leave no file the check made
+            made = not os.path.exists(args.out)
+            open(args.out, "a").close()
+            if made:
+                os.remove(args.out)
         return args.fn(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -368,27 +368,64 @@ def _at(cols: list, w) -> list:
     return [c[w] if isinstance(c, np.ndarray) else c for c in cols]
 
 
-def _bezout_rows(c: np.ndarray, d: np.ndarray) -> tuple:
-    """Top rows (a0, b0) with a0*d - b0*c = 1 for primitive int64 bottom rows.
+# Fewer rows than this are completed in Python integers by _bezout_rows:
+# numpy's fixed cost per call dominates a small block.
+_SCALAR_ROWS = 96
 
-    The scalar extended Euclid algorithm on (d, c), run on all rows at once.
-    Only the coefficient x of d is carried; y follows exactly from
-    d*x + c*y = 1.  Integer division by zero
-    gives 0 here, so a finished row (one remainder zero, the other the gcd
-    +-1) swaps its two states each further round harmlessly, which lets the
-    loop test for the end every second round only, and c == 0 yields y = 0.
-    Products stay below 2^63 for |c|, |d| <= 2^31.
+
+def _bezout_row(c: int, d: int) -> tuple:
+    """(a0, b0) with a0*d - b0*c = 1 for a primitive row of Python
+    integers: a0 = d^-1 mod |c| in [0, |c|), or a0 = d for c == 0."""
+    a0 = pow(d, -1, abs(c)) if c else d
+    return a0, (a0 * d - 1) // c if c else 0
+
+
+def _bezout_rows(c: np.ndarray, d: np.ndarray, bound=None) -> tuple:
+    """(a0, b0, prim) for int64 bottom rows (c, d) with |c|, |d| <= 2^31:
+    prim marks the primitive rows, and on them a0*d - b0*c = 1 and
+    |a0| <= max(|c|, 1).  bound, when given, is at least every |c| and |d|.
+
+    A block of _SCALAR_ROWS rows or more runs the nearest-integer Euclid
+    algorithm on (d, c) (Knuth, TAOCP vol. 2, 4.5.3), on all rows at once in
+    floats.  A round takes the last two remainders (r0, r1) to
+    (r1, r0 - q*r1), q = rint(r0/r1), and their coefficients x of d
+    (r = x*d + y*c) alike.  The last nonzero remainder is +-gcd, so prim
+    comes from the same loop, a0 is that remainder's x times its sign, and
+    b0 = (a0*d - 1)/c follows in int64 (c == 0 gives 0).  A finished row
+    (r1 == 0) divides by 2^40 instead: its quotient is 0 and it only swaps
+    its two states, until every row has finished.  A smaller block takes
+    _bezout_row's top rows.
+
+    Exactness.  From the second round on |r1| <= |r0|/2, and
+    x0*r1 - x1*r0 = +-c gives |x1*r0| <= |c| + |x0*r0'|/4, r0' the remainder
+    before r0, so by induction |x1*r0| < 4|c|/3: every coefficient is below
+    4|c|/3, and every product q*r1 or q*x1 (a difference of two remainders,
+    or of two coefficients) below 3*max(|c|, |d|).  All of them are integers
+    that float32 holds exactly when every |c|, |d| < 2^22 (all below 2^24),
+    and float64 otherwise.  The float quotient rounds to the nearest integer
+    of the exact one: r0/r1, unless it is a half-integer, lies at least
+    1/(2|r1|) from every half-integer, beyond its rounding error
+    |r0/r1|*2^-24.  The last nonzero remainder, +-1 on a primitive row,
+    follows one at least twice as large, hence |a0| <= 2|c|/3 (a0 = 0 for
+    c = +-1, a0 = d for c = 0).
     """
-    old_r, r = d, c
-    old_x, x = np.ones(c.size, dtype=np.int64), np.zeros(c.size, dtype=np.int64)
+    if c.size < _SCALAR_ROWS:
+        rows = list(zip(c.tolist(), d.tolist()))
+        prim = [math.gcd(x, y) == 1 for x, y in rows]
+        top = [_bezout_row(*r) if p else (0, 0) for r, p in zip(rows, prim)]
+        return np.array([t[0] for t in top], np.int64), np.array([t[1] for t in top], np.int64), np.array(prim, bool)
+    if bound is None:
+        bound = max(c.max(), -c.min(), d.max(), -d.min())
+    st = np.zeros((2, 2, c.size), np.float32 if bound < 2**22 else float)
+    st[0, 0], st[0, 1], st[1, 0] = d, 1.0, c
+    old, new = st  # each row's (remainder, coefficient) pairs: r0 and x0, r1 and x1
+    while np.count_nonzero(old[0] * new[0]):  # a row is done once a remainder is 0
+        q = np.rint(old[0] / np.where(new[0], new[0], 2.0**40))
+        old -= q * new
+        old, new = new, old
+    a0 = (old[1] * old[0] + new[1] * new[0]).astype(np.int64)
     with np.errstate(divide="ignore"):
-        while (old_r * r).any():
-            for _ in range(2):
-                q = old_r // r
-                old_r, r = r, old_r - q * r
-                old_x, x = x, old_x - q * x
-        x = x * r + old_x * old_r  # the final coefficient times the gcd: gcd normalized to +1
-        return x, (d * x - 1) // c  # b0 = -y
+        return a0, (d * a0 - 1) // c, np.abs(old[0] + new[0]) == 1.0
 
 
 def _window_rows(g, tau_lo, tau_hi, sig_lo, sig_hi, reduced: dict):
@@ -510,7 +547,8 @@ def _lattice_points(gs, windows):
     as a call on it alone gives them.
     The caller may modify the arrays.  Every point of a closed window comes
     once; tau is filtered exactly, sigma only up to the rounding slack, and no
-    gcd is taken, so callers filter before completing rows.  The tau window
+    gcd is taken: _bezout_rows, which completes the rows, marks the
+    primitive ones.  The tau window
     may have either sign.  Cost: a scalar reduction per window plus a fixed
     number of array passes per block, O(points + rows).
     """
@@ -562,13 +600,14 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     shear-window boundaries themselves.  Requires tau_lo > 0 (the chart
     constraint).
 
-    Each block of _lattice_points is cut to the shear windows and to
-    primitive rows before Bezout completion.  On one core of a shared 2-core
-    Xeon (best of 7): about 55 us for a lone window of a delta = 0.1 box
-    at one orbit time (membership takes the rows), 15 us per window of a
-    batch of 512 such windows (their scalar set-up), and 0.2 us per lattice
-    point or 0.4 us per candidate of a wide window (40k points, 22k
-    candidates in 8 ms).
+    Each block of _lattice_points is cut to the shear windows, and one
+    _bezout_rows call completes its rows and marks the primitive ones; a
+    non-primitive row gets no top-row shifts.  On one core of a shared
+    2-core Xeon (best of 7): about 27 us for a lone window of a delta = 0.1
+    box at one orbit time (membership takes the rows), 8 us per window of a
+    batch of 512 such windows (their scalar set-up), and 0.15 us per
+    lattice point or 0.09 us per candidate of a wide window (14k points,
+    23k candidates in 2.1 ms; 0.3 us per point at 700 points).
     """
     reps = np.asarray(reps, dtype=float)
     reps = [reps.tolist()] * len(bounds) if reps.ndim == 2 else reps.tolist()
@@ -586,18 +625,18 @@ def _box_candidates_batch(reps, bounds) -> tuple:
             p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1]) for g, b in zip(reps, bounds)])
         s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
-        keep = (s_lo <= s) & (s <= s_hi) & (np.gcd(c, d) == 1)
+        keep = (s_lo <= s) & (s <= s_hi)
         c, d, tau, s = c[keep], d[keep], tau[keep], s[keep]
         if not c.size:
             continue
         many = isinstance(w, np.ndarray)  # else the one window with rows
         w = w[keep] if many else w
         p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
-        a0, b0 = _bezout_rows(c, d)
+        a0, b0, prim = _bezout_rows(c, d)
         w1 = a0 * g01 + b0 * g11
         m_lo = np.ceil((p1_lo - w1) / tau - 1e-9)
         m_hi = np.floor((p1_hi - w1) / tau + 1e-9)
-        n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64)
+        n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64) * prim  # no shifts for a non-primitive row
         if not n_m.any():
             continue
         # top rows (a0, b0) + m*(c, d), m ascending per bottom row
@@ -663,8 +702,8 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
     bitwise.  Of each pair +-(c, d) the row with tau > 0 is
     tried.  The rows number about 30 at most while k <= 16*y (tau_hi up to
     about 3.5); a larger box gets None.  The top row of a primitive row
-    comes from pow(d, -1, |c|); p1 depends only on the integer top row, not
-    on the Bezout solution that seeds the shifts.
+    comes from _bezout_row; p1 depends only on the integer top row, not on
+    the Bezout solution that seeds the shifts.
     """
     (g00, g01), (g10, g11) = g
     p1_lo, p1_hi, tau_lo, tau_hi = box
@@ -683,8 +722,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
                 continue
             s = (cs * g00 + ds * g10) / tau
             if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
-                a0 = pow(ds, -1, abs(cs)) if cs else ds  # a0*ds - b0*cs = 1
-                b0 = (a0 * ds - 1) // cs if cs else 0
+                a0, b0 = _bezout_row(cs, ds)
                 w1 = a0 * g01 + b0 * g11
                 for m in range(math.ceil((p1_lo - w1) / tau - 1e-9), math.floor((p1_hi - w1) / tau + 1e-9) + 1):
                     p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11

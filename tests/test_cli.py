@@ -463,6 +463,25 @@ def test_enumerate_checks_paths_first_and_counts_once(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
+    "argv, spied",
+    [
+        ("approx --u 1.41,1.73 --v 1.2,1.5 --budgets 256:1048576:2", "approx_trace"),
+        ("ergodic-variance --delta 0.1 --Ts 64:4096:2 --samples 2000", "variance_curve"),
+    ],
+    ids=["approx", "ergodic-variance"],
+)
+def test_out_is_checked_before_the_run(tmp_path, capsys, monkeypatch, argv, spied):
+    # an --out under a missing directory once failed only after the whole
+    # run (0.67 s for these 2000 samples); now nothing is computed, and the
+    # check leaves no file behind
+    calls = []
+    monkeypatch.setattr(cli, spied, lambda *a, **k: calls.append(a))
+    rc, out, err = run(capsys, *argv.split(), "--out", str(tmp_path / "missing" / "x.csv"))
+    assert (rc, out, calls) == (2, "", []) and "config error" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "u, v, rc",
     [
         ("1e-170,1e-170", "1,2", 2),  # |u|^2 underflows to 0 (a ZeroDivisionError before)

@@ -18,6 +18,7 @@ from orbitlab.ergodic import (
     _grid_points,
     _hit_times,
     _miss_chunk,
+    _variance_chunk,
     _target_size,
     hit_set,
     matcoef_curve,
@@ -1101,6 +1102,66 @@ def test_miss_chunks_and_report_levels_match_brute_force():
             edges["beyond"] += f == h + 1
         assert report["T0"] == _certified_T0(flags, 64)
     assert min(edges.values()) >= 10
+
+
+def test_variance_chunk_bump_sums_match_brute_force():
+    # the bump sums of a variance chunk (_variance_chunk on a batch of
+    # samples, as variance_curve calls it, and on each sample alone) at
+    # orbit times T <= 64 where samples have bump-weighted brute hits at
+    # |k| = T and at T + 1: the first enters beta(T), the second does not
+    spec = TargetSpec(*V0, 0.45)
+    reps = _haar_reps(40, seed=61)
+    m = bump_mean(spec)
+    weighted = []  # per sample, the (|k|, weight) of its brute hits with weight > 0
+    for rep in reps:
+        hits = np.array(orbit_hits_brute(rep, 65, _bump_box(spec))).reshape(-1, 4)
+        w = _bump_weight(spec, hits[:, 1], hits[:, 2]) * bump(hits[:, 3])
+        weighted.append([(abs(int(k)), x) for k, x in zip(hits[:, 0].tolist(), w.tolist()) if x > 0.0])
+    times = [{k for k, _ in hs} for hs in weighted]
+    Ts = [T for T in range(1, 65) if sum(T in t and T + 1 in t for t in times) >= 2][:6]
+    assert len(Ts) == 6
+    devs = np.array([[sum(x for k, x in hs if k <= T) / (2 * T + 1) - m for T in Ts] for hs in weighted])
+    for n, rep in enumerate(reps):
+        s1, s2 = _variance_chunk((spec, Ts, rep[None]))
+        assert s1 == pytest.approx(devs[n] ** 2, rel=1e-12, abs=0.0)
+        assert s2 == pytest.approx(devs[n] ** 4, rel=1e-12, abs=0.0)
+    s1, s2 = _variance_chunk((spec, Ts, reps))
+    assert s1 == pytest.approx((devs**2).sum(axis=0), rel=1e-12, abs=0.0)
+    assert s2 == pytest.approx((devs**4).sum(axis=0), rel=1e-12, abs=0.0)
+
+
+def test_window_counts_match_brute_force_with_shrinking_targets():
+    # window_hit_counts at eta > 0, where each time k has its own target
+    # size min(cap, |k|^-eta): targets planted so that a brute hit at time
+    # k <= 64 lies on an end of the box of its time's size, and one float
+    # outside it.  The oracle searches a box that holds every target near
+    # the hit and applies each time's own flag test to its floats
+    K = 64
+    planted = 0
+    for n, rep in enumerate(_haar_reps(8, seed=61)):
+        eta = (0.25, 0.5, 0.75)[n % 3]
+        for k, p1, tau, _ in sorted(orbit_hits_brute(rep, K, (-2.0, 2.0, 0.7, 1.5)), key=lambda h: -abs(h[0]))[:3]:
+            dk = _target_size(abs(k), eta, _delta_cap(tau))
+            # time 0 has no target; the windows start at |k| = 1
+            hits = [h for h in orbit_hits_brute(rep, K, (p1 - 0.5, p1 + 0.5, tau - 0.5, tau + 0.5)) if h[0]]
+            for end in range(4):
+                for out in (False, True):
+                    value = (p1, tau)[end // 2]
+                    if out:
+                        value = math.nextafter(value, math.inf if end % 2 == 0 else -math.inf)
+                    spec = spec_with_end((p1, tau), end, value, dk)
+                    if spec is None or _target_size(abs(k), eta, _delta_cap(spec.v2)) != dk:
+                        continue
+                    v1, v2 = spec.v1, spec.v2
+                    size = [_target_size(abs(h[0]), eta, _delta_cap(v2)) for h in hits]
+                    inside = [h for h, d in zip(hits, size) if abs(h[1] - v1) <= 0.5 * d and abs(h[2] - v2) <= 0.5 * d]
+                    assert ((k, p1, tau) in {h[:3] for h in inside}) == (not out)
+                    ks = {h[0] for h in inside}
+                    want = [(lo, min(2 * lo - 1, K)) for lo in (2**j for j in range(7))]
+                    want = [{"lo": lo, "hi": hi, "count": sum(lo <= abs(x) <= hi for x in ks)} for lo, hi in want]
+                    assert window_hit_counts(rep, (v1, v2), eta, K) == want
+                    planted += 1
+    assert planted >= 150
 
 
 @pytest.mark.parametrize(

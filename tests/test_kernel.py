@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from orbitlab.homogeneous import (
     Y_MAX,
+    _SCALAR_ROWS,
     _bezout_rows,
     _box_candidates_batch,
     _lattice_points,
@@ -278,17 +279,62 @@ def test_lone_window_matches_batch(g, window):
     assert lone == [p[1:] for p in both if p[0] == 0]
 
 
+def _fibonacci_rows(limit: int) -> list:
+    """Consecutive Fibonacci pairs up to limit, in both orders and with every
+    sign pattern: the longest runs of the Euclid algorithm for their size."""
+    f, rows = [1, 2], []
+    while f[-1] + f[-2] <= limit:
+        f.append(f[-1] + f[-2])
+    for a, b in zip(f, f[1:]):
+        rows += [(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)]
+        rows += [(sb * b, sa * a) for sa in (1, -1) for sb in (1, -1)]
+    return rows
+
+
+# the zero and unit rows, a non-primitive row, the ends of the range, and the
+# float32 / float64 switch of _bezout_rows at max(|c|, |d|) = 2^22
+BEZOUT_EDGES = [(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (2, 4), (-2, 4), (2**31, 1), (1, -(2**31)),
+                (2**31, 2**31 - 1), (-(2**31), 2**31), (2**31, 2), (2**22 - 1, 2**22 - 2), (2**22 - 1, -3),
+                (2**22, 2**22 - 1), (3, 2**22), (2**22, 2**21), (0, 2**31), (2**31, 0), (2**31, 2**30)]
 pairs = st.tuples(st.integers(-(2**31), 2**31), st.integers(-(2**31), 2**31))
+# non-primitive rows: a pair times a common factor, within the range
+multiples = st.integers(2, 6).flatmap(
+    lambda k: st.tuples(st.integers(-(2**31) // k, 2**31 // k), st.integers(-(2**31) // k, 2**31 // k)).map(
+        lambda p: (p[0] * k, p[1] * k)))
+# rows of a block that float32 holds exactly, and rows near 2^25 that it does not
+small_pairs = st.tuples(st.integers(-(2**22), 2**22), st.integers(-(2**22), 2**22))
+mid_pairs = st.tuples(st.integers(-(2**26), 2**26), st.integers(-(2**26), 2**26))
 
 
-@given(st.lists(pairs, min_size=1, max_size=40))
-def test_bezout_rows_match_scalar_euclid(rows):
-    rows = [(c, d) for c, d in rows if math.gcd(c, d) == 1]
-    rows += [(0, 1), (0, -1), (1, 0), (-1, 0), (1, 2**31), (-(2**31), 2**31 - 1), (2**31, -1)]
-    c = np.array([r[0] for r in rows], dtype=np.int64)
-    d = np.array([r[1] for r in rows], dtype=np.int64)
-    a0, b0 = _bezout_rows(c, d)
-    for (cc, dd), x, y in zip(rows, a0.tolist(), b0.tolist()):
-        assert x * dd - y * cc == 1
-        _, xs, ys = ext_gcd(dd, cc)
-        assert (x, y) == (xs, -ys)
+def check_bezout_rows(rows: list) -> None:
+    """_bezout_rows' contract on rows: prim is gcd == 1, and a primitive row's
+    top row completes it with |a0| <= max(|c|, 1).  The rows run as given,
+    and repeated to _SCALAR_ROWS or more rows, so that both the Python and
+    the float path see them, the float one with the rows' own bound (float32
+    below 2^22) and with 2^31 (float64).  A RuntimeWarning (a division by
+    zero) fails the test through pyproject's filter."""
+    wide = rows * (_SCALAR_ROWS // max(len(rows), 1) + 1)
+    for block, bound in ((rows, None), (wide, None), (wide, 2**31)):
+        c = np.array([r[0] for r in block], dtype=np.int64)
+        d = np.array([r[1] for r in block], dtype=np.int64)
+        a0, b0, prim = _bezout_rows(c, d, bound)
+        assert [a.dtype for a in (a0, b0, prim)] == [np.int64, np.int64, np.bool_]
+        for (cc, dd), x, y, p in zip(block, a0.tolist(), b0.tolist(), prim.tolist()):
+            assert p == (math.gcd(cc, dd) == 1), (cc, dd)
+            if p:
+                assert x * dd - y * cc == 1, (cc, dd)
+                assert abs(x) <= max(abs(cc), 1), (cc, dd)
+
+
+@given(st.lists(st.one_of(pairs, multiples, small_pairs, mid_pairs), min_size=1, max_size=40))
+def test_bezout_rows_contract(rows):
+    # the drawn rows alone and among the fixed ones
+    check_bezout_rows(rows)
+    check_bezout_rows(rows + BEZOUT_EDGES)
+
+
+def test_bezout_rows_fixed_rows():
+    for rows in (BEZOUT_EDGES, _fibonacci_rows(2**22 - 1), _fibonacci_rows(2**26), _fibonacci_rows(2**31), []):
+        check_bezout_rows(rows)
+    for row in BEZOUT_EDGES:  # a block of one repeated row takes the dtype of its size
+        check_bezout_rows([row])

@@ -114,6 +114,10 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
         "miss-rate": (1, lambda: ol.miss_rate_curve([16, 64, 256], 0.1, V0, 512, seed=1)),
         "best-approx": (len(pairs), lambda: [ol.best_approx(u, v, 11_000) for u, v in pairs]),
         "trace": (5, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 23)]).records for u, v in pairs[:5]]),
+        # the README survey grid to 2^54, whose deep scans have rows beyond 2^22
+        "deep-trace": (2, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 28)]).records for u, v in pairs[:2]]),
+        # one 512-sample chunk of ergodic-variance at delta = 0.1, T = 64 .. 4096
+        "variance": (1, lambda: ol.variance_curve(ol.TargetSpec(*V0, 0.1), [2**k for k in range(6, 13)], 512, seed=1)),
         "elements": (2, lambda: [ol.elements_array(2 * 10**4, ol.SubgroupFilter.parse(f)) for f in ("full", "gamma0:3")]),
         "count": (1, lambda: ol.count(10**5)),
         "count-gamma0": (2, lambda: [ol.count(5 * 10**4, ol.SubgroupFilter.gamma0(n)) for n in (3, 97)]),
