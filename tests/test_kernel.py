@@ -291,8 +291,8 @@ def _fibonacci_rows(limit: int) -> list:
     return rows
 
 
-# the zero and unit rows, a non-primitive row, the ends of the range, and the
-# float32 / float64 switch of _bezout_rows at max(|c|, |d|) = 2^22
+# the zero and unit rows, non-primitive rows (gcds 2 to 2^31), the ends of the
+# range, and the float32 / float64 switch of _bezout_rows at max(|c|, |d|) = 2^22
 BEZOUT_EDGES = [(0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (2, 4), (-2, 4), (2**31, 1), (1, -(2**31)),
                 (2**31, 2**31 - 1), (-(2**31), 2**31), (2**31, 2), (2**22 - 1, 2**22 - 2), (2**22 - 1, -3),
                 (2**22, 2**22 - 1), (3, 2**22), (2**22, 2**21), (0, 2**31), (2**31, 0), (2**31, 2**30)]
