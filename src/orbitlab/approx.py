@@ -14,7 +14,11 @@ that count.  The first scan starts from the identity, which has norm
 2 and lies in every filter.  The rows of the strip come from the quotient
 side's lattice-point search, whose cost follows the rows rather than
 sqrt(budget), and one selection computes every distance and breaks ties by
-(dist, norm, a, c, b, d).  No ball is ever materialized.
+(dist, norm, a, c, b, d).  No ball is ever materialized.  As budgets grow
+and eps shrinks, a scan's strip lies inside the last one's in the image
+coordinate and reaches further along the other, so a scan completes only
+the rows outside the last scan's seen sigma range, and the last scan
+carries forward only its candidate-bearing rows.
 
 Exponents come from one estimate: _exponent_row turns a trace into the
 fields that `orbitlab exponent` and every survey row report, the fit of
@@ -226,80 +230,170 @@ def _predicted_points(u, w, Tint: int, eps: float) -> float:
     return max(tau_hi - tau_lo, 0.0) * (sig_hi - sig_lo)
 
 
-def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple) -> list:
+# The rows (c, d, tau, a0, b0) of a scan that keeps none.
+_NO_ROWS = [np.empty(0, np.int64)] * 2 + [np.empty(0)] + [np.empty(0, np.int64)] * 2
+
+# Most rows a scan carries to the next one (0.6 MB).  A generic trace keeps
+# under 2,000 (the benchmark's survey pairs to 4^27); a seed on an axis,
+# whose every row can bear a candidate, exceeds it, and its next scan then
+# completes its whole window again rather than hold the rows.
+_CARRY_ROWS = 1 << 14
+
+
+def _strip_rows(g, window, r: int, seen, cut: bool, old: list):
+    """The row source of a strip scan: per block of the window's lattice
+    points, the arrays (c, d, tau, a0, b0) of its primitive rows in the entry
+    square |c|, |d| <= r, with a0*d - b0*c = 1.  The rows carried from
+    earlier scans, old (a list of at most one block), join the first block.
+
+    A row with both entries even is never primitive and is dropped before
+    _bezout_rows completes the rest.  seen, when not negative, drops the
+    rows with float |sigma| <= seen, which an earlier scan of the trace
+    completed (see _strip_improve).  cut drops the rows beyond the window's
+    float sigma, which _lattice_points yields up to its rounding slack, so
+    that a later scan can tell which rows were completed.
+    """
+    for _, c, d, tau, sigma in _lattice_points([g], [window]):
+        keep = (np.maximum(np.abs(c), np.abs(d)) <= r) & ((c | d) & 1 == 1)
+        if cut:
+            keep &= np.abs(sigma) <= window[3]
+        if seen >= 0.0:
+            keep &= np.abs(sigma) > seen
+        c, d, tau = c[keep], d[keep], tau[keep]
+        a0, b0, prim = _bezout_rows(c, d, r)
+        rows = [c[prim], d[prim], tau[prim], a0[prim], b0[prim]]
+        if rows[0].size:
+            yield [np.concatenate(x) for x in zip(old.pop(), rows)] if old else rows
+    yield from old
+
+
+def _shift_windows(rows: list, u, w1: float, reach: float) -> tuple:
+    """The rows (c, d, tau, a0, b0) whose first coordinate can come within
+    reach of w1, and the float bounds (w_lo, w_hi) of those shifts m, with
+    the mask of the rows with tau == 0, which are always kept.
+
+    The float p1 + m*tau and the exact first coordinate of shift m differ
+    by the errors of p1 and of m*tau (|m*c|, |m*d| <= 2*sqrt(Tint) for a
+    shift that fits), and the float coordinate of _least_key differs from
+    the exact one by a third error.  Each is below the err of _strip_window,
+    so a scan reaches 3*err beyond eps: a row whose float tau is a rounding
+    residue spans every shift that fits.  A subnormal tau (deeply subnormal
+    seeds) overflows the bounds to +-inf, which is harmless: the norm range
+    cuts them to the shifts that fit.  Float bounds are monotone in reach,
+    so a row left out at one reach is left out at every smaller one.
+    """
+    c, d, tau, a0, b0 = rows
+    p1 = a0 * float(u[0]) + b0 * float(u[1])
+    flat = tau == 0.0
+    q = np.where(flat, 1.0, tau)
+    with np.errstate(over="ignore"):
+        lo = (w1 - reach - p1) / q
+        hi = (w1 + reach - p1) / q
+    w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
+    w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
+    keep = flat | (w_lo <= w_hi)
+    if keep.all():  # seeds on an axis: every row
+        return rows, w_lo, w_hi, flat
+    return [x[keep] for x in rows], w_lo[keep], w_hi[keep], flat[keep]
+
+
+def _candidates(rows: list, shifts: list, u, Tint: int) -> tuple:
+    """The candidate rule of a strip scan: the top rows (a, b) = (a0, b0) +
+    m*(c, d) of the rows (c, d, tau, a0, b0) in the norm disk, with the
+    shift windows (w_lo, w_hi, flat) of _shift_windows, whose norm can fit
+    Tint, as arrays (a, b, c, d) in the scanned frame."""
+    (c, d, tau, a0, b0), (w_lo, w_hi, flat) = rows, shifts
+    A = c * c + d * d
+    disk = A < Tint  # a row beyond it gets no shifts
+    # Shifts m with (a0 + m*c)^2 + (b0 + m*d)^2 <= S = Tint - c^2 - d^2:
+    # by the Lagrange identity the discriminant is (c^2 + d^2)*S - 1.  The
+    # float roots are widened by one; the exact norm test comes last.
+    A = A.astype(float)
+    B = (a0 * c + b0 * d).astype(float)
+    root = np.sqrt(np.maximum(A * (Tint - A) - 1.0, 0.0))
+    m_lo = np.ceil((-B - root) / A - 1.0)
+    m_hi = np.floor((-B + root) / A + 1.0)
+    # A row with tau == 0 has about the same first coordinate for every m:
+    # all its shifts that fit are candidates, but for a seed on an axis,
+    # whose rows (0, +-1) or (+-1, 0) make it the same float for every m,
+    # only those of least norm, around the vertex -B/A widened by one, can win
+    if flat.any():
+        if float(u[0]) == 0.0 or float(u[1]) == 0.0:
+            vertex = -B[flat] / A[flat]
+            w_lo[flat], w_hi[flat] = np.ceil(vertex - 1.0), np.floor(vertex + 1.0)
+        else:
+            w_lo[flat], w_hi[flat] = m_lo[flat], m_hi[flat]
+    # clipped, so that every start cast to int64 stays in range
+    m_lo, m_hi = np.clip(w_lo, m_lo, m_hi + 1.0), np.minimum(w_hi, m_hi)
+    n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64) * disk
+    k, m = _ranges(m_lo.astype(np.int64), n_m)
+    c, d = c[k], d[k]
+    return a0[k] + m * c, b0[k] + m * d, c, d
+
+
+def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple, carry=None, pad=None) -> list:
     """Least key among best and the elements within eps of v, per ascending
     integer budget: one strip scan of the largest budget.
 
     Any element with distance <= eps lies in the strip of _strip_window at
     the largest budget, in the frame of _scan_target, so each returned key is
     the exact minimum over its budget's ball whenever eps >= the current best
-    distance.  ``homogeneous._lattice_points``, called on this one window,
-    yields the strip's rows.  The rows in the entry square are completed by
-    _bezout_rows, which marks the primitive ones, and the primitive rows in
-    the disk are kept; the top-row shifts that can fit the budget and reach the
-    first-coordinate window are expanded as arrays; the candidates are mapped
-    back to the rows of gamma before the one selection, so keys, tie order
-    and filters never see the frame.
+    distance.  The row source (_strip_rows) yields the primitive rows of the
+    strip's one window, completed by _bezout_rows, and the candidate rule
+    (_candidates) expands the top-row shifts that can fit the budget and
+    reach the first-coordinate window; the candidates are mapped back to the
+    rows of gamma before the one selection, so keys, tie order and filters
+    never see the frame.
+
+    carry, a dict that the scans of one trace share, holds what the last
+    scan saw: its tau window, its seen bound and its candidate-bearing
+    rows.  When this scan's tau window lies inside that one (it does while
+    budgets grow and eps shrinks), the row source completes only the rows
+    beyond the seen bound, and the carried rows in this tau window join the
+    new ones; a row's tau and sigma are the same floats in every scan.  A
+    scan that cut its rows to its float sigma window has seen every row
+    with float |sigma| <= s, s = min(sig_hi, sqrt((Tint - 1 - t^2/n -
+    2^-48*Tint)/n)) - err/n, t = err + the largest |tau| of its window: the
+    float sigma and tau of a row with |c|, |d| <= 2*sqrt(Tint) are within
+    err/n and err of the exact ones, so the row's exact sigma lies in the
+    window and its c^2 + d^2 = n*sigma^2 + tau^2/n < Tint (the 2^-48 covers
+    the rounding of the bound), hence |c|, |d| <= isqrt(Tint - 1): it passed
+    the entry test.  The seen bound is the larger of s and the bound the
+    scan read (-1 when it read none).  pad, given when a later scan of the trace follows, is 3 times
+    the err of the trace's largest budget, and the scan then reaches eps +
+    pad: it replaces carry with its own window, the seen bound and its
+    rows, taken before the disk test, whose shift window is not empty,
+    unless there are more than _CARRY_ROWS of them (the next scan then
+    completes its whole window).  A later scan's eps and err are at most
+    this one's eps and the pad's err, so its carried and new rows hold every
+    row that yields a candidate when it scans alone.  A scan without pad
+    keeps and cuts nothing.
     """
-    u1, u2 = float(u[0]), float(u[1])
     swap, (w1, w2) = _scan_target(v)
     Tint = budgets[-1]
     g, window, err = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
-    reach = eps + 3.0 * err  # see the shift window below
+    reach = eps + (3.0 * err if pad is None else pad)  # see _shift_windows; pad >= 3*err
+    old, seen, kept, n_kept = [], -1.0, [_NO_ROWS], 0
+    if carry and carry["tau"][0] <= window[0] and window[1] <= carry["tau"][1]:
+        tau, seen = carry["rows"][2], carry["seen"]
+        old = [[x[(window[0] <= tau) & (tau <= window[1])] for x in carry["rows"]]]
     keys = [best] * len(budgets)
-    for _, c, d, tau, _ in _lattice_points([g], [window]):
-        keep = (np.abs(c) <= r) & (np.abs(d) <= r)
-        c, d, tau = c[keep], d[keep], tau[keep]
-        a0, b0, prim = _bezout_rows(c, d, r)  # a0*d - b0*c = 1 on the primitive rows
-        keep = prim & (c * c + d * d < Tint)
-        c, d, tau, a0, b0 = c[keep], d[keep], tau[keep], a0[keep], b0[keep]
-        if not c.size:
-            continue
-        # Shifts m with (a0 + m*c)^2 + (b0 + m*d)^2 <= S = Tint - c^2 - d^2:
-        # by the Lagrange identity the discriminant is (c^2 + d^2)*S - 1.  The
-        # float roots are widened by one; the exact norm test comes last.
-        A = (c * c + d * d).astype(float)
-        B = (a0 * c + b0 * d).astype(float)
-        root = np.sqrt(np.maximum(A * (Tint - A) - 1.0, 0.0))
-        m_lo = np.ceil((-B - root) / A - 1.0)
-        m_hi = np.floor((-B + root) / A + 1.0)
-        # and the first coordinate within eps of w1.  A row with tau == 0 has
-        # about the same first coordinate for every m: all its shifts that fit
-        # are candidates, but for a seed on an axis, whose rows (0, +-1) or
-        # (+-1, 0) make it the same float for every m, only those of least
-        # norm, around the vertex -B/A widened by one, can win
-        p1 = a0 * u1 + b0 * u2
-        flat = tau == 0.0
-        q = np.where(flat, 1.0, tau)
-        # The float p1 + m*tau and the exact first coordinate of shift m
-        # differ by the errors of p1 and of m*tau (|m*c|, |m*d| <=
-        # 2*sqrt(Tint) for a shift that fits), and the float coordinate of
-        # _least_key differs from the exact one by a third error.  Each is
-        # below the err of _strip_window, so the window reaches 3*err beyond eps:
-        # a row whose float tau is a rounding residue spans every shift that fits.
-        # A subnormal tau (deeply subnormal seeds) overflows the bounds to +-inf,
-        # which is harmless: the clip below cuts them to the shifts that fit
-        with np.errstate(over="ignore"):
-            lo = (w1 - reach - p1) / q
-            hi = (w1 + reach - p1) / q
-        w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
-        w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
-        if flat.any():
-            if u1 == 0.0 or u2 == 0.0:
-                vertex = -B[flat] / A[flat]
-                w_lo[flat], w_hi[flat] = np.ceil(vertex - 1.0), np.floor(vertex + 1.0)
-            else:
-                w_lo[flat], w_hi[flat] = m_lo[flat], m_hi[flat]
-        # clipped, so that every start cast to int64 stays in range
-        m_lo, m_hi = np.clip(w_lo, m_lo, m_hi + 1.0), np.minimum(w_hi, m_hi)
-        n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64)
-        k, m = _ranges(m_lo.astype(np.int64), n_m)
-        c, d = c[k], d[k]
-        a, b = a0[k] + m * c, b0[k] + m * d
+    for rows in _strip_rows(g, window, r, seen, pad is not None, old):
+        rows, *shifts = _shift_windows(rows, u, w1, reach)
+        n_kept += rows[0].size
+        if pad is not None and n_kept <= _CARRY_ROWS:
+            kept.append(rows)
+        a, b, c, d = _candidates(rows, shifts, u, Tint)
         if swap:  # gamma = J^-1 * gamma'
             a, b, c, d = -c, -d, a, b
         keys = _least_key(a, b, c, d, u, v, budgets, subgroup, keys)
+    if pad is not None:
+        n, tau = g[0][1] ** 2 + g[1][1] ** 2, max(-window[0], window[1]) + err
+        s = min(window[3], math.sqrt(max(Tint - 1 - tau * tau / n - 2.0**-48 * Tint, 0.0) / n)) - err / n
+        carry.clear()
+        if n_kept <= _CARRY_ROWS:
+            carry.update(tau=window[:2], seen=max(s, seen), rows=[np.concatenate(x) for x in zip(*kept)])
     return keys
 
 
@@ -331,8 +425,12 @@ def approx_trace(
     when it is at least twice the last budget scanned (and at least 2), else
     the budget is scanned as it is.  Whatever eps >= the best distance a scan
     is seeded with, it keeps every element whose float key is at or below
-    the best so far, so the rows do not depend on the plan.  A one-budget
-    query is one scan whenever
+    the best so far, so the rows do not depend on the plan.  Each scan of
+    a run that another run follows keeps its window and its
+    candidate-bearing rows for the next scan, which completes only the rows
+    outside its seen sigma range (_strip_improve); the last scan and the
+    seed scans keep nothing, so a one-budget query holds no state.  A
+    one-budget query is one scan whenever
     4*|u - v|*sqrt(T)/|u| <= _SCAN_POINTS (for example below T = 62500 when
     |v| <= 2|u|), and a generic pair over 4^8 .. 4^22 makes about 5 scans
     (at most 8 over 93 pairs drawn from [1, 2]^4).  A scan costs a fixed
@@ -355,12 +453,13 @@ def approx_trace(
     w = _scan_target(v)[1]
     # every coordinate a search computes is at most M = 2^50 * err of the
     # largest budget's window, so every dist^2 is at most 2*M^2
-    M = _strip_window(u, w, ints[-1], 0.0)[2] * 2.0**50
+    err = _strip_window(u, w, ints[-1], 0.0)[2]
+    M = err * 2.0**50
     if not 2.0 * M * M < math.inf:
         raise ValueError(f"2*M^2 must be finite in floats, M = sqrt(T)*(|u1| + |u2|) + |v1| + |v2| = {M:g}")
     e1, e2 = u1 - float(v[0]), u2 - float(v[1])
     best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
-    keys, last = [], 0
+    keys, last, carry = [], 0, {}
     while len(keys) < len(ints):
         i = j = len(keys)
         eps = math.sqrt(best[0]) * (1.0 + 1e-12)
@@ -374,10 +473,11 @@ def approx_trace(
             while seed >= max(2, 2 * last) and _predicted_points(u, w, seed, eps) > _SCAN_POINTS:
                 seed //= 2
             if seed >= max(2, 2 * last):
-                best = _strip_improve(u, v, [seed], eps, subgroup, best)[0]
+                best = _strip_improve(u, v, [seed], eps, subgroup, best, carry)[0]
                 last = seed
                 continue
-        keys += _strip_improve(u, v, ints[i : j + 1], eps, subgroup, best)
+        pad = 3.0 * err if j + 1 < len(ints) else None  # the last scan keeps nothing, as seed scans
+        keys += _strip_improve(u, v, ints[i : j + 1], eps, subgroup, best, carry, pad)
         best, last = keys[-1], ints[j]
     return ApproxTrace(
         u=(u1, u2),

@@ -147,10 +147,9 @@ def _found_summary(per_sample: list) -> dict:
 
 def _cmd_enumerate(args, cfg: dict) -> int:
     (_row_budget if args.dump else _budget_int)(args.T)  # a budget out of range touches no file
-    if args.dump:  # fail before the ball is counted
+    if args.dump:  # fail before the ball is counted; the dump counts what it writes
         os.makedirs(os.path.dirname(os.path.abspath(args.dump)), exist_ok=True)
         open(args.dump, "a").close()
-    if args.dump:  # the dump counts what it writes
         n = dump_elements(args.dump, args.T, args.filter)
     else:
         n = count(args.T, args.filter)

@@ -428,6 +428,39 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray, bound=None) -> tuple:
         return a0, (d * a0 - 1) // c, np.abs(old[0] + new[0]) == 1.0
 
 
+def _shift_margin(g, box) -> float:
+    """The margin that widens the p1 range of a box (p1_lo, p1_hi, tau_lo,
+    tau_hi, s_lo, s_hi) searched on the matrix g for its top-row shift
+    windows: every shift m of a row (c, d) of the box with seed (a0, b0),
+    |a0| <= max(|c|, 1), whose float p1 = (a0 + m*c)*g01 + (b0 + m*d)*g11
+    lies in [p1_lo, p1_hi] has (p1_lo - e - w1)/tau <= m <= (p1_hi + e -
+    w1)/tau in floats, w1 = a0*g01 + b0*g11 and tau = c*g01 + d*g11 being
+    the floats of the search.
+
+    Error bound.  Let P = max(|p1_lo|, |p1_hi|), S = max(|s_lo|, |s_hi|),
+    Q = |g01*g11| and X = |g10*g01| + |g00*g11|, det g within 1e-6 of one.
+    (c, d) = (sigma, tau) @ g^-1 with |sigma| <= S*tau_hi bounds the row's
+    |c*g01| + |d*g11| by Et = tau_hi*(2*S*Q + X) and the seed's by E0 =
+    Et + |g01| + |g11|; a top row in the box has p0 = (1 + p1*sigma)/tau in
+    gamma*g, so (a, b) = (p0, p1) @ g^-1 bounds its |a*g01| + |b*g11| by
+    E = 2*Q*(1/tau_lo + P*S) + P*X.  A float sum of two products is off by
+    at most 2u times its magnitude (u = 2^-53; 3u for an entry beyond
+    2^53).  With |m|*Et <= E + E0, the computed bound lies within
+    u*(2*P + 6*E0 + 6*E + W*(1 + 2*Et/tau))/tau, W = p1_hi - p1_lo, of the
+    shift where the exact p1 crosses the end less the float p1's own error,
+    and e takes 2^-50 = 8u times that sum at tau = tau_lo.  It grows with
+    |v1| (P) times the shear window (S): about 2*10^-8 at v1 = 10^7 and
+    |s| < 64, where a margin of 1e-9 shifts missed hits on the box ends.
+    """
+    (g00, g01), (g10, g11) = g
+    p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = box
+    P, S = max(abs(p1_lo), abs(p1_hi)), max(abs(s_lo), abs(s_hi))
+    Q, X = abs(g01 * g11), abs(g10 * g01) + abs(g00 * g11)
+    e_t = tau_hi * (2.0 * S * Q + X)
+    e = 2.0 * P + 6.0 * (e_t + abs(g01) + abs(g11) + 2.0 * Q * (1.0 / tau_lo + P * S) + P * X)
+    return 2.0**-50 * (e + (p1_hi - p1_lo) * (1.0 + 2.0 * e_t / tau_lo))
+
+
 def _window_rows(g, tau_lo, tau_hi, sig_lo, sig_hi, reduced: dict):
     """Scalar set-up of one window of the lattice-point search; reduced maps
     the scaled bases of a batch to their reductions.
@@ -622,7 +655,7 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     for w, c, d, tau, s in _lattice_points(reps, windows):
         if s_cols is None:  # window parameters per candidate, shared ones as scalars
             s_cols = _columns([b[4:] for b in bounds])
-            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1]) for g, b in zip(reps, bounds)])
+            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1], _shift_margin(g, b)) for g, b in zip(reps, bounds)])
         s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi)
@@ -631,18 +664,18 @@ def _box_candidates_batch(reps, bounds) -> tuple:
             continue
         many = isinstance(w, np.ndarray)  # else the one window with rows
         w = w[keep] if many else w
-        p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
+        p1_lo, p1_hi, g01, g11, e = _at(p1_cols, w)
         a0, b0, prim = _bezout_rows(c, d)
         w1 = a0 * g01 + b0 * g11
-        m_lo = np.ceil((p1_lo - w1) / tau - 1e-9)
-        m_hi = np.floor((p1_hi - w1) / tau + 1e-9)
+        m_lo = np.ceil((p1_lo - e - w1) / tau)
+        m_hi = np.floor((p1_hi + e - w1) / tau)
         n_m = np.maximum(m_hi - m_lo + 1.0, 0.0).astype(np.int64) * prim  # no shifts for a non-primitive row
         if not n_m.any():
             continue
         # top rows (a0, b0) + m*(c, d), m ascending per bottom row
         k, m = _ranges(m_lo.astype(np.int64), n_m)
         w = w[k] if many else w
-        p1_lo, p1_hi, g01, g11 = _at(p1_cols, w)
+        p1_lo, p1_hi, g01, g11, _ = _at(p1_cols, w)
         p1 = (a0[k] + m * c[k]) * g01 + (b0[k] + m * d[k]) * g11
         keep = (p1_lo <= p1) & (p1 <= p1_hi)
         w = w[keep] if many else np.full(np.count_nonzero(keep), w)
@@ -710,7 +743,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
     k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
     if k > 16.0 * y:
         return None
-    out = []
+    out, e = [], _shift_margin(g, box + (-0.5, 0.5))
     for c in range(math.floor(math.sqrt(k) / y + 1e-6) + 1):
         r = math.sqrt(max(k - c * c * y * y, 0.0)) + 1e-6
         for d in range(math.ceil(-c * x - r), math.floor(-c * x + r) + 1) if c else (1,):
@@ -724,7 +757,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
             if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
                 a0, b0 = _bezout_row(cs, ds)
                 w1 = a0 * g01 + b0 * g11
-                for m in range(math.ceil((p1_lo - w1) / tau - 1e-9), math.floor((p1_hi - w1) / tau + 1e-9) + 1):
+                for m in range(math.ceil((p1_lo - e - w1) / tau), math.floor((p1_hi + e - w1) / tau) + 1):
                     p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11
                     if p1_lo <= p1 <= p1_hi:
                         out.append((p1, tau, s))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitlab.approx as approx_mod
@@ -466,6 +466,111 @@ def test_strip_scans_cost_what_the_docstring_says(monkeypatch):
         assert len(points) == len(rows) == len(scans)
         for pts, pred, n_rows in zip(points, scans, rows):
             assert pts <= 2 * (pred + n_rows), (u, v, pts, pred, n_rows)
+
+
+def reuse_scans(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
+    """The rows of approx_trace(u, v, budgets, flt), and per strip scan a
+    dict: its keys, the (c, d) rows handed to the candidate rule, the rows
+    _bezout_rows completed, and the keys and candidate-bearing rows of the
+    same scan made alone, over its whole window without carried rows.  A
+    row (c, d) is the integer c * 2^33 + d (|c|, |d| < 2^32 below 2^60)."""
+    real_improve, real_rule, real_bezout = approx_mod._strip_improve, approx_mod._candidates, approx_mod._bezout_rows
+    scans, into = [], []
+
+    def rule(rows, *args):
+        out = real_rule(rows, *args)
+        into[-1]["handed"].append(rows[0] * 2**33 + rows[1])
+        into[-1]["bearing"].append(out[2] * 2**33 + out[3])
+        return out
+
+    def bezout(c, d, bound=None):
+        into[-1]["completed"].append(c * 2**33 + d)
+        return real_bezout(c, d, bound)
+
+    def improve(*args):
+        into.append({"handed": [], "bearing": [], "completed": []})
+        keys = real_improve(*args)
+        scans.append((args[:6], {k: np.concatenate(x or [np.empty(0, np.int64)]) for k, x in into.pop().items()}))
+        # a scan with pad whose carry stays empty kept more than _CARRY_ROWS rows
+        scans[-1][1].update(keys=keys, dropped=len(args) > 7 and args[7] is not None and not args[6])
+        return keys
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, spy in [("_strip_improve", improve), ("_candidates", rule), ("_bezout_rows", bezout)]:
+            mp.setattr(approx_mod, name, spy)
+        rows = approx_trace(u, v, budgets, flt).rows()
+        alone = [improve(*args) and scans.pop()[1] for args, _ in list(scans)]
+    return rows, [dict(scan, alone=one) for (_, scan), one in zip(scans, alone)]
+
+
+def check_reuse(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
+    """The checks of a trace's row reuse (reuse_scans): each scan returns
+    the keys it returns alone, the rows handed to its candidate rule hold
+    every row that yields a candidate when it scans alone, and no row is
+    completed twice between scans that dropped their carry.  Returns the
+    rows, the number of rows completed and the number the scans complete
+    alone."""
+    rows, scans = reuse_scans(u, v, budgets, flt)
+    completed = [np.empty(0, np.int64)]
+    for k, scan in enumerate(scans):
+        assert scan["keys"] == scan["alone"]["keys"], (u, v, k)
+        assert np.isin(scan["alone"]["bearing"], scan["handed"]).all(), (u, v, k)
+        completed.append(scan["completed"])
+        if scan["dropped"] or k + 1 == len(scans):
+            run = np.concatenate(completed)
+            assert np.unique(run).size == run.size, (u, v, k)
+            completed = [np.empty(0, np.int64)]
+    return rows, sum(scan["completed"].size for scan in scans), sum(scan["alone"]["completed"].size for scan in scans)
+
+
+def survey_pairs(seed: int, n: int = 30, m: int = 4) -> list:
+    """The benchmark's survey pairs: a Latin hypercube over [1, 2]^4, with m
+    deep pairs among n + m, as (u, v, deep)."""
+    rng = np.random.default_rng([seed, 2])
+    cube = 1.0 + (np.array([rng.permutation(n + m) for _ in range(4)]).T + rng.uniform(0, 1, (n + m, 4))) / (n + m)
+    deep = set(range((n + m) // m // 2, n + m, (n + m) // m)[:m])
+    return [(tuple(row[:2]), tuple(row[2:]), i in deep) for i, row in enumerate(cube.tolist())]
+
+
+def test_strip_scans_reuse_the_rows_of_the_last_scan():
+    # the benchmark's 34 survey traces at seed 3001, the deep ones to 4^27,
+    # are bitwise the rows recorded before scans reused rows; on the deep
+    # ones each scan returns what it returns alone and no row is completed
+    # twice, where scans made alone complete nearly twice as many rows
+    import hashlib
+
+    traces, completed, alone = [], 0, 0
+    for u, v, deep in survey_pairs(3001):
+        budgets = [4.0**k for k in range(8, 28 if deep else 23)]
+        if deep:
+            rows, n, n_alone = check_reuse(u, v, budgets)
+            completed, alone = completed + n, alone + n_alone
+        else:
+            rows = approx_trace(u, v, budgets).rows()
+        traces.append(rows)
+    digest = hashlib.sha256(repr(traces).encode()).hexdigest()
+    assert digest == "0f846374fa2797d2b8c158f50995676c2e65cd97422379813c1c96bb0cfb3889"
+    assert completed <= 0.75 * alone, (completed, alone)
+
+
+@given(
+    u=st.one_of(
+        st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),  # generic seeds
+        st.tuples(_nonzero.filter(lambda x: abs(x) >= 0.05), st.just(0.0)),  # horizontal seeds
+    ),
+    target=st.one_of(
+        st.tuples(_coord, _coord),
+        st.tuples(_coord, st.just(0.0)),  # axis targets
+        st.tuples(st.just(0.0), _coord),
+    ),
+    first=st.integers(1, 8),
+    flt=st.sampled_from(FILTERS),
+)
+@settings(max_examples=30)
+def test_row_reuse_keeps_every_scan_bitwise(u, target, first, flt):
+    # every scan of a multi-scan trace returns the keys of the same scan
+    # made alone, and is handed every row that yields a candidate there
+    check_reuse(u, target, [4.0**k for k in range(first, 16)], SubgroupFilter.parse(flt))
 
 
 def test_axis_target_of_horizontal_seed_expands_few_shifts(monkeypatch):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import orbitlab.homogeneous as homogeneous_mod
 from orbitlab.enumeration import count, enumerate_ball
-from orbitlab.ergodic import hit_set, shrinking_hit_report, uniform_grid_experiment, window_hit_counts
+from orbitlab.ergodic import _first_hits, hit_set, shrinking_hit_report, uniform_grid_experiment, window_hit_counts
 from orbitlab.errors import DegenerateCoordinate, InjectivityUnverified, NonConvergence
 from orbitlab.homogeneous import (
     COVOLUME,
@@ -17,9 +17,11 @@ from orbitlab.homogeneous import (
     TargetSpec,
     Y_MAX,
     _box_candidates_batch,
+    _box_hits,
     _bump_x_width,
     _haar_coords,
     _haar_reps,
+    _hits,
     _reduced_candidates,
     _rep_of,
     _target_box,
@@ -521,6 +523,43 @@ def test_in_target_implies_in_quotient_target(target):
                 assert in_quotient_target(g, spec) == bool(orbit_hits_brute(rep, 0, spec.box))
             else:
                 assert in_quotient_target(g, spec) or not inside
+
+
+def planted_end_spec(p1: float, tau: float, end: int) -> TargetSpec:
+    """A target of size 0.2 around (., tau) whose box has p1 as its upper
+    (end = 1) or lower (end = 0) p1 end, found by stepping v1 float by float."""
+    v1 = p1 - 0.1 if end else p1 + 0.1
+    for _ in range(256):
+        found = _target_box(v1, tau, 0.2)[end]
+        if found == p1:
+            return TargetSpec(v1, tau, 0.2)
+        v1 = math.nextafter(v1, math.inf if found < p1 else -math.inf)
+    raise AssertionError(f"no target box ends at {p1!r}")
+
+
+@pytest.mark.parametrize("v1", [1e5, 1e7, 1e9, 1e14])
+def test_searches_hold_hits_on_box_ends_at_large_v1(v1):
+    # hits near v1, at time 0 and at the largest |k| <= K, planted on each p1
+    # end of a target box: far from the origin the float p1 of a top-row
+    # shift carries rounding of about 2^-53*|v1|*|k| (its top row grows with
+    # the shear), beyond a fixed 1e-9 of a shift, and the kernel, the
+    # membership row path, hit_set and _first_hits must still find the hit
+    # on the end, as the brute oracle does
+    K, planted = 64, 0
+    for rep in _haar_reps(8, seed=21):
+        hits = orbit_hits_brute(rep, K, (v1 - 1.0, v1 + 1.0, 0.3, 1.3))
+        for _, p1, tau, _ in [max(hits, key=lambda h: abs(h[0]))] + [h for h in hits if h[0] == 0][:1]:
+            for end in (0, 1):
+                spec = planted_end_spec(p1, tau, end)
+                box, point = spec.box, HomPoint(rep)
+                brute = orbit_hits_brute(rep, K, box)
+                _, ks, *cols = _hits(rep, [box + (-K - 0.5, K + 0.5)])
+                assert sorted(zip(ks.tolist(), *(c.tolist() for c in cols))) == brute, (v1, p1, end)
+                assert sorted(_box_hits(point, box)) == [h[1:] for h in brute if h[0] == 0], (v1, p1, end)
+                assert hit_set(point, spec, K).ks == tuple(sorted({h[0] for h in brute}))
+                assert _first_hits(rep, [box], K).tolist() == [min(abs(h[0]) for h in brute)]
+                planted += 1
+    assert planted >= 16
 
 
 def test_reduced_points_skip_the_kernel(monkeypatch):

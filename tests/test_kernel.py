@@ -111,13 +111,19 @@ reps = st.builds(
 
 @st.composite
 def windows(draw):
-    """Boxes from wide to thin, short shear windows to huge ones, either sign of v1."""
-    v1 = draw(st.floats(-3.0, 3.0))
+    """Boxes from wide to thin, short shear windows to huge ones, either sign
+    of v1, and |v1| up to the README's limit 2^49: at most 2^49*tau_lo, so
+    that consecutive top-row shifts stay 8 ulps of p1 apart, with a shear
+    window that shrinks so that |v1| times it stays below 2^40."""
+    large = st.tuples(log_uniform(3.0, 2.0**49), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+    v1 = draw(st.one_of(st.floats(-3.0, 3.0), large))
     v2 = draw(st.floats(0.1, 3.0))
     hw1 = draw(log_uniform(1e-3, 1.0))
     hw2 = draw(log_uniform(1e-3, 1.0)) * 0.99 * v2
-    s_mid = draw(st.floats(-1e4, 1e4))
-    s_half = draw(log_uniform(1e-2, 1e4))
+    v1 = math.copysign(min(abs(v1), 2.0**49 * (v2 - hw2)), v1)
+    s_max = min(1e4, 2.0**40 / max(abs(v1), 1.0))
+    s_mid = draw(st.floats(-s_max, s_max))
+    s_half = draw(log_uniform(min(1e-2, 0.5 * s_max), s_max))
     return (v1 - hw1, v1 + hw1, v2 - hw2, v2 + hw2, s_mid - s_half, s_mid + s_half)
 
 
@@ -181,8 +187,9 @@ def batch_windows(draw):
         tau_lo, tau_hi = v2 - 1e-4, v2 + 1e-4
         s_lo, s_hi = -0.5, 0.5
     elif kind in ("long", "shear"):
-        # a small box keeps the candidate count of a long window moderate
-        v1, v2 = 0.5 * (p1_lo + p1_hi), 0.5 * (tau_lo + tau_hi)
+        # a small box keeps the candidate count of a long window moderate,
+        # and |v1| <= 3 the top rows of its huge shear windows
+        v1, v2 = min(max(0.5 * (p1_lo + p1_hi), -3.0), 3.0), 0.5 * (tau_lo + tau_hi)
         hw = 0.02 * min(1.0, v2)
         p1_lo, p1_hi, tau_lo, tau_hi = v1 - hw, v1 + hw, v2 - hw, v2 + hw
         if kind == "long":

@@ -102,6 +102,11 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
     spec, tall = ol.TargetSpec(*V0, 0.2), ol.TargetSpec(0.1, 3.0, 0.49)
     # the same points as reps[:300], through a non-reduced representative
     reduced, moved = list(reps[:2000]), [np.array([[2.0, 1.0], [1.0, 1.0]]) @ g for g in reps[:300]]
+    # traces to 2^40 whose scans carry rows unusually: axis targets, seeds on
+    # the axis (every row bears a candidate, and the carry outgrows its cap)
+    # and a filter
+    edges = [((1.37, 1.61), (1.5, 0.0), "full"), ((-1.83, 1.14), (0.0, -1.2), "full"), ((1.3, 0.0), (1.303, 0.796), "full"),
+             ((1.3, 0.0), (0.0, 0.7), "full"), ((1.41, 1.73), (1.2, 1.5), "gamma0:3")]
     return {
         "member": (len(reduced), lambda: [ol.in_quotient_target(g, spec) for g in reduced]),
         "bump": (len(reduced), lambda: [ol.target_bump(g, spec) for g in reduced]),
@@ -116,6 +121,8 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
         "trace": (5, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 23)]).records for u, v in pairs[:5]]),
         # the README survey grid to 2^54, whose deep scans have rows beyond 2^22
         "deep-trace": (2, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 28)]).records for u, v in pairs[:2]]),
+        "trace-edge": (len(edges), lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 21)], ol.SubgroupFilter.parse(f)).records
+                                            for u, v, f in edges]),
         # one 512-sample chunk of ergodic-variance at delta = 0.1, T = 64 .. 4096
         "variance": (1, lambda: ol.variance_curve(ol.TargetSpec(*V0, 0.1), [2**k for k in range(6, 13)], 512, seed=1)),
         "elements": (2, lambda: [ol.elements_array(2 * 10**4, ol.SubgroupFilter.parse(f)) for f in ("full", "gamma0:3")]),
