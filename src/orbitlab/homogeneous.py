@@ -428,15 +428,14 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray, bound=None) -> tuple:
         return a0, (d * a0 - 1) // c, np.abs(old[0] + new[0]) == 1.0
 
 
-def _shift_margin(p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi, g00, g01, g10, g11):
+def _shift_margin(g, box) -> float:
     """The margin that widens the p1 range of a box (p1_lo, p1_hi, tau_lo,
-    tau_hi, s_lo, s_hi) searched on the matrix g = [[g00, g01], [g10, g11]]
-    for its top-row shift windows: every shift m of a row (c, d) of the box
-    with seed (a0, b0), |a0| <= max(|c|, 1), whose float p1 = (a0 + m*c)*g01
-    + (b0 + m*d)*g11 lies in [p1_lo, p1_hi] has (p1_lo - e - w1)/tau <= m
-    <= (p1_hi + e - w1)/tau in floats, w1 = a0*g01 + b0*g11 and tau = c*g01
-    + d*g11 being the floats of the search.  Floats or arrays over windows
-    alike: only abs and arithmetic.
+    tau_hi, s_lo, s_hi) searched on the matrix g for its top-row shift
+    windows: every shift m of a row (c, d) of the box with seed (a0, b0),
+    |a0| <= max(|c|, 1), whose float p1 = (a0 + m*c)*g01 + (b0 + m*d)*g11
+    lies in [p1_lo, p1_hi] has (p1_lo - e - w1)/tau <= m <= (p1_hi + e -
+    w1)/tau in floats, w1 = a0*g01 + b0*g11 and tau = c*g01 + d*g11 being
+    the floats of the search.
 
     Error bound.  Let P = max(|p1_lo|, |p1_hi|), S = max(|s_lo|, |s_hi|),
     Q = |g01*g11| and X = |g10*g01| + |g00*g11|, det g within 1e-6 of one.
@@ -449,13 +448,16 @@ def _shift_margin(p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi, g00, g01, g10, g11):
     2^53).  With |m|*Et <= E + E0, the computed bound lies within
     u*(2*P + 6*E0 + 6*E + W*(1 + 2*Et/tau))/tau, W = p1_hi - p1_lo, of the
     shift where the exact p1 crosses the end less the float p1's own error,
-    and e takes 2^-50 = 8u times that sum at tau = tau_lo (P and S as
-    |mid| + half-width, within an ulp).  It grows with |v1| (P) times the
-    shear window (S): about 2*10^-8 at v1 = 10^7 and |s| < 64, where a
-    margin of 1e-9 shifts missed hits on the box ends.
+    and e takes 2^-50 = 8u times that sum at tau = tau_lo.  It grows with
+    |v1| (P) times the shear window (S): for a Haar sample's matrix, a box
+    of width 0.2 at tau 0.7 .. 0.9 and |s| < 64.5, 10^-6 at v1 = 10^7 and
+    10 at 10^14 (a dozen shifts more per row), where a margin of 1e-9
+    shifts missed hits on the box ends.  An empty range (lo > hi) has no
+    candidate, whatever its margin.
     """
-    P = abs(p1_lo + p1_hi) * 0.5 + (p1_hi - p1_lo) * 0.5
-    S = abs(s_lo + s_hi) * 0.5 + (s_hi - s_lo) * 0.5
+    (g00, g01), (g10, g11) = g
+    p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = box
+    P, S = max(-p1_lo, p1_hi), max(-s_lo, s_hi)  # max(|lo|, |hi|) for lo <= hi
     Q, X = abs(g01 * g11), abs(g10 * g01) + abs(g00 * g11)
     e_t = tau_hi * (2.0 * S * Q + X)
     e = 2.0 * P + 6.0 * (e_t + abs(g01) + abs(g11) + 2.0 * Q * (1.0 / tau_lo + P * S) + P * X)
@@ -655,8 +657,8 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     s_cols = None
     for w, c, d, tau, s in _lattice_points(reps, windows):
         if s_cols is None:  # window parameters per candidate, shared ones as scalars
-            cols = _columns([(*b, *g[0], *g[1]) for g, b in zip(reps, bounds)])
-            s_cols, p1_cols = cols[4:6], [cols[0], cols[1], cols[7], cols[9], _shift_margin(*cols)]
+            s_cols = _columns([b[4:] for b in bounds])
+            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1], _shift_margin(g, b)) for g, b in zip(reps, bounds)])
         s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi)
@@ -758,7 +760,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
             if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
                 a0, b0 = _bezout_row(cs, ds)
                 w1 = a0 * g01 + b0 * g11
-                e = e or _shift_margin(*box, -0.5, 0.5, g00, g01, g10, g11)
+                e = e or _shift_margin(g, box + (-0.5, 0.5))
                 for m in range(math.ceil((p1_lo - e - w1) / tau), math.floor((p1_hi + e - w1) / tau) + 1):
                     p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11
                     if p1_lo <= p1 <= p1_hi:
