@@ -240,25 +240,26 @@ _NO_ROWS = [np.empty(0, np.int64)] * 2 + [np.empty(0)] + [np.empty(0, np.int64)]
 _CARRY_ROWS = 1 << 14
 
 
-def _strip_rows(g, window, r: int, seen, cut: bool, old: list):
+def _strip_rows(g, window, r: int, seen: list, cut: bool, old: list):
     """The row source of a strip scan: per block of the window's lattice
     points, the arrays (c, d, tau, a0, b0) of its primitive rows in the entry
     square |c|, |d| <= r, with a0*d - b0*c = 1.  The rows carried from
     earlier scans, old (a list of at most one block), join the first block.
 
     A row with both entries even is never primitive and is dropped before
-    _bezout_rows completes the rest.  seen, when not negative, drops the
-    rows with float |sigma| <= seen, which an earlier scan of the trace
-    completed (see _strip_improve).  cut drops the rows beyond the window's
-    float sigma, which _lattice_points yields up to its rounding slack, so
-    that a later scan can tell which rows were completed.
+    _bezout_rows completes the rest.  Each bound (r', s) of seen drops the
+    rows that an earlier scan of the trace completed: those with |c|, |d|
+    <= r' and float |sigma| <= s (see _strip_improve).  cut drops the rows
+    beyond the window's float sigma, which _lattice_points yields up to its
+    rounding slack, so that a later scan can tell which rows were completed.
     """
     for _, c, d, tau, sigma in _lattice_points([g], [window]):
-        keep = (np.maximum(np.abs(c), np.abs(d)) <= r) & ((c | d) & 1 == 1)
+        e = np.maximum(np.abs(c), np.abs(d))
+        keep = (e <= r) & ((c | d) & 1 == 1)
         if cut:
             keep &= np.abs(sigma) <= window[3]
-        if seen >= 0.0:
-            keep &= np.abs(sigma) > seen
+        for r_seen, s_seen in seen:
+            keep &= (e > r_seen) | (np.abs(sigma) > s_seen)
         c, d, tau = c[keep], d[keep], tau[keep]
         a0, b0, prim = _bezout_rows(c, d, r)
         rows = [c[prim], d[prim], tau[prim], a0[prim], b0[prim]]
@@ -346,23 +347,20 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     never see the frame.
 
     carry, a dict that the scans of one trace share, holds what the last
-    scan saw: its tau window, its seen bound and its candidate-bearing
+    scan saw: its tau window, its seen bounds and its candidate-bearing
     rows.  When this scan's tau window lies inside that one (it does while
     budgets grow and eps shrinks), the row source completes only the rows
-    beyond the seen bound, and the carried rows in this tau window join the
-    new ones; a row's tau and sigma are the same floats in every scan.  A
-    scan that cut its rows to its float sigma window has seen every row
-    with float |sigma| <= s, s = min(sig_hi, sqrt((Tint - 1 - t^2/n -
-    2^-48*Tint)/n)) - err/n, t = err + the largest |tau| of its window: the
-    float sigma and tau of a row with |c|, |d| <= 2*sqrt(Tint) are within
-    err/n and err of the exact ones, so the row's exact sigma lies in the
-    window and its c^2 + d^2 = n*sigma^2 + tau^2/n < Tint (the 2^-48 covers
-    the rounding of the bound), hence |c|, |d| <= isqrt(Tint - 1): it passed
-    the entry test.  The seen bound is the larger of s and the bound the
-    scan read (-1 when it read none).  pad, given when a later scan of the trace follows, is 3 times
-    the err of the trace's largest budget, and the scan then reaches eps +
-    pad: it replaces carry with its own window, the seen bound and its
-    rows, taken before the disk test, whose shift window is not empty,
+    outside the seen bounds, and the carried rows in this tau window join
+    the new ones; a row's tau and sigma are the same floats in every scan.
+    A seen bound (r, s) is r = isqrt(Tint - 1) and s = sig_hi - err/n of a
+    scan that cut its rows to its float sigma window: a row with |c|, |d|
+    <= r and float |sigma| <= s has its exact sigma in that window (the
+    float error of sigma is below 2^-51*sqrt(Tint)*(|u1| + |u2|)/n), so
+    that scan completed it.  The bounds of earlier scans stay while their s
+    is the larger.  pad, given when a later scan of the trace follows, is 3
+    times the err of the trace's largest budget, and the scan then reaches
+    eps + pad: it replaces carry with its own window and bounds and with
+    its rows, taken before the disk test, whose shift window is not empty,
     unless there are more than _CARRY_ROWS of them (the next scan then
     completes its whole window).  A later scan's eps and err are at most
     this one's eps and the pad's err, so its carried and new rows hold every
@@ -374,7 +372,7 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     g, window, err = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
     reach = eps + (3.0 * err if pad is None else pad)  # see _shift_windows; pad >= 3*err
-    old, seen, kept, n_kept = [], -1.0, [_NO_ROWS], 0
+    old, seen, kept, n_kept = [], [], [_NO_ROWS], 0
     if carry and carry["tau"][0] <= window[0] and window[1] <= carry["tau"][1]:
         tau, seen = carry["rows"][2], carry["seen"]
         old = [[x[(window[0] <= tau) & (tau <= window[1])] for x in carry["rows"]]]
@@ -389,11 +387,11 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
             a, b, c, d = -c, -d, a, b
         keys = _least_key(a, b, c, d, u, v, budgets, subgroup, keys)
     if pad is not None:
-        n, tau = g[0][1] ** 2 + g[1][1] ** 2, max(-window[0], window[1]) + err
-        s = min(window[3], math.sqrt(max(Tint - 1 - tau * tau / n - 2.0**-48 * Tint, 0.0) / n)) - err / n
+        s = window[3] - err / (g[0][1] ** 2 + g[1][1] ** 2)
         carry.clear()
-        if n_kept <= _CARRY_ROWS:
-            carry.update(tau=window[:2], seen=max(s, seen), rows=[np.concatenate(x) for x in zip(*kept)])
+        if n_kept <= _CARRY_ROWS:  # r only grows: an earlier bound still counts where its s is larger
+            seen = [(r, s)] + [b for b in seen if b[1] > s]
+            carry.update(tau=window[:2], seen=seen, rows=[np.concatenate(x) for x in zip(*kept)])
     return keys
 
 

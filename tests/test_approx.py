@@ -491,8 +491,8 @@ def reuse_scans(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
         into.append({"handed": [], "bearing": [], "completed": []})
         keys = real_improve(*args)
         scans.append((args[:6], {k: np.concatenate(x or [np.empty(0, np.int64)]) for k, x in into.pop().items()}))
-        # a scan with pad whose carry stays empty kept more than _CARRY_ROWS rows
-        scans[-1][1].update(keys=keys, dropped=len(args) > 7 and args[7] is not None and not args[6])
+        # a seed scan (no pad) keeps nothing, nor a scan that kept more than _CARRY_ROWS rows
+        scans[-1][1].update(keys=keys, kept=len(args) > 7 and args[7] is not None and bool(args[6]))
         return keys
 
     with pytest.MonkeyPatch.context() as mp:
@@ -507,16 +507,15 @@ def check_reuse(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
     """The checks of a trace's row reuse (reuse_scans): each scan returns
     the keys it returns alone, the rows handed to its candidate rule hold
     every row that yields a candidate when it scans alone, and no row is
-    completed twice between scans that dropped their carry.  Returns the
-    rows, the number of rows completed and the number the scans complete
-    alone."""
+    completed twice between scans that keep nothing.  Returns the rows, the
+    number of rows completed and the number the scans complete alone."""
     rows, scans = reuse_scans(u, v, budgets, flt)
     completed = [np.empty(0, np.int64)]
     for k, scan in enumerate(scans):
         assert scan["keys"] == scan["alone"]["keys"], (u, v, k)
         assert np.isin(scan["alone"]["bearing"], scan["handed"]).all(), (u, v, k)
         completed.append(scan["completed"])
-        if scan["dropped"] or k + 1 == len(scans):
+        if not scan["kept"] or k + 1 == len(scans):
             run = np.concatenate(completed)
             assert np.unique(run).size == run.size, (u, v, k)
             completed = [np.empty(0, np.int64)]
