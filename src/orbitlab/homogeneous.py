@@ -453,7 +453,11 @@ def _shift_margin(g, box) -> float:
     of width 0.2 at tau 0.7 .. 0.9 and |s| < 64.5, 10^-6 at v1 = 10^7 and
     10 at 10^14 (a dozen shifts more per row), where a margin of 1e-9
     shifts missed hits on the box ends.  An empty range (lo > hi) has no
-    candidate, whatever its margin.
+    candidate, whatever its margin.  For a g whose z lies in the fundamental
+    domain widened by 1e-6, Q and X are at most |g0|*|g1| = sqrt(x^2*n^2 +
+    D^2) <= 1.155 (y >= 0.866, n = D/y), |g11| <= sqrt(n) < 1.075, and the
+    row path's tau_hi <= 3.58 and S = 1/2 make the margin at most 2^-46*(P +
+    W + 4 + |g01| + (1 + 2*W)/tau_lo), the bound _reduced_candidates takes.
     """
     (g00, g01), (g10, g11) = g
     p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = box
@@ -746,7 +750,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
     k = 1.25 * tau_hi * tau_hi / n * (1.0 + 1e-6)  # the bound on (cx + d)^2 + c^2*y^2
     if k > 16.0 * y:
         return None
-    out, e = [], 0.0  # the shift margin, once a row needs it
+    out, e = [], 0.0  # the shift margin (see _shift_margin), once a row needs it
     for c in range(math.floor(math.sqrt(k) / y + 1e-6) + 1):
         r = math.sqrt(max(k - c * c * y * y, 0.0)) + 1e-6
         for d in range(math.ceil(-c * x - r), math.floor(-c * x + r) + 1) if c else (1,):
@@ -760,7 +764,7 @@ def _reduced_candidates(g: list, x, y, n, box: tuple):
             if abs(s) < 0.5 and math.gcd(cs, ds) == 1:
                 a0, b0 = _bezout_row(cs, ds)
                 w1 = a0 * g01 + b0 * g11
-                e = e or _shift_margin(g, box + (-0.5, 0.5))
+                e = e or 2.0**-46 * (max(-p1_lo, p1_hi) + p1_hi - p1_lo + 4.0 + abs(g01) + (1.0 + 2.0 * (p1_hi - p1_lo)) / tau_lo)
                 for m in range(math.ceil((p1_lo - e - w1) / tau), math.floor((p1_hi + e - w1) / tau) + 1):
                     p1 = (a0 + m * cs) * g01 + (b0 + m * ds) * g11
                     if p1_lo <= p1 <= p1_hi:
