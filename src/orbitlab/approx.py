@@ -295,6 +295,7 @@ def _shift_windows(rows: list, u, w1: float, reach: float) -> tuple:
     keep = flat | (w_lo <= w_hi)
     if keep.all():  # seeds on an axis: every row
         return rows, w_lo, w_hi, flat
+    keep = np.flatnonzero(keep)
     return [x[keep] for x in rows], w_lo[keep], w_hi[keep], flat[keep]
 
 
@@ -375,7 +376,8 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     old, seen, kept, n_kept = [], [], [_NO_ROWS], 0
     if carry and carry["tau"][0] <= window[0] and window[1] <= carry["tau"][1]:
         tau, seen = carry["rows"][2], carry["seen"]
-        old = [[x[(window[0] <= tau) & (tau <= window[1])] for x in carry["rows"]]]
+        keep = np.flatnonzero((window[0] <= tau) & (tau <= window[1]))
+        old = [[x[keep] for x in carry["rows"]]]
     keys = [best] * len(budgets)
     for rows in _strip_rows(g, window, r, seen, pad is not None, old):
         rows, *shifts = _shift_windows(rows, u, w1, reach)

@@ -428,7 +428,7 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray, bound=None) -> tuple:
         return a0, (d * a0 - 1) // c, np.abs(old[0] + new[0]) == 1.0
 
 
-def _shift_margin(g, box) -> float:
+def _shift_margin(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> float:
     """The margin that widens the p1 range of a box (p1_lo, p1_hi, tau_lo,
     tau_hi, s_lo, s_hi) searched on the matrix g for its top-row shift
     windows: every shift m of a row (c, d) of the box with seed (a0, b0),
@@ -460,7 +460,6 @@ def _shift_margin(g, box) -> float:
     W + 4 + |g01| + (1 + 2*W)/tau_lo), the bound _reduced_candidates takes.
     """
     (g00, g01), (g10, g11) = g
-    p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi = box
     P, S = max(-p1_lo, p1_hi), max(-s_lo, s_hi)  # max(|lo|, |hi|) for lo <= hi
     Q, X = abs(g01 * g11), abs(g10 * g01) + abs(g00 * g11)
     e_t = tau_hi * (2.0 * S * Q + X)
@@ -662,7 +661,7 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     for w, c, d, tau, s in _lattice_points(reps, windows):
         if s_cols is None:  # window parameters per candidate, shared ones as scalars
             s_cols = _columns([b[4:] for b in bounds])
-            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1], _shift_margin(g, b)) for g, b in zip(reps, bounds)])
+            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1], _shift_margin(g, *b)) for g, b in zip(reps, bounds)])
         s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi)
