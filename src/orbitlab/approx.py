@@ -18,7 +18,8 @@ sqrt(budget), and one selection computes every distance and breaks ties by
 and eps shrinks, a scan's strip lies inside the last one's in the image
 coordinate and reaches further along the other, so a scan completes only
 the rows outside the last scan's seen sigma range, and the last scan
-carries forward only its candidate-bearing rows.
+carries forward only its candidate-bearing rows (a block too small to be
+worth filtering goes whole).
 
 Exponents come from one estimate: _exponent_row turns a trace into the
 fields that `orbitlab exponent` and every survey row report, the fit of
@@ -271,7 +272,10 @@ def _strip_rows(g, window, r: int, seen: list, cut: bool, old: list):
 def _shift_windows(rows: list, u, w1: float, reach: float) -> tuple:
     """The rows (c, d, tau, a0, b0) whose first coordinate can come within
     reach of w1, and the float bounds (w_lo, w_hi) of those shifts m, with
-    the mask of the rows with tau == 0, which are always kept.
+    the mask of the rows with tau == 0, which are always kept.  A block
+    that would drop fewer than 256 rows is returned whole, with its empty
+    windows (w_lo > w_hi, which expand no shift): there, nine array copies
+    cost more than the candidate rule saves.
 
     The float p1 + m*tau and the exact first coordinate of shift m differ
     by the errors of p1 and of m*tau (|m*c|, |m*d| <= 2*sqrt(Tint) for a
@@ -293,7 +297,7 @@ def _shift_windows(rows: list, u, w1: float, reach: float) -> tuple:
     w_lo = np.ceil(np.minimum(lo, hi) - 1e-9)
     w_hi = np.floor(np.maximum(lo, hi) + 1e-9)
     keep = flat | (w_lo <= w_hi)
-    if keep.all():  # seeds on an axis: every row
+    if keep.size - np.count_nonzero(keep) < 256:  # small strips, and seeds on an axis, whose every row is kept
         return rows, w_lo, w_hi, flat
     keep = np.flatnonzero(keep)
     return [x[keep] for x in rows], w_lo[keep], w_hi[keep], flat[keep]
@@ -361,7 +365,8 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     is the larger.  pad, given when a later scan of the trace follows, is 3
     times the err of the trace's largest budget, and the scan then reaches
     eps + pad: it replaces carry with its own window and bounds and with
-    its rows, taken before the disk test, whose shift window is not empty,
+    the rows _shift_windows returns, taken before the disk test (those
+    whose shift window is not empty, and the rest of a small block),
     unless there are more than _CARRY_ROWS of them (the next scan then
     completes its whole window).  A later scan's eps and err are at most
     this one's eps and the pad's err, so its carried and new rows hold every
