@@ -428,14 +428,15 @@ def _bezout_rows(c: np.ndarray, d: np.ndarray, bound=None) -> tuple:
         return a0, (d * a0 - 1) // c, np.abs(old[0] + new[0]) == 1.0
 
 
-def _shift_margin(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> float:
+def _shift_margin(g00, g01, g10, g11, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi):
     """The margin that widens the p1 range of a box (p1_lo, p1_hi, tau_lo,
-    tau_hi, s_lo, s_hi) searched on the matrix g for its top-row shift
-    windows: every shift m of a row (c, d) of the box with seed (a0, b0),
-    |a0| <= max(|c|, 1), whose float p1 = (a0 + m*c)*g01 + (b0 + m*d)*g11
-    lies in [p1_lo, p1_hi] has (p1_lo - e - w1)/tau <= m <= (p1_hi + e -
-    w1)/tau in floats, w1 = a0*g01 + b0*g11 and tau = c*g01 + d*g11 being
-    the floats of the search.
+    tau_hi, s_lo, s_hi) searched on the matrix g = ((g00, g01), (g10, g11))
+    for its top-row shift windows, from Python floats or from arrays over
+    the windows of a batch alike: every shift m of a row (c, d) of the box
+    with seed (a0, b0), |a0| <= max(|c|, 1), whose float p1 = (a0 + m*c)*g01
+    + (b0 + m*d)*g11 lies in [p1_lo, p1_hi] has (p1_lo - e - w1)/tau <= m <=
+    (p1_hi + e - w1)/tau in floats, w1 = a0*g01 + b0*g11 and tau = c*g01 +
+    d*g11 being the floats of the search.
 
     Error bound.  Let P = max(|p1_lo|, |p1_hi|), S = max(|s_lo|, |s_hi|),
     Q = |g01*g11| and X = |g10*g01| + |g00*g11|, det g within 1e-6 of one.
@@ -459,8 +460,9 @@ def _shift_margin(g, p1_lo, p1_hi, tau_lo, tau_hi, s_lo, s_hi) -> float:
     row path's tau_hi <= 3.58 and S = 1/2 make the margin at most 2^-46*(P +
     W + 4 + |g01| + (1 + 2*W)/tau_lo), the bound _reduced_candidates takes.
     """
-    (g00, g01), (g10, g11) = g
-    P, S = max(-p1_lo, p1_hi), max(-s_lo, s_hi)  # max(|lo|, |hi|) for lo <= hi
+    # max(|lo|, |hi|) for lo <= hi, as max(-lo, hi), with no call that
+    # arrays and floats do not share; the 8u of e covers its rounding
+    P, S = (p1_hi - p1_lo + abs(p1_hi + p1_lo)) / 2.0, (s_hi - s_lo + abs(s_hi + s_lo)) / 2.0
     Q, X = abs(g01 * g11), abs(g10 * g01) + abs(g00 * g11)
     e_t = tau_hi * (2.0 * S * Q + X)
     e = 2.0 * P + 6.0 * (e_t + abs(g01) + abs(g11) + 2.0 * Q * (1.0 / tau_lo + P * S) + P * X)
@@ -660,8 +662,10 @@ def _box_candidates_batch(reps, bounds) -> tuple:
     s_cols = None
     for w, c, d, tau, s in _lattice_points(reps, windows):
         if s_cols is None:  # window parameters per candidate, shared ones as scalars
-            s_cols = _columns([b[4:] for b in bounds])
-            p1_cols = _columns([(b[0], b[1], g[0][1], g[1][1], _shift_margin(g, *b)) for g, b in zip(reps, bounds)])
+            cols = _columns([(*g[0], *g[1], *b) for g, b in zip(reps, bounds)])
+            # the margins in one numpy pass over a large batch, else per window in floats
+            e = _shift_margin(*cols) if len(bounds) >= 64 else np.array([_shift_margin(*g[0], *g[1], *b) for g, b in zip(reps, bounds)])
+            s_cols, p1_cols = cols[8:], [cols[4], cols[5], cols[1], cols[3], e]
         s_lo, s_hi = _at(s_cols, w)
         s /= tau  # sigma to the shear coordinate
         keep = (s_lo <= s) & (s <= s_hi)
