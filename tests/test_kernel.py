@@ -204,15 +204,27 @@ def bits(cols) -> list:
     return [(col.dtype, col.tobytes()) for col in cols]
 
 
+def check_lone_windows(batch, times=1):
+    """The batch, repeated times over, is the lone windows' results laid
+    end to end, bitwise, plus the window index."""
+    lone = [_box_candidates_batch(g, [box])[:3] for g, box in batch] * times
+    win = np.concatenate([np.full(cols[0].size, k, dtype=np.int64) for k, cols in enumerate(lone)])
+    together = _box_candidates_batch(np.array([g for g, _ in batch] * times), [box for _, box in batch] * times)
+    assert bits(together) == bits([np.concatenate(col) for col in zip(*lone)] + [win])
+
+
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(batch_windows(), min_size=1, max_size=6))
 def test_batch_matches_lone_windows(batch):
-    # the batch is the lone windows' results laid end to end, bitwise, plus
-    # the window index
-    lone = [_box_candidates_batch(g, [box])[:3] for g, box in batch]
-    win = np.concatenate([np.full(cols[0].size, k, dtype=np.int64) for k, cols in enumerate(lone)])
-    together = _box_candidates_batch(np.array([g for g, _ in batch]), [box for _, box in batch])
-    assert bits(together) == bits([np.concatenate(col) for col in zip(*lone)] + [win])
+    check_lone_windows(batch)
+
+
+@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(batch_windows(), min_size=2, max_size=6))
+def test_large_batch_matches_lone_windows(batch):
+    # a batch of 64 windows or more takes its shift margins in one numpy
+    # pass over the windows' columns, a smaller one per window in floats
+    check_lone_windows(batch, 64 // len(batch) + 1)
 
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
