@@ -274,7 +274,7 @@ def _shift_windows(rows: list, u, w1: float, reach: float) -> tuple:
     reach of w1, and the float bounds (w_lo, w_hi) of those shifts m, with
     the mask of the rows with tau == 0, which are always kept.  A block
     that would drop fewer than 256 rows is returned whole, with its empty
-    windows (w_lo > w_hi, which expand no shift): there, nine array copies
+    windows (w_lo > w_hi, which expand no shift): there, eight array copies
     cost more than the candidate rule saves.
 
     The float p1 + m*tau and the exact first coordinate of shift m differ
