@@ -17,9 +17,9 @@ sqrt(budget), and one selection computes every distance and breaks ties by
 (dist, norm, a, c, b, d).  No ball is ever materialized.  As budgets grow
 and eps shrinks, a scan's strip lies inside the last one's in the image
 coordinate and reaches further along the other, so a scan completes only
-the rows outside the last scan's seen sigma range, and the last scan
-carries forward only its candidate-bearing rows (a block too small to be
-worth filtering goes whole).
+the rows outside the last scan's seen sigma range, and each scan hands
+the next only its candidate-bearing rows (a block too small to be worth
+filtering goes whole).
 
 Exponents come from one estimate: _exponent_row turns a trace into the
 fields that `orbitlab exponent` and every survey row report, the fit of
