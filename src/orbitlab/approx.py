@@ -10,16 +10,19 @@ disk's diameter.  The strip's area predicts the lattice points a scan
 visits, so one scan answers every next budget whose strip stays under a
 fixed point count, and a deep budget is reached through seed scans that
 first shrink eps, each at the budget halved until its strip stays under
-that count.  The first scan starts from the identity, which has norm
+that count; eps never falls below the float error of the image
+coordinate.  The first scan starts from the identity, which has norm
 2 and lies in every filter.  The rows of the strip come from the quotient
 side's lattice-point search, whose cost follows the rows rather than
 sqrt(budget), and one selection computes every distance and breaks ties by
 (dist, norm, a, c, b, d).  No ball is ever materialized.  As budgets grow
 and eps shrinks, a scan's strip lies inside the last one's in the image
-coordinate and reaches further along the other, so a scan completes only
-the rows outside the last scan's seen sigma range, and each scan hands
-the next only its candidate-bearing rows (a block too small to be worth
-filtering goes whole).
+coordinate and reaches further along the other.  So every scan, seed
+scans included, takes the last scan's state as a value (its tau window,
+seen sigma bounds and candidate-bearing rows) and returns its own: it
+completes only the rows outside the seen range, and hands the next scan
+only the rows that can still yield a candidate (a block too small to be
+worth filtering goes whole).
 
 Exponents come from one estimate: _exponent_row turns a trace into the
 fields that `orbitlab exponent` and every survey row report, the fit of
@@ -231,9 +234,6 @@ def _predicted_points(u, w, Tint: int, eps: float) -> float:
     return max(tau_hi - tau_lo, 0.0) * (sig_hi - sig_lo)
 
 
-# The rows (c, d, tau, a0, b0) of a scan that keeps none.
-_NO_ROWS = [np.empty(0, np.int64)] * 2 + [np.empty(0)] + [np.empty(0, np.int64)] * 2
-
 # Most rows a scan carries to the next one (0.6 MB).  A generic trace keeps
 # under 2,000 (the benchmark's survey pairs to 4^27); a seed on an axis,
 # whose every row can bear a candidate, exceeds it, and its next scan then
@@ -241,26 +241,29 @@ _NO_ROWS = [np.empty(0, np.int64)] * 2 + [np.empty(0)] + [np.empty(0, np.int64)]
 _CARRY_ROWS = 1 << 14
 
 
-def _strip_rows(g, window, r: int, seen: list, cut: bool, old: list):
+def _strip_rows(g, window, r: int, seen: list, old: list):
     """The row source of a strip scan: per block of the window's lattice
     points, the arrays (c, d, tau, a0, b0) of its primitive rows in the entry
-    square |c|, |d| <= r, with a0*d - b0*c = 1.  The rows carried from
-    earlier scans, old (a list of at most one block), join the first block.
+    square |c|, |d| <= r with float |sigma| <= the window's sig_hi, with
+    a0*d - b0*c = 1.  The rows carried from the last scan, old (a list of
+    blocks), join the first block, cut to the window's tau.
 
     A row with both entries even is never primitive and is dropped before
     _bezout_rows completes the rest.  Each bound (r', s) of seen drops the
     rows that an earlier scan of the trace completed: those with |c|, |d|
-    <= r' and float |sigma| <= s (see _strip_improve).  cut drops the rows
-    beyond the window's float sigma, which _lattice_points yields up to its
+    <= r' and float |sigma| <= s (see _strip_improve).  The cut to the float
+    sigma window drops the rows that _lattice_points yields up to its
     rounding slack, so that a later scan can tell which rows were completed.
     """
+    if old:
+        old = [np.concatenate(x) for x in zip(*old)]
+        keep = np.flatnonzero((window[0] <= old[2]) & (old[2] <= window[1]))
+        old = [[x[keep] for x in old]]
     for _, c, d, tau, sigma in _lattice_points([g], [window]):
-        e = np.maximum(np.abs(c), np.abs(d))
-        keep = (e <= r) & ((c | d) & 1 == 1)
-        if cut:
-            keep &= np.abs(sigma) <= window[3]
+        e, s = np.maximum(np.abs(c), np.abs(d)), np.abs(sigma)
+        keep = (e <= r) & ((c | d) & 1 == 1) & (s <= window[3])
         for r_seen, s_seen in seen:
-            keep &= (e > r_seen) | (np.abs(sigma) > s_seen)
+            keep &= (e > r_seen) | (s > s_seen)
         c, d, tau = c[keep], d[keep], tau[keep]
         a0, b0, prim = _bezout_rows(c, d, r)
         rows = [c[prim], d[prim], tau[prim], a0[prim], b0[prim]]
@@ -337,9 +340,10 @@ def _candidates(rows: list, shifts: list, u, Tint: int) -> tuple:
     return a0[k] + m * c, b0[k] + m * d, c, d
 
 
-def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple, carry=None, pad=None) -> list:
-    """Least key among best and the elements within eps of v, per ascending
-    integer budget: one strip scan of the largest budget.
+def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, best: tuple, pad: float, last) -> tuple:
+    """(keys, state): the least key among best and the elements within eps
+    of v, per ascending integer budget, from one strip scan of the largest
+    budget, and what the next scan of the trace takes from this one.
 
     Any element with distance <= eps lies in the strip of _strip_window at
     the largest budget, in the frame of _scan_target, so each returned key is
@@ -351,55 +355,45 @@ def _strip_improve(u, v, budgets: list, eps: float, subgroup: SubgroupFilter, be
     rows of gamma before the one selection, so keys, tie order and filters
     never see the frame.
 
-    carry, a dict that the scans of one trace share, holds what the last
-    scan saw: its tau window, its seen bounds and its candidate-bearing
-    rows.  When this scan's tau window lies inside that one (it does while
-    budgets grow and eps shrinks), the row source completes only the rows
-    outside the seen bounds, and the carried rows in this tau window join
-    the new ones; a row's tau and sigma are the same floats in every scan.
-    A seen bound (r, s) is r = isqrt(Tint - 1) and s = sig_hi - err/n of a
-    scan that cut its rows to its float sigma window: a row with |c|, |d|
-    <= r and float |sigma| <= s has its exact sigma in that window (the
-    float error of sigma is below 2^-51*sqrt(Tint)*(|u1| + |u2|)/n), so
-    that scan completed it.  The bounds of earlier scans stay while their s
-    is the larger.  pad, given when a later scan of the trace follows, is 3
-    times the err of the trace's largest budget, and the scan then reaches
-    eps + pad: it replaces carry with its own window and bounds and with
-    the rows _shift_windows returns, taken before the disk test (those
-    whose shift window is not empty, and the rest of a small block),
-    unless there are more than _CARRY_ROWS of them (the next scan then
-    completes its whole window).  A later scan's eps and err are at most
-    this one's eps and the pad's err, so its carried and new rows hold every
-    row that yields a candidate when it scans alone.  A scan without pad
-    keeps and cuts nothing.
+    last is the state of the last scan of the trace, or None, and state is
+    this scan's: (tau window, seen bounds, carried rows), or None when more
+    than _CARRY_ROWS rows would be carried (the next scan then completes its
+    whole window).  When this scan's tau window lies inside last's (it does
+    while budgets grow and eps shrinks), the row source completes only the
+    rows outside last's seen bounds, and last's carried rows in this tau
+    window join the new ones; a row's tau and sigma are the same floats in
+    every scan.  A seen bound (r, s) is r = isqrt(Tint - 1) and s = sig_hi -
+    err/n of a scan: a row with |c|, |d| <= r and float |sigma| <= s has its
+    exact sigma in that scan's window (the float error of sigma is below
+    2^-51*sqrt(Tint)*(|u1| + |u2|)/n), so that scan completed it.  The
+    bounds of earlier scans stay while their s is the larger.  pad is 3
+    times the err of the trace's largest budget, and the scan reaches eps +
+    pad: its carried rows are the blocks _shift_windows returns, taken
+    before the disk test (the rows whose shift window is not empty, and the
+    rest of a small block).  A later scan's eps and err are at most this
+    one's eps and the pad's err, so its carried and new rows hold every row
+    that yields a candidate when it scans alone.
     """
     swap, (w1, w2) = _scan_target(v)
     Tint = budgets[-1]
     g, window, err = _strip_window(u, (w1, w2), Tint, eps)
     r = math.isqrt(Tint - 1)  # larger entries cannot fit; smaller ones square in int64
-    reach = eps + (3.0 * err if pad is None else pad)  # see _shift_windows; pad >= 3*err
-    old, seen, kept, n_kept = [], [], [_NO_ROWS], 0
-    if carry and carry["tau"][0] <= window[0] and window[1] <= carry["tau"][1]:
-        tau, seen = carry["rows"][2], carry["seen"]
-        keep = np.flatnonzero((window[0] <= tau) & (tau <= window[1]))
-        old = [[x[keep] for x in carry["rows"]]]
+    seen, old, kept, n_kept = [], [], [], 0
+    if last and last[0][0] <= window[0] and window[1] <= last[0][1]:
+        _, seen, old = last
     keys = [best] * len(budgets)
-    for rows in _strip_rows(g, window, r, seen, pad is not None, old):
-        rows, *shifts = _shift_windows(rows, u, w1, reach)
+    for rows in _strip_rows(g, window, r, seen, old):
+        rows, *shifts = _shift_windows(rows, u, w1, eps + pad)  # pad >= 3*err, see _shift_windows
         n_kept += rows[0].size
-        if pad is not None and n_kept <= _CARRY_ROWS:
+        if n_kept <= _CARRY_ROWS:
             kept.append(rows)
         a, b, c, d = _candidates(rows, shifts, u, Tint)
         if swap:  # gamma = J^-1 * gamma'
             a, b, c, d = -c, -d, a, b
         keys = _least_key(a, b, c, d, u, v, budgets, subgroup, keys)
-    if pad is not None:
-        s = window[3] - err / (g[0][1] ** 2 + g[1][1] ** 2)
-        carry.clear()
-        if n_kept <= _CARRY_ROWS:  # r only grows: an earlier bound still counts where its s is larger
-            seen = [(r, s)] + [b for b in seen if b[1] > s]
-            carry.update(tau=window[:2], seen=seen, rows=[np.concatenate(x) for x in zip(*kept)])
-    return keys
+    s = window[3] - err / (g[0][1] ** 2 + g[1][1] ** 2)
+    seen = [(r, s)] + [b for b in seen if b[1] > s]  # r only grows
+    return keys, ((window[:2], seen, kept) if n_kept <= _CARRY_ROWS else None)
 
 
 # Most lattice points a scan of a trace's plan is predicted to visit.  A
@@ -428,13 +422,15 @@ def approx_trace(
     dropped: the seed budget is the largest ints[i] // 2^k (k >= 1) whose
     strip at eps predicts at most _SCAN_POINTS points, and it is taken only
     when it is at least twice the last budget scanned (and at least 2), else
-    the budget is scanned as it is.  Whatever eps >= the best distance a scan
+    the budget is scanned as it is.  eps is floored at the err of the
+    largest budget's window (_strip_window): a thinner strip cannot tell
+    floats apart, and after a float near-hit its reduced lattice would hold
+    millions of empty rows.  Whatever eps >= the best distance a scan
     is seeded with, it keeps every element whose float key is at or below
-    the best so far, so the rows do not depend on the plan.  Each scan of
-    a run that another run follows keeps its window and its
-    candidate-bearing rows for the next scan, which completes only the rows
-    outside its seen sigma range (_strip_improve); the last scan and the
-    seed scans keep nothing, so a one-budget query holds no state.  A
+    the best so far, so the rows do not depend on the plan.  Every scan,
+    seed scans and the last one alike, takes the state the last scan
+    returned and returns its own (_strip_improve), so the next scan
+    completes only the rows outside its seen sigma range.  A
     one-budget query is one scan whenever
     4*|u - v|*sqrt(T)/|u| <= _SCAN_POINTS (for example below T = 62500 when
     |v| <= 2|u|), and a generic pair over 4^8 .. 4^22 makes about 5 scans
@@ -464,26 +460,27 @@ def approx_trace(
         raise ValueError(f"2*M^2 must be finite in floats, M = sqrt(T)*(|u1| + |u2|) + |v1| + |v2| = {M:g}")
     e1, e2 = u1 - float(v[0]), u2 - float(v[1])
     best = (e1 * e1 + e2 * e2, 2, 1, 0, 0, 1)  # the identity's key
-    keys, last, carry = [], 0, {}
+    keys, last, state = [], 0, None
     while len(keys) < len(ints):
         i = j = len(keys)
         eps = math.sqrt(best[0]) * (1.0 + 1e-12)
         if not eps > 0.0:  # an exact hit stays
             keys.append(best)
             continue
+        eps = max(eps, err)  # a thinner strip cannot tell floats apart
         while j + 1 < len(ints) and _predicted_points(u, w, ints[j + 1], eps) <= _SCAN_POINTS:
             j += 1
+        run = ints[i : j + 1]
         if j == i and _predicted_points(u, w, ints[i], eps) > 2 * _SCAN_POINTS:
             seed = ints[i] // 2
             while seed >= max(2, 2 * last) and _predicted_points(u, w, seed, eps) > _SCAN_POINTS:
                 seed //= 2
             if seed >= max(2, 2 * last):
-                best = _strip_improve(u, v, [seed], eps, subgroup, best, carry)[0]
-                last = seed
-                continue
-        pad = 3.0 * err if j + 1 < len(ints) else None  # the last scan keeps nothing, as seed scans
-        keys += _strip_improve(u, v, ints[i : j + 1], eps, subgroup, best, carry, pad)
-        best, last = keys[-1], ints[j]
+                run = [seed]
+        out, state = _strip_improve(u, v, run, eps, subgroup, best, 3.0 * err, state)
+        if run[-1] == ints[j]:  # a seed scan's row is dropped
+            keys += out
+        best, last = out[-1], run[-1]
     return ApproxTrace(
         u=(u1, u2),
         v=(float(v[0]), float(v[1])),

@@ -468,12 +468,40 @@ def test_strip_scans_cost_what_the_docstring_says(monkeypatch):
             assert pts <= 2 * (pred + n_rows), (u, v, pts, pred, n_rows)
 
 
+@pytest.mark.parametrize(
+    "u, v, flt, entries, dist",
+    [
+        ((-0.1, 1.6), (1.1, 0.6), "gamma:2", (21, 2, 10, 1), 1.1102230246251565e-16),
+        ((0.3, 0.6), (-0.3, -1.8), "full", (-1, 0, -4, -1), 2.220446049250313e-16),
+    ],
+)
+def test_float_near_hits_keep_the_strips_small(monkeypatch, u, v, flt, entries, dist):
+    # v = gamma*u in decimals: the best distance falls to a float rounding,
+    # and eps is floored at err, so the next strips stay as wide as a float
+    # can tell apart; with eps at the distance the reduced lattice of such a
+    # strip set up 6 to 7 million rows to 4^12
+    import orbitlab.homogeneous as hom_mod
+
+    real, rows = hom_mod._window_rows, []
+
+    def window_rows(*args):
+        s = real(*args)
+        rows.append(s[1] if s else 0)
+        return s
+
+    monkeypatch.setattr(hom_mod, "_window_rows", window_rows)
+    rec = approx_trace(u, v, [4.0**k for k in range(2, 13)], SubgroupFilter.parse(flt)).records[-1]
+    assert (rec.gamma.entries(), rec.dist) == (entries, dist)
+    assert sum(rows) <= 20_000, rows
+
+
 def reuse_scans(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
     """The rows of approx_trace(u, v, budgets, flt), and per strip scan a
-    dict: its keys, the (c, d) rows handed to the candidate rule, the rows
-    _bezout_rows completed, and the keys and candidate-bearing rows of the
-    same scan made alone, over its whole window without carried rows.  A
-    row (c, d) is the integer c * 2^33 + d (|c|, |d| < 2^32 below 2^60)."""
+    dict: its keys, its tau window, whether it returned a state, the (c, d)
+    rows handed to the candidate rule, the rows _bezout_rows completed, and
+    the keys and candidate-bearing rows of the same scan made alone, over
+    its whole window without the last scan's state.  A row (c, d) is the
+    integer c * 2^33 + d (|c|, |d| < 2^32 below 2^60)."""
     real_improve, real_rule, real_bezout = approx_mod._strip_improve, approx_mod._candidates, approx_mod._bezout_rows
     scans, into = [], []
 
@@ -489,17 +517,18 @@ def reuse_scans(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
 
     def improve(*args):
         into.append({"handed": [], "bearing": [], "completed": []})
-        keys = real_improve(*args)
-        scans.append((args[:6], {k: np.concatenate(x or [np.empty(0, np.int64)]) for k, x in into.pop().items()}))
-        # a seed scan (no pad) keeps nothing, nor a scan that kept more than _CARRY_ROWS rows
-        scans[-1][1].update(keys=keys, kept=len(args) > 7 and args[7] is not None and bool(args[6]))
-        return keys
+        keys, state = real_improve(*args)
+        scans.append((args[:7], {k: np.concatenate(x or [np.empty(0, np.int64)]) for k, x in into.pop().items()}))
+        u, v, budgets, eps = args[:4]
+        tau = approx_mod._strip_window(u, approx_mod._scan_target(v)[1], budgets[-1], eps)[1][:2]
+        scans[-1][1].update(keys=keys, tau=tau, kept=state is not None)
+        return keys, state
 
     with pytest.MonkeyPatch.context() as mp:
         for name, spy in [("_strip_improve", improve), ("_candidates", rule), ("_bezout_rows", bezout)]:
             mp.setattr(approx_mod, name, spy)
         rows = approx_trace(u, v, budgets, flt).rows()
-        alone = [improve(*args) and scans.pop()[1] for args, _ in list(scans)]
+        alone = [improve(*args, None) and scans.pop()[1] for args, _ in list(scans)]
     return rows, [dict(scan, alone=one) for (_, scan), one in zip(scans, alone)]
 
 
@@ -507,18 +536,23 @@ def check_reuse(u, v, budgets, flt=SubgroupFilter.full()) -> tuple:
     """The checks of a trace's row reuse (reuse_scans): each scan returns
     the keys it returns alone, the rows handed to its candidate rule hold
     every row that yields a candidate when it scans alone, and no row is
-    completed twice between scans that keep nothing.  Returns the rows, the
-    number of rows completed and the number the scans complete alone."""
+    completed twice in the whole trace, seed scans included, except by a
+    scan that completes its whole window: the first, one after a scan that
+    returned no state, or one whose tau window does not lie inside the last
+    scan's.  Returns the rows, the number of rows completed and the number
+    the scans complete alone."""
     rows, scans = reuse_scans(u, v, budgets, flt)
-    completed = [np.empty(0, np.int64)]
+    completed, last = [], None
     for k, scan in enumerate(scans):
         assert scan["keys"] == scan["alone"]["keys"], (u, v, k)
         assert np.isin(scan["alone"]["bearing"], scan["handed"]).all(), (u, v, k)
+        tau = scan["tau"]
+        if not (last and last["kept"] and last["tau"][0] <= tau[0] and tau[1] <= last["tau"][1]):
+            completed = []
         completed.append(scan["completed"])
-        if not scan["kept"] or k + 1 == len(scans):
-            run = np.concatenate(completed)
-            assert np.unique(run).size == run.size, (u, v, k)
-            completed = [np.empty(0, np.int64)]
+        run = np.concatenate(completed)
+        assert np.unique(run).size == run.size, (u, v, k)
+        last = scan
     return rows, sum(scan["completed"].size for scan in scans), sum(scan["alone"]["completed"].size for scan in scans)
 
 
@@ -659,22 +693,25 @@ def test_trace_validation():
 
 
 def test_scan_blocks_without_candidates_keep_the_keys(monkeypatch):
-    # a near-horizontal seed at a deep budget: a block of the strip's rows
-    # has no top-row shift in the first-coordinate window, and _least_key
-    # hands its keys on unchanged; the witness still gives the distance
-    real, unchanged = approx_mod._least_key, []
+    # a near-horizontal seed over a budget grid: later blocks of the strip's
+    # rows have no top-row shift in the first-coordinate window, and
+    # _least_key hands their keys on unchanged; the witnesses still give
+    # the distances
+    real, blocks = approx_mod._least_key, []
 
     def least_key(a, b, c, d, u, v, budgets, subgroup, keys):
         out = real(a, b, c, d, u, v, budgets, subgroup, keys)
-        unchanged.append(out is keys)
+        blocks.append((a.size, out is keys))
         return out
 
     monkeypatch.setattr(approx_mod, "_least_key", least_key)
-    u, v = (1.0, 1e-12), (0.3, 0.2)
-    rec = best_approx(u, v, 2**26)
-    assert any(unchanged) and not all(unchanged)
-    assert rec.gamma_norm <= 2**26
-    assert rec.dist == pytest.approx(float(np.hypot(*(orbit_point(rec.gamma, u) - np.array(v)))), rel=1e-12)
+    u, v = (1.058, 1e-6), (-1.49, -1.11)
+    tr = approx_trace(u, v, [4.0**k for k in range(8, 14)])
+    assert (0, True) in blocks and not all(same for _, same in blocks)
+    assert all(same for n, same in blocks if n == 0)
+    for T, rec in zip(tr.budgets, tr.records):
+        assert rec.gamma_norm <= T
+        assert rec.dist == pytest.approx(float(np.hypot(*(orbit_point(rec.gamma, u) - np.array(v)))), rel=1e-12)
 
 
 @pytest.mark.parametrize(

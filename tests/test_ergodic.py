@@ -845,6 +845,34 @@ def test_closed_range_is_the_flag_test(v, hw, scale):
     assert abs(math.nextafter(hi, math.inf) - v) > hw
 
 
+def test_closed_range_scans_the_floats_below_the_least_end():
+    # with -hw < v < 0 the least end lies near -2*hw, and for some v the
+    # float below v - hw - g passes the flag test, so the downward step must
+    # take it: a float-by-float scan around v - hw finds the same least end
+    # (one float higher when the step stops short of an exact hw)
+    assert _closed_range(-0.05840606642924124, 0.06342826933316337)[0] == -0.12183433576240461
+    rng = np.random.default_rng(37)
+    for hw, t in rng.uniform(0.0, 1.0, (2000, 2)).tolist():
+        hw = 0.25 * hw + 1e-3
+        v = -hw * t
+        xs = [v - hw]
+        for _ in range(4):
+            xs = [math.nextafter(xs[0], -math.inf)] + xs + [math.nextafter(xs[-1], math.inf)]
+        passing = [x for x in xs if abs(x - v) <= hw]
+        assert passing[0] != xs[0] and _closed_range(v, hw)[0] == passing[0], (v, hw)
+
+
+@pytest.mark.parametrize("flags, k_max, T0", [
+    ([False] * 5 + [True, True], 64, 32),
+    ([False, False, True], 8, 4),
+    ([False] * 6 + [True], 64, None),
+    ([True] * 4, 8, 1),
+])
+def test_certified_T0_at_half_the_horizon(flags, k_max, T0):
+    # a power-of-two k_max certifies T0 = k_max/2, and nothing beyond it
+    assert _certified_T0(flags, k_max) == T0
+
+
 def test_grid_levels_search_targets_in_slices(monkeypatch):
     # a level of more than _CHUNK targets is searched a slice at a time, the
     # first slice with a miss ending it, with the verdict of one call on all

@@ -107,6 +107,7 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
     # and a filter
     edges = [((1.37, 1.61), (1.5, 0.0), "full"), ((-1.83, 1.14), (0.0, -1.2), "full"), ((1.3, 0.0), (1.303, 0.796), "full"),
              ((1.3, 0.0), (0.0, 0.7), "full"), ((1.41, 1.73), (1.2, 1.5), "gamma0:3")]
+    near = [((-0.1, 1.6), (1.1, 0.6), "gamma:2"), ((0.3, 0.6), (-0.3, -1.8), "full")]
     return {
         "member": (len(reduced), lambda: [ol.in_quotient_target(g, spec) for g in reduced]),
         "bump": (len(reduced), lambda: [ol.target_bump(g, spec) for g in reduced]),
@@ -123,6 +124,9 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
         "deep-trace": (2, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 28)]).records for u, v in pairs[:2]]),
         "trace-edge": (len(edges), lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 21)], ol.SubgroupFilter.parse(f)).records
                                             for u, v, f in edges]),
+        # v = gamma*u in decimals: the best distance falls to a float rounding
+        "near-hit": (len(near), lambda: [ol.approx_trace(u, v, [4.0**k for k in range(2, 13)], ol.SubgroupFilter.parse(f)).records
+                                         for u, v, f in near]),
         # one 512-sample chunk of ergodic-variance at delta = 0.1, T = 64 .. 4096
         "variance": (1, lambda: ol.variance_curve(ol.TargetSpec(*V0, 0.1), [2**k for k in range(6, 13)], 512, seed=1)),
         "elements": (2, lambda: [ol.elements_array(2 * 10**4, ol.SubgroupFilter.parse(f)) for f in ("full", "gamma0:3")]),
