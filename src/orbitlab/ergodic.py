@@ -132,9 +132,6 @@ def _moments(parts: list, n_samples: int) -> tuple:
 # shell reaches _SHELL_GROWTH times as far as the last.
 _FIRST_SHELL_POINTS = 100
 _SHELL_GROWTH = 4
-# Up to this many (window, hit) pairs of a round, testing every pair at once
-# takes fewer numpy calls than sorting the hits first.
-_PAIR_CELLS = 1 << 12
 
 
 def _first_reach(cols: np.ndarray) -> list:
@@ -207,18 +204,26 @@ def _first_hits(reps, boxes: list, horizon) -> np.ndarray:
     Windows that share one matrix share a cover window where that predicts
     no more work (_covers): runs of consecutive pending windows are searched
     as the bounding box of their boxes, from the least of their starts to
-    the farthest of their ends.  Each hit of the round goes to every
-    pending window whose closed box holds its (p1, tau) and whose run's end
-    holds its |k| (a farther run may find a later hit of a window before
-    the window has searched the times between); one beyond a window's
-    horizon leaves its answer at horizon + 1.  A window that does not hit
-    goes on from its run's end, so no time is searched twice for a window.
-    A candidate's (p1, tau, s) depends only on its integer row and the
-    matrix, not on the window it was found in, and the kernel returns every
-    candidate of a closed box, so each window sees the floats of a search
-    on it alone, and a cover that starts below a window's start finds no
-    hit of that window there.  A hit has s strictly inside
-    (-k - 1/2, -k + 1/2), so it lies in exactly one shell.
+    the farthest of their ends.  Each hit of the round goes to the windows
+    of its own run (its cover) whose closed box holds its (p1, tau); one
+    beyond a window's horizon leaves its answer at horizon + 1.  A window
+    that does not hit goes on from its run's end, so no time is searched
+    twice for a window.  A hit has s strictly inside (-k - 1/2, -k + 1/2),
+    so it lies in exactly one shell.
+
+    The own-cover rule loses no first hit.  A candidate's (p1, tau, s)
+    depends only on its integer row and the matrix, not on the window it
+    was found in, and the kernel returns every candidate of a closed box,
+    so a window sees the floats of a search on it alone.  A pending
+    window's own cover searches a box that holds the window's box over
+    every time from the run's least start to its end.  So a hit of the
+    window that another cover finds at |k| <= that end is found by its own
+    cover too, at the same |k|; one beyond that end waits for the window's
+    later rounds, which search the times between first.  And a cover that
+    starts below a window's start finds no hit of that window there: the
+    window's earlier covers searched every |k| < start in boxes that hold
+    its own, and such a hit would have been its answer and ended its
+    search.
     """
     reps = np.asarray(reps, dtype=float)
     horizons = [horizon] * len(boxes) if np.isscalar(horizon) else list(horizon)
@@ -237,24 +242,13 @@ def _first_hits(reps, boxes: list, horizon) -> np.ndarray:
         at = np.array(pending)
         pick = reps if reps.ndim == 2 else reps[at[run]]
         win, k, p1, tau, _ = _hits(pick, [r[0] + w for r, ws in zip(runs, shells) for w in ws])
+        # each hit against the windows of its own run, pending positions first .. first + size - 1
+        size = np.array([n for _, _, _, n in runs])
+        h, j = _ranges((np.cumsum(size) - size)[run[win]], size[run[win]])
+        w, p1, tau = at[j], p1[h], tau[h]
+        ok = (cols[0, w] <= p1) & (p1 <= cols[1, w]) & (cols[2, w] <= tau) & (tau <= cols[3, w])
+        np.minimum.at(first, w[ok], np.abs(k[h[ok]]))  # a hit beyond a window's horizon leaves it at horizon + 1
         reach = [e for _, _, e, n in runs for _ in range(n)]  # per pending window, its run's end
-        ak = np.abs(k)
-        if len(runs) == len(pending):  # no shared cover: each hit is its own window's
-            at = at[run[win]]
-        elif len(pending) * len(k) <= _PAIR_CELLS:  # one matrix: test every (window, hit) pair
-            p1_lo, p1_hi, tau_lo, tau_hi = cols[:, at, None]
-            ok = (p1_lo <= p1) & (p1 <= p1_hi) & (tau_lo <= tau) & (tau <= tau_hi) & (ak <= np.array(reach)[:, None])
-            j, h = ok.nonzero()
-            at, ak = at[j], ak[h]
-        else:  # the same test on the pairs whose p1 range holds the hit, from the hits sorted by p1
-            order = np.argsort(p1)
-            p1, tau, ak = p1[order], tau[order], ak[order]
-            start = np.searchsorted(p1, cols[0, at], "left")
-            j, h = _ranges(start, np.searchsorted(p1, cols[1, at], "right") - start)
-            w, tau = at[j], tau[h]
-            ok = (cols[2, w] <= tau) & (tau <= cols[3, w]) & (ak[h] <= np.array(reach)[j])
-            at, ak = w[ok], ak[h[ok]]
-        np.minimum.at(first, at, ak)  # a hit beyond a window's horizon leaves it at horizon + 1
         # a window that has not hit goes on from its run's end, if that lies below its horizon
         pending, later = [], pending
         for i, e, f in zip(later, reach, first[later].tolist()):

@@ -677,6 +677,59 @@ def test_hits_beyond_a_windows_own_search_wait_for_it(a):
     assert _first_hits(rep, [tiny, tiny, wide], K).tolist() == [t2, t2, t1]
 
 
+def test_hits_of_other_covers_are_found_by_a_windows_own_cover(monkeypatch):
+    # the premise of _first_hits' own-cover rule, on the rounds of seeded
+    # reports and grid slices: a hit of one cover in the closed box of a
+    # pending window of another, at |k| <= that window's run end, is also
+    # a hit of the window's own cover at the same k, and the own cover
+    # finds no hit of the window below the window's start
+    first_hits, covers, hits = ergodic_mod._first_hits, ergodic_mod._covers, ergodic_mod._hits
+    rounds = []
+
+    def first_hits_spy(reps, boxes, horizon):
+        first = first_hits(reps, boxes, horizon)
+        assert first.tolist() == first_hits_one_window(reps, boxes, horizon).tolist()
+        return first
+
+    def covers_spy(mine, starts, ends):
+        runs = covers(mine, starts, ends)
+        rounds.append([mine, starts, runs])
+        return runs
+
+    def hits_spy(pick, bounds):
+        found = hits(pick, bounds)
+        rounds[-1].append(found)
+        return found
+
+    monkeypatch.setattr(ergodic_mod, "_first_hits", first_hits_spy)
+    monkeypatch.setattr(ergodic_mod, "_covers", covers_spy)
+    monkeypatch.setattr(ergodic_mod, "_hits", hits_spy)
+
+    def crossings() -> int:
+        # the hits of other covers that the premise speaks of, over the rounds
+        crossed = 0
+        for mine, starts, runs, (win, k, p1, tau, _) in rounds:
+            cover = np.repeat(np.arange(len(runs)), [2 if lo else 1 for _, lo, _, _ in runs])[win]
+            owner = np.repeat(np.arange(len(runs)), [n for *_, n in runs])
+            for (p1_lo, p1_hi, tau_lo, tau_hi), start, r in zip(mine, starts, owner.tolist()):
+                inside = (p1_lo <= p1) & (p1 <= p1_hi) & (tau_lo <= tau) & (tau <= tau_hi) & (np.abs(k) <= runs[r][2])
+                own = inside & (cover == r)
+                assert (np.abs(k[own]) >= start).all()
+                found = set(zip(p1[own].tolist(), tau[own].tolist(), k[own].tolist()))
+                other = inside & (cover != r)
+                assert set(zip(p1[other].tolist(), tau[other].tolist(), k[other].tolist())) <= found
+                crossed += int(other.sum())
+        rounds.clear()
+        return crossed
+
+    for rep in _haar_reps(8, seed=2024):
+        shrinking_hit_report(0.25, rep, 30_000, V0)
+    assert crossings() > 0
+    for pt in haar_sample(2, seed=47):
+        uniform_grid_experiment((1.0, 1.5, 1.0, 1.5), 0.4, pt, 2048)
+    assert crossings() > 0
+
+
 @pytest.mark.parametrize(
     "eta, k_max, calls, windows, points",
     [(0.25, 30_000, 9, 160 // 3, 5266), (0.5, 100_000, 8, 136, 8218), (0.7, 100_000, 8, 136, 1187)],
@@ -1130,6 +1183,39 @@ def test_miss_chunks_and_report_levels_match_brute_force():
             edges["beyond"] += f == h + 1
         assert report["T0"] == _certified_T0(flags, 64)
     assert min(edges.values()) >= 10
+
+
+def test_uniform_grid_levels_match_brute_force():
+    # each level of a uniform grid at k_max <= 64 hits when every grid target
+    # passes its flag test at some |k| <= the level's horizon, and its nGrid
+    # counts one target per cell of width at most the level's size; the
+    # oracle searches one box around omega and applies each target's flag
+    # test to its floats.  Some levels hit only through a target whose first
+    # brute hit is at the horizon, and some miss only through a target whose
+    # first brute hit is one beyond
+    edges = {"at": 0, "beyond": 0}
+    for omega, eta, k_max in (((1.1, 1.5, 0.6, 1.0), 0.5, 64), ((-1.4, -1.2, 0.7, 0.9), 0.25, 48), ((-1.3, -1.3, 0.6, 1.0), 0.4, 64)):
+        x0, x1, y0, y1 = omega
+        for rep in _haar_reps(40, seed=61):
+            report = uniform_grid_experiment(omega, eta, rep, k_max)
+            d = max(lv["delta"] for lv in report.levels)
+            hits = orbit_hits_brute(rep, k_max + 1, (x0 - d, x1 + d, y0 - d, y1 + d))
+            for lv in report.levels:
+                h, d = lv["horizon"], lv["delta"]
+                nx, ny = (max(1, math.ceil((b - a) / d)) if b > a else 1 for a, b in ((x0, x1), (y0, y1)))
+                assert lv["nGrid"] == nx * ny
+                first = []
+                for i in range(nx):
+                    for j in range(ny):
+                        w1 = x0 + (i + 0.5) * (x1 - x0) / nx if x1 > x0 else x0
+                        w2 = y0 + (j + 0.5) * (y1 - y0) / ny if y1 > y0 else y0
+                        ks = [abs(k) for k, p1, tau, _ in hits if abs(p1 - w1) <= 0.5 * d and abs(tau - w2) <= 0.5 * d]
+                        first.append(min(ks, default=k_max + 2))
+                assert lv["hit"] == (max(first) <= h)
+                edges["at"] += max(first) == h
+                edges["beyond"] += [f for f in first if f > h] == [h + 1]
+            assert report.T0 == _certified_T0([lv["hit"] for lv in report.levels], k_max)
+    assert min(edges.values()) >= 20
 
 
 def test_variance_chunk_bump_sums_match_brute_force():

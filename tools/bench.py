@@ -118,6 +118,10 @@ def call_sets(ol, reps: np.ndarray, pairs: list) -> dict:
         "hit-set": (300, lambda: [ol.hit_set(g, spec, 16) for g in reduced[:300]]),
         "report": (64, lambda: [ol.shrinking_hit_report(0.25, g, 3 * 10**4, V0) for g in reduced[:64]]),
         "miss-rate": (1, lambda: ol.miss_rate_curve([16, 64, 256], 0.1, V0, 512, seed=1)),
+        # uniform grids, whose slices of many targets pair a round's many hits
+        # with many windows; at eta = 0.7 every level misses in its first slice
+        "grid": (2, lambda: [ol.uniform_grid_experiment((1.0, 2.0, 1.0, 2.0), 0.15, g, 10**5) for g in reduced[:2]]),
+        "grid-fine": (1, lambda: ol.uniform_grid_experiment((1.0, 2.0, 1.0, 2.0), 0.7, reduced[0], 10**4)),
         "best-approx": (len(pairs), lambda: [ol.best_approx(u, v, 11_000) for u, v in pairs]),
         "trace": (5, lambda: [ol.approx_trace(u, v, [4.0**k for k in range(8, 23)]).records for u, v in pairs[:5]]),
         # the README survey grid to 2^54, whose deep scans have rows beyond 2^22
